@@ -121,8 +121,12 @@ def _cmd_run(args) -> int:
         quadrature=args.quadrature,
     )
     backend = get_backend(args.kernel)
-    sink = harness.CsvSink(os.path.join(out_dir, "results.csv"))
-    harness.write_manifest(os.path.join(out_dir, "manifest.json"), cfg, backend.name, args.workers)
+    results_path = os.path.join(out_dir, "results.csv")
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    harness.check_resume(manifest_path, results_path, cfg)
+    # manifest first: results never exist without the manifest that vouches for them
+    harness.write_manifest(manifest_path, cfg, backend.name, args.workers)
+    sink = harness.CsvSink(results_path)
 
     def progress(est):
         print(

@@ -5,8 +5,9 @@ Determinism contract
 Trials are grouped into fixed-size blocks; block ``b`` of point ``k`` draws
 from a counter-based Philox stream keyed by ``(master_seed, k, b)``.  Blocks
 may execute on any number of worker threads, but failure counts are combined
-in block order, so a sweep's CSV output is byte-identical for a given
-``SweepConfig`` regardless of parallelism or scheduling.
+in block order (and an early stop is decided in that order), so a sweep's CSV
+output is byte-identical for a given ``SweepConfig`` regardless of
+parallelism or scheduling.
 
 CSV schema (one row per point)::
 
@@ -18,10 +19,12 @@ cycle applies ``sigma_total / cycles``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -134,6 +137,33 @@ class SweepConfig:
                 idx += 1
 
 
+def _in_order(fn, items, workers: int):
+    """Yield ``fn(item)`` for each item, in item order.
+
+    With several workers and items, calls run on a thread pool with at most
+    ``workers`` of them in flight; the next item is submitted only when the
+    consumer asks for the next result.  Closing the generator early cancels
+    the calls that have not started and waits for the running ones.
+    """
+    if workers <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        window = deque(ex.submit(fn, item) for item in items[:workers])
+        rest = iter(items[workers:])
+        try:
+            while window:
+                yield window.popleft().result()
+                item = next(rest, None)
+                if item is not None:
+                    window.append(ex.submit(fn, item))
+        finally:
+            # the results, or errors, of calls past an early close are never
+            # read, as with one worker, where those calls never run
+            for future in window:
+                future.cancel()
+
+
 def estimate_point(
     protocol: str,
     analog: bool,
@@ -155,9 +185,16 @@ def estimate_point(
     """Estimate one failure probability with a Wilson 95% interval.
 
     Deterministic for a fixed ``(master_seed, point_index)`` regardless of
-    ``workers``.  ``max_failures_stop`` truncates the run after the first
-    block (in block order) at which the cumulative failure count reaches the
-    threshold; the truncation point is scheduling-independent.
+    ``workers``.  ``max_failures_stop`` ends the run after the first block,
+    in block order, at which the cumulative failure count reaches the
+    threshold; that block is scheduling-independent, so the estimate is too.
+
+    The stop is tested at block boundaries, as results arrive in block order.
+    Blocks are submitted in order with at most ``workers`` in flight and none
+    is submitted once the stop is reached, so at most ``workers - 1`` blocks
+    past the stopping block are computed (and discarded).  ``p_fail = k / n``
+    is taken over whole blocks; under this data-dependent stop it carries a
+    small upward bias and the Wilson interval is nominal only.
     """
     if sigma_total < 0.0:
         raise ValueError("sigma_total must be >= 0")
@@ -183,19 +220,14 @@ def estimate_point(
         return backend.run_block(params, gen, n)[0]
 
     workers = workers or min(32, os.cpu_count() or 1)
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            per_block = list(ex.map(run, blocks))
-    else:
-        per_block = [run(b) for b in blocks]
-
     failures = 0
     used_trials = 0
-    for (b, n), f in zip(blocks, per_block):
-        failures += f
-        used_trials += n
-        if max_failures_stop is not None and failures >= max_failures_stop:
-            break
+    with contextlib.closing(_in_order(run, blocks, workers)) as per_block:
+        for (b, n), f in zip(blocks, per_block):
+            failures += f
+            used_trials += n
+            if max_failures_stop is not None and failures >= max_failures_stop:
+                break
     low, high = wilson_interval(failures, used_trials)
     return PointEstimate(
         protocol=protocol,
@@ -213,12 +245,19 @@ def estimate_point(
 
 
 class CsvSink:
-    """Append-only CSV persistence with resume support."""
+    """Append-only CSV persistence with resume support.
+
+    A row counts as written once its newline is: on resume, a last line
+    without one (a write cut short by a crash) is dropped, so its point is
+    computed again.  A malformed complete row still raises.
+    """
 
     def __init__(self, path):
         self.path = str(path)
         self._seen: set[tuple] = set()
         if os.path.exists(self.path):
+            _drop_partial_last_line(self.path)
+        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             for est in read_results(self.path):
                 self._seen.add(est.key())
         else:
@@ -232,6 +271,14 @@ class CsvSink:
         with open(self.path, "a") as fh:
             fh.write(est.csv_row() + "\n")
         self._seen.add(est.key())
+
+
+def _drop_partial_last_line(path) -> None:
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            fh.truncate(complete)
 
 
 def sweep(
@@ -390,21 +437,63 @@ def find_threshold(estimates) -> ThresholdEstimate:
     )
 
 
+def manifest_config(cfg: SweepConfig) -> dict:
+    """The ``config`` section of ``manifest.json``: the settings a sweep ran with."""
+    return {
+        "protocol": cfg.protocol,
+        "analog": cfg.analog,
+        "cycles": cfg.cycles,
+        "sigma_total_grid": list(cfg.sigma_total_grid),
+        "levels": list(cfg.levels),
+        "trials_per_point": cfg.trials_per_point,
+        "master_seed": cfg.master_seed,
+        "max_failures_stop": cfg.max_failures_stop,
+        "quadrature": cfg.quadrature,
+        "sigma_ancilla_q": cfg.sigma_ancilla_q,
+        "sigma_ancilla_p": cfg.sigma_ancilla_p,
+    }
+
+
+#: config fields that change a row's values without changing its key; rows of
+#: other protocols, cycles, levels or sigmas may share a results file
+_RESUME_FIELDS = (
+    "trials_per_point",
+    "master_seed",
+    "max_failures_stop",
+    "quadrature",
+    "sigma_ancilla_q",
+    "sigma_ancilla_p",
+)
+
+
+def check_resume(manifest_path, results_path, cfg: SweepConfig) -> None:
+    """Refuse to add ``cfg``'s rows to results written under other run settings.
+
+    Raises ``ValueError`` naming each field of :data:`_RESUME_FIELDS` in which
+    the stored manifest differs from ``cfg``, or when results exist without a
+    manifest to check them against.
+    """
+    if not os.path.exists(manifest_path):
+        if os.path.exists(results_path):
+            raise ValueError(f"{results_path} exists but {manifest_path} does not; "
+                             "cannot tell which configuration wrote it")
+        return
+    with open(manifest_path) as fh:
+        stored = json.load(fh).get("config", {})
+    wanted = manifest_config(cfg)
+    diffs = [
+        f"{name} {stored.get(name)!r} -> {wanted[name]!r}"
+        for name in _RESUME_FIELDS
+        if stored.get(name) != wanted[name]
+    ]
+    if diffs:
+        raise ValueError(f"{manifest_path} was written for another configuration ("
+                         + ", ".join(diffs) + "); use a new output directory")
+
+
 def write_manifest(path, cfg: SweepConfig, backend_name: str, workers: int | None) -> None:
     payload = {
-        "config": {
-            "protocol": cfg.protocol,
-            "analog": cfg.analog,
-            "cycles": cfg.cycles,
-            "sigma_total_grid": list(cfg.sigma_total_grid),
-            "levels": list(cfg.levels),
-            "trials_per_point": cfg.trials_per_point,
-            "master_seed": cfg.master_seed,
-            "max_failures_stop": cfg.max_failures_stop,
-            "quadrature": cfg.quadrature,
-            "sigma_ancilla_q": cfg.sigma_ancilla_q,
-            "sigma_ancilla_p": cfg.sigma_ancilla_p,
-        },
+        "config": manifest_config(cfg),
         "version": __version__,
         "backend": backend_name,
         "workers": workers,

@@ -13,8 +13,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-_VALID_QUADRATURES = ("q", "p", "both")
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -30,12 +28,27 @@ class KernelParams:
     quadrature: str = "q"
 
     def __post_init__(self) -> None:
-        if self.protocol not in ("conventional", "tracking"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.quadrature not in _VALID_QUADRATURES:
-            raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if self.level < 1 or self.cycles < 1:
-            raise ValueError("level and cycles must be >= 1")
+        # every backend rejects an invalid input as the pure kernel does
+        self.protocol_config()
+
+    def protocol_config(self):
+        """The equivalent validated :class:`gkptrack.protocols.ProtocolConfig`."""
+        # imported here so that loading the backends stays light
+        from ..gkp import NoiseParams
+        from ..protocols import ProtocolConfig
+
+        return ProtocolConfig(
+            kind=self.protocol,
+            analog=self.analog,
+            level=self.level,
+            cycles=self.cycles,
+            noise=NoiseParams(
+                sigma_channel=self.sigma_cycle,
+                sigma_ancilla_q=self.sigma_ancilla_q,
+                sigma_ancilla_p=self.sigma_ancilla_p,
+            ),
+            quadrature=self.quadrature,
+        )
 
 
 class PureBackend:

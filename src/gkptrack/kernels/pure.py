@@ -2,24 +2,8 @@
 
 from __future__ import annotations
 
-from ..gkp import NoiseParams
-from ..protocols import ProtocolConfig, run_trial, run_trial_both
+from ..protocols import run_trial, run_trial_both
 from . import KernelParams
-
-
-def _config(params: KernelParams) -> ProtocolConfig:
-    return ProtocolConfig(
-        kind=params.protocol,
-        analog=params.analog,
-        level=params.level,
-        cycles=params.cycles,
-        noise=NoiseParams(
-            sigma_channel=params.sigma_cycle,
-            sigma_ancilla_q=params.sigma_ancilla_q,
-            sigma_ancilla_p=params.sigma_ancilla_p,
-        ),
-        quadrature=params.quadrature,
-    )
 
 
 def run_block(params: KernelParams, generator, trials: int) -> tuple[int, int]:
@@ -28,7 +12,7 @@ def run_block(params: KernelParams, generator, trials: int) -> tuple[int, int]:
     The first count is for the scored quadrature; the second is the
     p-quadrature count when ``quadrature == "both"`` and zero otherwise.
     """
-    cfg = _config(params)
+    cfg = params.protocol_config()
     failures = 0
     failures_p = 0
     if params.quadrature == "both":

@@ -30,10 +30,9 @@ exact likelihood tie.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .codes import block_size, decode
+from .codes import block_size, decode, logaddexp2
 from .gkp import (
     SQRT_PI,
     LikelihoodPair,
@@ -96,7 +95,7 @@ def joint_likelihood(records, sigma: float, analog: bool) -> LikelihoodPair:
         pairs = [(d.l_match, d.l_flip)] * len(records)
     even, odd = pairs[0]
     for e, o in pairs[1:]:
-        even, odd = _lse2(even + e, odd + o), _lse2(even + o, odd + e)
+        even, odd = logaddexp2(even + e, odd + o), logaddexp2(even + o, odd + e)
     return LikelihoodPair(l_match=even, l_flip=odd)
 
 
@@ -105,13 +104,6 @@ def _analog_pair(deviation: float, sigma: float) -> tuple[float, float]:
     if not (a <= SQRT_PI / 2.0):
         raise ValueError(f"record {deviation!r} outside the bin range")
     return log_gauss(a, sigma), log_gauss(SQRT_PI - a, sigma)
-
-
-def _lse2(a: float, b: float) -> float:
-    if a == b:
-        return a + math.log(2.0) if a != -math.inf else a
-    m, d = (a, b - a) if a > b else (b, a - b)
-    return m + math.log1p(math.exp(d))
 
 
 def _draw(sigma: float, rng) -> float:
@@ -201,6 +193,8 @@ def _tracking_single(cfg: ProtocolConfig, rng, quadrature: str) -> TrialOutcome:
     dev = [0.0] * n
     flip = [0] * n
     records: list[list[float]] = [[] for _ in range(n)]
+    # a digital record carries no deviation, so every qubit shares one pair
+    digital_lp = None if cfg.analog else joint_likelihood([None] * cfg.cycles, sigma, False)
     for _cycle in range(cfg.cycles - 1):
         for i in range(n):
             dev[i] = dev[i] + _draw(sigma, rng)
@@ -232,7 +226,7 @@ def _tracking_single(cfg: ProtocolConfig, rng, quadrature: str) -> TrialOutcome:
         s = lattice_index(dev[i])
         bits.append(flip[i] ^ (s & 1))
         records[i].append(dev[i] - s * SQRT_PI)
-        lps.append(joint_likelihood(records[i], sigma, cfg.analog))
+        lps.append(joint_likelihood(records[i], sigma, True) if cfg.analog else digital_lp)
     bit, _table = decode(cfg.level, bits, lps, rng)
     return score_trial(bit, 0)
 

@@ -74,6 +74,50 @@ class TestRun:
         assert len(lines) == 10
 
 
+class TestResume:
+    BASE = ("run", "--protocol", "conventional", "--analog", "off", "--cycles", "2",
+            "--levels", "1,2", "--sigma-total", "1.0:1.1:0.1", "--trials", "600")
+
+    def test_matching_resume_completes_file(self, tmp_path):
+        out = tmp_path / "r"
+        args = (*self.BASE, "--seed", "5", "--out", str(out))
+        assert run_cli(*args) == 0
+        full = (out / "results.csv").read_bytes()
+        lines = full.splitlines(keepends=True)
+        (out / "results.csv").write_bytes(b"".join(lines[:3]))
+        assert run_cli(*args, "--workers", "2") == 0
+        assert (out / "results.csv").read_bytes() == full
+
+    @pytest.mark.parametrize(
+        "extra,fields",
+        [
+            (("--seed", "6"), ["master_seed"]),
+            (("--seed", "5", "--trials", "700"), ["trials_per_point"]),
+            (("--seed", "5", "--max-failures-stop", "10"), ["max_failures_stop"]),
+            (("--seed", "6", "--quadrature", "p"), ["master_seed", "quadrature"]),
+        ],
+    )
+    def test_different_config_refused(self, tmp_path, capsys, extra, fields):
+        out = tmp_path / "r"
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 0
+        before = {name: (out / name).read_bytes() for name in ("results.csv", "manifest.json")}
+        capsys.readouterr()
+        # a repeated flag overrides the earlier one
+        assert run_cli(*self.BASE, *extra, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "another configuration" in err
+        for field in fields:
+            assert field in err
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_results_without_manifest_refused(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 0
+        (out / "manifest.json").unlink()
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 2
+        assert "manifest.json does not" in capsys.readouterr().err
+
+
 class TestThreshold:
     @pytest.fixture()
     def results_csv(self, tmp_path):

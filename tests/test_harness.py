@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: estimates, sweeps, thresholds."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +34,24 @@ class RiggedBackend:
     def run_block(self, params, generator, trials):
         draws = generator.random(trials)
         return int(np.sum(draws < self.p_fail)), 0
+
+
+class CountingBackend(RiggedBackend):
+    """Rigged kernel that counts its ``run_block`` calls (from any thread)."""
+
+    def __init__(self, p_fail, raise_on_call=None):
+        super().__init__(p_fail)
+        self.calls = 0
+        self.raise_on_call = raise_on_call
+        self._lock = threading.Lock()
+
+    def run_block(self, params, generator, trials):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        if call == self.raise_on_call:
+            raise RuntimeError("block failed")
+        return super().run_block(params, generator, trials)
 
 
 def synthetic_estimate(level, sigma, p, trials=10_000, **kw):
@@ -120,6 +139,62 @@ class TestEstimatePoint:
             philox_key(1, 2**40, 0)
 
 
+class TestBlockScheduling:
+    """The stop is decided in block order, and no block is started past it."""
+
+    # 6 blocks of 1000 trials; block 0 alone has ~500 failures
+    POINT = dict(protocol="conventional", analog=True, cycles=2, level=1, sigma_total=1.0,
+                 trials=6000, master_seed=3, block_size=1000)
+
+    def estimate(self, backend, workers, max_failures_stop=None):
+        return estimate_point(**self.POINT, backend=backend, workers=workers,
+                              max_failures_stop=max_failures_stop)
+
+    def test_serial_stop_runs_one_block(self):
+        backend = CountingBackend(0.5)
+        est = self.estimate(backend, workers=1, max_failures_stop=100)
+        assert backend.calls == 1
+        assert est.trials == 1000
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 6])
+    def test_pool_stop_runs_at_most_workers_blocks(self, workers):
+        backend = CountingBackend(0.5)
+        est = self.estimate(backend, workers=workers, max_failures_stop=100)
+        assert 1 <= backend.calls <= workers
+        assert est.trials == 1000
+
+    def test_late_stop_bounded_overshoot(self):
+        # p = 0.1 gives ~100 failures per block: the stop falls in block 2
+        serial = CountingBackend(0.1)
+        ref = self.estimate(serial, workers=1, max_failures_stop=250)
+        stop_blocks = ref.trials // 1000
+        assert serial.calls == stop_blocks < 6
+        for workers in (2, 3):
+            backend = CountingBackend(0.1)
+            assert self.estimate(backend, workers, max_failures_stop=250) == ref
+            assert stop_blocks <= backend.calls <= stop_blocks + workers - 1
+
+    @pytest.mark.parametrize("stop", [None, 1, 100, 1200, 10_000])
+    def test_estimate_identical_across_workers(self, stop):
+        ref = self.estimate(RiggedBackend(0.5), workers=1, max_failures_stop=stop)
+        for workers in range(2, 7):
+            assert self.estimate(RiggedBackend(0.5), workers, max_failures_stop=stop) == ref
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    def test_no_stop_runs_every_block(self, workers):
+        backend = CountingBackend(0.5)
+        est = self.estimate(backend, workers=workers)
+        assert backend.calls == 6
+        assert est.trials == 6000
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("failing_call", [1, 4, 6])
+    def test_block_exception_propagates(self, workers, failing_call):
+        backend = CountingBackend(0.5, raise_on_call=failing_call)
+        with pytest.raises(RuntimeError, match="block failed"):
+            self.estimate(backend, workers=workers)
+
+
 class TestSweep:
     def test_grid_times_levels_rows(self, tmp_path):
         cfg = SweepConfig(
@@ -160,6 +235,32 @@ class TestSweep:
         assert len(resumed) == 2  # only the missing points were computed
         assert path.read_bytes() == full_bytes
         assert [e.key() for e in full[2:]] == [e.key() for e in resumed]
+
+    @pytest.mark.parametrize("cut", [1, 4, 30])
+    def test_resume_drops_truncated_last_row(self, tmp_path, cut):
+        # a crash mid-write leaves the last row without its newline
+        cfg = SweepConfig(
+            protocol="conventional", analog=False, cycles=2,
+            sigma_total_grid=(0.8, 1.0), levels=(1, 2), trials_per_point=400,
+            master_seed=11,
+        )
+        path = tmp_path / "r.csv"
+        sweep(cfg, CsvSink(path), workers=1)
+        full_bytes = path.read_bytes()
+
+        path.write_bytes(full_bytes[:-cut])
+        resumed = sweep(cfg, CsvSink(path), workers=1)
+        assert len(resumed) == 1
+        assert path.read_bytes() == full_bytes
+
+    def test_resume_rejects_malformed_complete_row(self, tmp_path):
+        from gkptrack.harness import CSV_HEADER
+
+        path = tmp_path / "r.csv"
+        path.write_text(CSV_HEADER + "\nconventional,on,2,1,1.0,100,bad,0.1,0.0,0.2,7\n"
+                        "conventional,on,2,1,1.1,100,3")
+        with pytest.raises(ValueError, match="line 2"):
+            CsvSink(path)
 
     def test_reproducible_bytes_across_workers(self, tmp_path):
         cfg = SweepConfig(

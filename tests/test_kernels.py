@@ -1,6 +1,7 @@
 """Backend equivalence: the compiled kernel must match the pure one bitwise."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,34 @@ class TestBackendSelection:
             KernelParams(protocol="x", analog=True, level=1, cycles=2, sigma_cycle=0.1)
         with pytest.raises(ValueError):
             KernelParams(protocol="tracking", analog=True, level=0, cycles=2, sigma_cycle=0.1)
+
+
+VALID = dict(protocol="tracking", analog=True, level=1, cycles=2, sigma_cycle=0.5)
+
+# ProtocolConfig's and NoiseParams' messages: the pure kernel's own checks
+INVALID_INPUTS = [
+    (dict(cycles=1), "tracking requires cycles >= 2, got 1"),
+    (dict(analog=False, cycles=1), "tracking requires cycles >= 2, got 1"),
+    (dict(protocol="conventional", cycles=0), "conventional requires cycles >= 1, got 0"),
+    (dict(level=0), "level must be >= 1, got 0"),
+    (dict(protocol="surface"), "unknown protocol kind 'surface'"),
+    (dict(quadrature="x"), "quadrature must be one of ('q', 'p', 'both'), got 'x'"),
+    (dict(sigma_cycle=-0.5), "sigma_channel must be finite and >= 0, got -0.5"),
+    (dict(sigma_cycle=float("nan")), "sigma_channel must be finite and >= 0, got nan"),
+    (dict(sigma_ancilla_p=-0.1), "sigma_ancilla_p must be finite and >= 0, got -0.1"),
+    # accepted as parameters, refused when a trial runs
+    (dict(sigma_cycle=0.0, sigma_ancilla_q=0.1), "leaves likelihoods undefined"),
+    (dict(protocol="conventional", sigma_cycle=0.0, sigma_ancilla_p=0.1),
+     "leaves likelihoods undefined"),
+]
+
+
+@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=requires_compiled)])
+@pytest.mark.parametrize("fields,message", INVALID_INPUTS)
+def test_invalid_inputs_rejected_alike(backend, fields, message):
+    """Every backend refuses the same inputs with the same message."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        get_backend(backend).run_block(KernelParams(**{**VALID, **fields}), make_gen(), 10)
 
 
 @requires_compiled
