@@ -16,15 +16,15 @@ import time
 
 import numpy as np
 
-from gkptrack.kernels import KernelParams, compiled_available, get_backend
+from gkptrack.kernels import ProtocolConfig, compiled_available, get_backend
 
 CONFIGS = [
-    ("conventional digital L1", KernelParams("conventional", False, 1, 2, 0.55), 40_000),
-    ("conventional analog  L1", KernelParams("conventional", True, 1, 2, 0.55), 40_000),
-    ("conventional analog  L2", KernelParams("conventional", True, 2, 2, 0.55), 12_000),
-    ("tracking     analog  L2", KernelParams("tracking", True, 2, 2, 0.50), 12_000),
-    ("tracking     analog  L3", KernelParams("tracking", True, 3, 2, 0.50), 4_000),
-    ("tracking     digital L3", KernelParams("tracking", False, 3, 2, 0.47), 4_000),
+    ("conventional digital L1", ProtocolConfig("conventional", False, 1, 2, 0.55), 40_000),
+    ("conventional analog  L1", ProtocolConfig("conventional", True, 1, 2, 0.55), 40_000),
+    ("conventional analog  L2", ProtocolConfig("conventional", True, 2, 2, 0.55), 12_000),
+    ("tracking     analog  L2", ProtocolConfig("tracking", True, 2, 2, 0.50), 12_000),
+    ("tracking     analog  L3", ProtocolConfig("tracking", True, 3, 2, 0.50), 4_000),
+    ("tracking     digital L3", ProtocolConfig("tracking", False, 3, 2, 0.47), 4_000),
 ]
 
 

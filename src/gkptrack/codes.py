@@ -64,10 +64,6 @@ class PairLikelihoods:
         f00, f01, f10, f11 = values
         return PairLikelihoods(f00, f01, f10, f11)
 
-    def shifted(self, constant: float) -> "PairLikelihoods":
-        """Add a constant to all four entries (decisions are invariant)."""
-        return PairLikelihoods(*(v + constant for v in self.as_tuple()))
-
 
 @dataclass(frozen=True)
 class CodeTable:

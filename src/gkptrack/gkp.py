@@ -31,26 +31,6 @@ P_CORR_ZERO_SIGMA = 1.0
 
 
 @dataclass(frozen=True)
-class NoiseParams:
-    """Gaussian noise strengths, all expressed as standard deviations.
-
-    ``sigma_channel`` is the displacement noise added per cycle per
-    quadrature; the ancilla fields model imperfect ancilla preparation in the
-    single-qubit error correction step (zero means perfect ancillas).
-    """
-
-    sigma_channel: float
-    sigma_ancilla_q: float = 0.0
-    sigma_ancilla_p: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("sigma_channel", "sigma_ancilla_q", "sigma_ancilla_p"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-@dataclass(frozen=True)
 class BinnedOutcome:
     """A measured bit plus the residual deviation from the chosen lattice point."""
 

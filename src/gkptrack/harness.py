@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .kernels import KernelParams, get_backend
+from .kernels import ProtocolConfig, get_backend
 
 DEFAULT_BLOCK_SIZE = 8192
 _Z95 = 1.959963984540054
@@ -185,9 +185,11 @@ def estimate_point(
     """Estimate one failure probability with a Wilson 95% interval.
 
     Deterministic for a fixed ``(master_seed, point_index)`` regardless of
-    ``workers``.  ``max_failures_stop`` ends the run after the first block,
-    in block order, at which the cumulative failure count reaches the
-    threshold; that block is scheduling-independent, so the estimate is too.
+    ``workers``; without it the pure kernel runs on one thread and any other
+    kernel on one thread per core, at most 32.  ``max_failures_stop`` ends
+    the run after the first block, in block order, at which the cumulative
+    failure count reaches the threshold; that block is
+    scheduling-independent, so the estimate is too.
 
     The stop is tested at block boundaries, as results arrive in block order.
     Blocks are submitted in order with at most ``workers`` in flight and none
@@ -199,7 +201,7 @@ def estimate_point(
     if sigma_total < 0.0:
         raise ValueError("sigma_total must be >= 0")
     backend = backend if backend is not None else get_backend()
-    params = KernelParams(
+    params = ProtocolConfig(
         protocol=protocol,
         analog=analog,
         level=level,
@@ -219,7 +221,9 @@ def estimate_point(
         gen = block_generator(master_seed, point_index, b)
         return backend.run_block(params, gen, n)[0]
 
-    workers = workers or min(32, os.cpu_count() or 1)
+    if not workers:
+        # the pure kernel holds the GIL: more threads cannot speed it up
+        workers = 1 if backend.name == "pure" else min(32, os.cpu_count() or 1)
     failures = 0
     used_trials = 0
     with contextlib.closing(_in_order(run, blocks, workers)) as per_block:

@@ -10,13 +10,22 @@ variable ``GKPTRACK_KERNEL`` (``compiled`` or ``pure``) overrides.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
+_QUADRATURES = ("q", "p", "both")
+
 
 @dataclass(frozen=True)
-class KernelParams:
-    """Scalar trial parameters shared by both kernel implementations."""
+class ProtocolConfig:
+    """Scalar trial parameters, the one config type of every kernel.
+
+    ``sigma_cycle`` is the channel displacement noise added per cycle per
+    quadrature; the ancilla fields model imperfect ancilla preparation in the
+    single-qubit correction step (zero means perfect ancillas).  All are
+    standard deviations.  The compiled kernel reads these fields by name.
+    """
 
     protocol: str  # "conventional" | "tracking"
     analog: bool
@@ -28,27 +37,20 @@ class KernelParams:
     quadrature: str = "q"
 
     def __post_init__(self) -> None:
-        # every backend rejects an invalid input as the pure kernel does
-        self.protocol_config()
-
-    def protocol_config(self):
-        """The equivalent validated :class:`gkptrack.protocols.ProtocolConfig`."""
-        # imported here so that loading the backends stays light
-        from ..gkp import NoiseParams
-        from ..protocols import ProtocolConfig
-
-        return ProtocolConfig(
-            kind=self.protocol,
-            analog=self.analog,
-            level=self.level,
-            cycles=self.cycles,
-            noise=NoiseParams(
-                sigma_channel=self.sigma_cycle,
-                sigma_ancilla_q=self.sigma_ancilla_q,
-                sigma_ancilla_p=self.sigma_ancilla_p,
-            ),
-            quadrature=self.quadrature,
-        )
+        # every backend refuses an invalid input here, with the same message
+        if self.protocol not in ("conventional", "tracking"):
+            raise ValueError(f"unknown protocol kind {self.protocol!r}")
+        if self.level < 1:
+            raise ValueError(f"level must be >= 1, got {self.level}")
+        min_cycles = 2 if self.protocol == "tracking" else 1
+        if self.cycles < min_cycles:
+            raise ValueError(f"{self.protocol} requires cycles >= {min_cycles}, got {self.cycles}")
+        if self.quadrature not in _QUADRATURES:
+            raise ValueError(f"quadrature must be one of {_QUADRATURES}, got {self.quadrature!r}")
+        for name in ("sigma_cycle", "sigma_ancilla_q", "sigma_ancilla_p"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class PureBackend:
@@ -56,7 +58,7 @@ class PureBackend:
 
     name = "pure"
 
-    def run_block(self, params: KernelParams, generator, trials: int) -> tuple[int, int]:
+    def run_block(self, params: ProtocolConfig, generator, trials: int) -> tuple[int, int]:
         from . import pure
 
         return pure.run_block(params, generator, trials)
@@ -72,7 +74,7 @@ class CompiledBackend:
 
         self._fast = _fast
 
-    def run_block(self, params: KernelParams, generator, trials: int) -> tuple[int, int]:
+    def run_block(self, params: ProtocolConfig, generator, trials: int) -> tuple[int, int]:
         return self._fast.run_block(params, generator, trials)
 
 

@@ -7,10 +7,11 @@ each round), decodes, and the round's logical error toggles a running
 parity.  The run fails when the final parity disagrees with the truth.
 
 Tracking protocol: rounds 1..n-1 replace the block-level correction with
-per-qubit single-qubit corrections whose measured deviations are only
-*recorded*; round n performs the one block-level correction.  Each qubit
-then carries n recorded deviations whose joint flip-parity likelihood
-(:func:`joint_likelihood`) feeds a single decode.
+per-qubit single-qubit corrections (:func:`gkptrack.single_qec.sqec_step`)
+whose measured deviations are only *recorded*; round n performs the one
+block-level correction.  Each qubit then carries n recorded deviations whose
+joint flip-parity likelihood (:func:`joint_likelihood`) feeds a single
+decode.
 
 Both protocols simulate one quadrature per trial; under the independent
 Gaussian channel the q and p failure processes are independent and
@@ -36,34 +37,13 @@ from .codes import block_size, decode, logaddexp2
 from .gkp import (
     SQRT_PI,
     LikelihoodPair,
-    NoiseParams,
     digital_likelihoods,
     lattice_index,
     log_gauss,
+    sample_channel,
 )
-
-_QUADRATURES = ("q", "p", "both")
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    kind: str  # "conventional" | "tracking"
-    analog: bool
-    level: int
-    cycles: int
-    noise: NoiseParams
-    quadrature: str = "q"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("conventional", "tracking"):
-            raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-        min_cycles = 2 if self.kind == "tracking" else 1
-        if self.cycles < min_cycles:
-            raise ValueError(f"{self.kind} requires cycles >= {min_cycles}, got {self.cycles}")
-        if self.quadrature not in _QUADRATURES:
-            raise ValueError(f"quadrature must be one of {_QUADRATURES}, got {self.quadrature!r}")
+from .kernels import ProtocolConfig
+from .single_qec import sqec_step
 
 
 @dataclass(frozen=True)
@@ -106,11 +86,6 @@ def _analog_pair(deviation: float, sigma: float) -> tuple[float, float]:
     return log_gauss(a, sigma), log_gauss(SQRT_PI - a, sigma)
 
 
-def _draw(sigma: float, rng) -> float:
-    # zero sigma consumes no draw: keeps streams aligned across noise configs
-    return sigma * rng.standard_normal() if sigma > 0.0 else 0.0
-
-
 def run_conventional(cfg: ProtocolConfig, rng, codeword=None) -> TrialOutcome:
     """One conventional trial; ``codeword`` overrides the all-zeros frame.
 
@@ -118,7 +93,7 @@ def run_conventional(cfg: ProtocolConfig, rng, codeword=None) -> TrialOutcome:
     XORed into every cycle's measured bits and its first-pair class bit into
     the per-cycle truth, which must leave the failure indicator unchanged.
     """
-    if cfg.kind != "conventional":
+    if cfg.protocol != "conventional":
         raise ValueError("config is not a conventional-protocol config")
     if cfg.quadrature == "both":
         out_q = _conventional_single(cfg, rng, codeword)
@@ -131,7 +106,7 @@ def _zero_noise_outcome(cfg: ProtocolConfig) -> TrialOutcome:
     # zero channel noise: trivially clean, no draws consumed.  With the
     # likelihood model keyed to the channel sigma, ancilla noise without
     # channel noise has no defined likelihoods.
-    if cfg.noise.sigma_ancilla_q > 0.0 or cfg.noise.sigma_ancilla_p > 0.0:
+    if cfg.sigma_ancilla_q > 0.0 or cfg.sigma_ancilla_p > 0.0:
         raise ValueError("sigma_channel = 0 with ancilla noise leaves likelihoods undefined")
     return score_trial(0, 0)
 
@@ -139,10 +114,10 @@ def _zero_noise_outcome(cfg: ProtocolConfig) -> TrialOutcome:
 def _conventional_single(cfg: ProtocolConfig, rng, codeword=None) -> TrialOutcome:
     from .codes import concat_word_first_bit  # local import to avoid cycle at module load
 
-    if cfg.noise.sigma_channel == 0.0:
+    if cfg.sigma_cycle == 0.0:
         return _zero_noise_outcome(cfg)
     n = block_size(cfg.level)
-    sigma = cfg.noise.sigma_channel
+    sigma = cfg.sigma_cycle
     truth_bit = 0
     if codeword is not None:
         if len(codeword) != n:
@@ -155,7 +130,7 @@ def _conventional_single(cfg: ProtocolConfig, rng, codeword=None) -> TrialOutcom
         bits = []
         lps = []
         for _i in range(n):
-            dev = _draw(sigma, rng)
+            dev = sample_channel(sigma, rng)
             s = lattice_index(dev)
             bits.append(s & 1)
             if cfg.analog:
@@ -175,7 +150,7 @@ def _conventional_single(cfg: ProtocolConfig, rng, codeword=None) -> TrialOutcom
 
 def run_tracking(cfg: ProtocolConfig, rng) -> TrialOutcome:
     """One tracking trial: n-1 recorded single-qubit corrections + one decode."""
-    if cfg.kind != "tracking":
+    if cfg.protocol != "tracking":
         raise ValueError("config is not a tracking-protocol config")
     if cfg.quadrature == "both":
         out_q = _tracking_single(cfg, rng, "q")
@@ -185,11 +160,11 @@ def run_tracking(cfg: ProtocolConfig, rng) -> TrialOutcome:
 
 
 def _tracking_single(cfg: ProtocolConfig, rng, quadrature: str) -> TrialOutcome:
-    if cfg.noise.sigma_channel == 0.0:
+    if cfg.sigma_cycle == 0.0:
         return _zero_noise_outcome(cfg)
     n = block_size(cfg.level)
-    sigma = cfg.noise.sigma_channel
-    sig_anc = cfg.noise.sigma_ancilla_q if quadrature == "q" else cfg.noise.sigma_ancilla_p
+    sigma = cfg.sigma_cycle
+    sig_anc = cfg.sigma_ancilla_q if quadrature == "q" else cfg.sigma_ancilla_p
     dev = [0.0] * n
     flip = [0] * n
     records: list[list[float]] = [[] for _ in range(n)]
@@ -197,32 +172,13 @@ def _tracking_single(cfg: ProtocolConfig, rng, quadrature: str) -> TrialOutcome:
     digital_lp = None if cfg.analog else joint_likelihood([None] * cfg.cycles, sigma, False)
     for _cycle in range(cfg.cycles - 1):
         for i in range(n):
-            dev[i] = dev[i] + _draw(sigma, rng)
-            if quadrature == "q":
-                # single-qubit correction, q quadrature (|+> ancilla measures
-                # a1-shifted accumulated deviation; residual is -a2)
-                a1 = _draw(sig_anc, rng)
-                dev[i] = dev[i] + a1
-                a2 = _draw(sig_anc, rng)
-                m = a2 + dev[i]
-                s = lattice_index(m)
-                records[i].append(m - s * SQRT_PI)
-                flip[i] ^= s & 1
-                dev[i] = -a2
-            else:
-                # p quadrature: |0> ancilla measures a1 - deviation; the
-                # second ancilla's p deviation leaks in after the correction
-                a1 = _draw(sig_anc, rng)
-                m = a1 - dev[i]
-                s = lattice_index(m)
-                records[i].append(m - s * SQRT_PI)
-                flip[i] ^= s & 1
-                a2 = _draw(sig_anc, rng)
-                dev[i] = a1 - a2
+            dev[i], record, flipped = sqec_step(dev[i] + sample_channel(sigma, rng), quadrature, sig_anc, rng)
+            records[i].append(record)
+            flip[i] ^= flipped
     bits = []
     lps = []
     for i in range(n):
-        dev[i] = dev[i] + _draw(sigma, rng)
+        dev[i] = dev[i] + sample_channel(sigma, rng)
         s = lattice_index(dev[i])
         bits.append(flip[i] ^ (s & 1))
         records[i].append(dev[i] - s * SQRT_PI)
@@ -233,13 +189,13 @@ def _tracking_single(cfg: ProtocolConfig, rng, quadrature: str) -> TrialOutcome:
 
 def run_trial(cfg: ProtocolConfig, rng) -> TrialOutcome:
     """Run one trial of whichever protocol the config selects."""
-    if cfg.kind == "conventional":
+    if cfg.protocol == "conventional":
         return run_conventional(cfg, rng)
     return run_tracking(cfg, rng)
 
 
 def run_trial_both(cfg: ProtocolConfig, rng) -> tuple[TrialOutcome, TrialOutcome]:
     """Run both quadratures' independent simulations; returns (q, p) outcomes."""
-    if cfg.kind == "conventional":
+    if cfg.protocol == "conventional":
         return _conventional_single(cfg, rng), _conventional_single(cfg, rng)
     return _tracking_single(cfg, rng, "q"), _tracking_single(cfg, rng, "p")

@@ -16,12 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def logical_block_size(l: int) -> int:
-    """Physical qubits in one level-l code block."""
-    _check_level(l)
-    return 4 * 3 ** (l - 1)
-
-
 def logical_prep_cost(l: int) -> int:
     """Physical qubits consumed to prepare one level-l logical qubit."""
     _check_level(l)
@@ -46,8 +40,11 @@ def r_tracking(n: int, l: int) -> int:
     """Qubits for the tracking schedule: n-1 per-qubit rounds + one Bell pair."""
     if n < 2:
         raise ValueError(f"tracking needs cycles >= 2, got {n}")
+    # imported here so that importing the CLI does not build the code tables
+    from .codes import block_size
+
     _check_level(l)
-    return 2 * (n - 1) * logical_block_size(l) + bell_pair_cost(l)
+    return 2 * (n - 1) * block_size(l) + bell_pair_cost(l)
 
 
 def reduction_rate(n: int, l: int) -> Fraction:

@@ -1,114 +1,56 @@
-"""Single-qubit-level error correction on one GKP qubit.
+"""Single-qubit-level error correction on one GKP qubit, one quadrature.
 
-One cycle measures the qubit's deviation in each quadrature through a fresh
-ancilla (|0> type for the p quadrature, |+> type for q), then displaces the
-qubit back toward the lattice.  Displacements cannot undo a bit flip: if the
-accumulated deviation had already crossed a half-bin boundary, shifting back
-lands on the wrong lattice point and the hidden flip parity toggles.
+One correction cycle measures the qubit's deviation in each quadrature
+through a fresh ancilla, then displaces the qubit back toward the lattice:
+first a |0>-type ancilla, the CNOT target of the data qubit, reads the p
+quadrature; then a |+>-type ancilla, the CNOT control of the data qubit, reads
+q.  Displacements cannot undo a bit flip: if the accumulated deviation had
+already crossed a half-bin boundary, shifting back lands on the wrong lattice
+point and the hidden flip parity toggles.
 
 State convention: a qubit's position is represented as
 ``flip * sqrt(pi) + deviation`` modulo the 2*sqrt(pi) stabilizer shift, so
 even lattice shifts are silently dropped and odd shifts toggle the flip bit.
 Measured deviations are stored signed; decoders only consume magnitudes.
 
-Random draw order per operation (the protocol kernels replicate it):
-``sqec_p`` draws the ancilla q then p deviation, ``sqec_q`` likewise, and a
-zero ancilla sigma skips its draw entirely.
+Deviation propagation through a CNOT: the target's q deviation gains the
+control's q deviation, the control's p deviation loses the target's p
+deviation, and flip parities are untouched.  With ``d`` the data qubit's
+accumulated deviation in the simulated quadrature, ``a1`` the first (|0>)
+ancilla's and ``a2`` the second (|+>) ancilla's deviation in that quadrature:
+
+* q: the first CNOT adds ``a1`` to the data q deviation; the second ancilla
+  reads ``a2 + (d + a1)``, and after the shift the data q deviation is
+  ``-a2``;
+* p: the first ancilla reads ``a1 - d``, and after the shift the data p
+  deviation is ``a1``; the second CNOT then subtracts ``a2`` from it, leaving
+  ``a1 - a2``.
+
+So after one cycle Var_q = sigma_a^2 and Var_p = 2 sigma_a^2 for ancilla
+noise sigma_a.  Draw order (both kernels replicate it): ``a1`` then ``a2``;
+a zero ancilla sigma consumes no draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .gkp import SQRT_PI, NoiseParams, lattice_index, sample_channel
+from .gkp import SQRT_PI, lattice_index, sample_channel
 
 
-@dataclass(frozen=True)
-class QubitTrack:
-    """Hidden per-qubit truth: accumulated deviations and flip parities."""
+def sqec_step(dev: float, quadrature: str, sigma_ancilla: float, rng) -> tuple[float, float, int]:
+    """One correction cycle of one quadrature (``"q"`` or ``"p"``).
 
-    dev_q: float = 0.0
-    dev_p: float = 0.0
-    flips_q: int = 0
-    flips_p: int = 0
-
-
-@dataclass(frozen=True)
-class SqecRecord:
-    """Binned measured deviations from one tracked correction cycle."""
-
-    cycle_index: int
-    meas_dev_q: float
-    meas_dev_p: float
-
-
-def cnot_propagate(control: QubitTrack, target: QubitTrack) -> tuple[QubitTrack, QubitTrack]:
-    """Deviation propagation through a CNOT.
-
-    The target's q deviation gains the control's q deviation; the control's p
-    deviation loses the target's p deviation.  Flip parities are untouched.
+    Returns ``(residual, record, flip)``: the data qubit's deviation after
+    the correction, the measured deviation binned into
+    ``(-sqrt(pi)/2, +sqrt(pi)/2]``, and 1 iff the correction toggled the
+    hidden flip parity.
     """
-    new_control = replace(control, dev_p=control.dev_p - target.dev_p)
-    new_target = replace(target, dev_q=target.dev_q + control.dev_q)
-    return new_control, new_target
-
-
-def _correct(measured: float) -> tuple[float, int]:
-    """Split a raw measured value into (binned deviation, lattice shift parity)."""
+    a1 = sample_channel(sigma_ancilla, rng)
+    a2 = sample_channel(sigma_ancilla, rng)
+    if quadrature == "q":
+        measured = a2 + (dev + a1)
+        residual = -a2
+    else:
+        measured = a1 - dev
+        residual = a1 - a2
     s = lattice_index(measured)
-    return measured - s * SQRT_PI, s & 1
-
-
-def sqec_p(data: QubitTrack, noise: NoiseParams, rng) -> tuple[QubitTrack, float]:
-    """p-quadrature correction: ancilla |0>, data qubit is the CNOT target.
-
-    Measures the ancilla's p quadrature (which reads ``ancilla_p - data_p``),
-    then shifts the data qubit by the binned deviation.  Afterwards the data
-    p deviation equals the ancilla's p deviation, with the flip parity
-    toggled when the shift crossed a half-bin boundary; the data q deviation
-    gains the ancilla's q deviation.
-    """
-    anc_q = sample_channel(noise.sigma_ancilla_q, rng)
-    anc_p = sample_channel(noise.sigma_ancilla_p, rng)
-    measured = anc_p - data.dev_p
-    meas_dev, flipped = _correct(measured)
-    out = QubitTrack(
-        dev_q=data.dev_q + anc_q,
-        dev_p=anc_p,
-        flips_q=data.flips_q,
-        flips_p=data.flips_p ^ flipped,
-    )
-    return out, meas_dev
-
-
-def sqec_q(data: QubitTrack, noise: NoiseParams, rng) -> tuple[QubitTrack, float]:
-    """q-quadrature correction: ancilla |+>, data qubit is the CNOT control.
-
-    Mirror image of :func:`sqec_p`: the measured value reads
-    ``ancilla_q + data_q``, the corrected data q deviation becomes (minus)
-    the ancilla's q deviation, and the data p deviation loses the ancilla's
-    p deviation.
-    """
-    anc_q = sample_channel(noise.sigma_ancilla_q, rng)
-    anc_p = sample_channel(noise.sigma_ancilla_p, rng)
-    measured = anc_q + data.dev_q
-    meas_dev, flipped = _correct(measured)
-    out = QubitTrack(
-        dev_q=-anc_q,
-        dev_p=data.dev_p - anc_p,
-        flips_q=data.flips_q ^ flipped,
-        flips_p=data.flips_p,
-    )
-    return out, meas_dev
-
-
-def sqec_cycle(data: QubitTrack, noise: NoiseParams, rng, cycle_index: int = 1) -> tuple[QubitTrack, SqecRecord]:
-    """One full correction cycle: p quadrature first, then q.
-
-    With perfect ancillas the record reproduces the binned pre-correction
-    deviations (up to sign convention) and both residual deviations are
-    exactly zero.
-    """
-    data, meas_p = sqec_p(data, noise, rng)
-    data, meas_q = sqec_q(data, noise, rng)
-    return data, SqecRecord(cycle_index=cycle_index, meas_dev_q=meas_q, meas_dev_p=meas_p)
+    return residual, measured - s * SQRT_PI, s & 1

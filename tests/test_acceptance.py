@@ -37,7 +37,6 @@ from gkptrack import codes, resources, single_qec
 from gkptrack.gkp import (
     HALF_SQRT_PI,
     LikelihoodPair,
-    NoiseParams,
     digital_likelihoods,
     p_corr,
 )
@@ -318,20 +317,18 @@ class TestCriteria:
         )
 
     def test_criterion_10_single_qubit_variance_law(self):
+        # the step the tracking protocol runs for every recorded cycle
         sig_a = 0.1
-        noise = NoiseParams(sigma_channel=0.0, sigma_ancilla_q=sig_a, sigma_ancilla_p=sig_a)
         rng = np.random.default_rng(SEED + 70)
         n = 1_000_000
         vq, vp = [], []
         for _ in range(n):
-            data = single_qec.QubitTrack(
-                dev_q=rng.normal(0, 0.2), dev_p=rng.normal(0, 0.2)
-            )
-            out, _ = single_qec.sqec_cycle(data, noise, rng)
-            if out.flips_q == 0:
-                vq.append(out.dev_q)
-            if out.flips_p == 0:
-                vp.append(out.dev_p)
+            res_q, _, flip_q = single_qec.sqec_step(rng.normal(0, 0.2), "q", sig_a, rng)
+            res_p, _, flip_p = single_qec.sqec_step(rng.normal(0, 0.2), "p", sig_a, rng)
+            if flip_q == 0:
+                vq.append(res_q)
+            if flip_p == 0:
+                vp.append(res_p)
         var_q, var_p = float(np.var(vq)), float(np.var(vp))
         se_q = sig_a**2 * math.sqrt(2.0 / len(vq))
         se_p = 2 * sig_a**2 * math.sqrt(2.0 / len(vp))

@@ -12,7 +12,6 @@ from gkptrack.gkp import (
     P_CORR_ZERO_SIGMA,
     SQRT_PI,
     BinnedOutcome,
-    NoiseParams,
     analog_likelihoods,
     bin_measurement,
     digital_likelihoods,
@@ -182,18 +181,6 @@ class TestLikelihoods:
 
     def test_digital_small_sigma_flip_diverges(self):
         assert digital_likelihoods(0.08).l_flip < -50
-
-
-class TestNoiseParams:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            NoiseParams(sigma_channel=-0.1)
-        with pytest.raises(ValueError):
-            NoiseParams(sigma_channel=0.1, sigma_ancilla_q=-1)
-
-    def test_defaults(self):
-        np_ = NoiseParams(sigma_channel=0.5)
-        assert np_.sigma_ancilla_q == 0.0 and np_.sigma_ancilla_p == 0.0
 
 
 settings.register_profile("default", deadline=None, max_examples=60)

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: estimates, sweeps, thresholds."""
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -51,6 +52,19 @@ class CountingBackend(RiggedBackend):
             call = self.calls
         if call == self.raise_on_call:
             raise RuntimeError("block failed")
+        return super().run_block(params, generator, trials)
+
+
+class ThreadRecordingBackend(RiggedBackend):
+    """Rigged kernel under another kernel's name that records its threads."""
+
+    def __init__(self, name):
+        super().__init__(0.5)
+        self.name = name
+        self.threads = set()
+
+    def run_block(self, params, generator, trials):
+        self.threads.add(threading.get_ident())
         return super().run_block(params, generator, trials)
 
 
@@ -193,6 +207,18 @@ class TestBlockScheduling:
         backend = CountingBackend(0.5, raise_on_call=failing_call)
         with pytest.raises(RuntimeError, match="block failed"):
             self.estimate(backend, workers=workers)
+
+    @pytest.mark.parametrize("kernel,pooled", [("pure", False), ("compiled", True)])
+    def test_default_workers_follow_kernel(self, monkeypatch, kernel, pooled):
+        # the pure kernel holds the GIL: without ``workers`` its blocks run on
+        # the calling thread; the compiled kernel's run on one thread per core
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        backend = ThreadRecordingBackend(kernel)
+        est = self.estimate(backend, workers=None)
+        assert est == self.estimate(RiggedBackend(0.5), workers=1)
+        on_caller = backend.threads == {threading.get_ident()}
+        assert on_caller != pooled
+        assert len(backend.threads) <= 4
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from gkptrack.kernels import KernelParams, compiled_available, get_backend
+from gkptrack.kernels import ProtocolConfig, compiled_available, get_backend
 
 requires_compiled = pytest.mark.skipif(
     not compiled_available(), reason="compiled kernel not built"
@@ -31,14 +31,14 @@ class TestBackendSelection:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            KernelParams(protocol="x", analog=True, level=1, cycles=2, sigma_cycle=0.1)
+            ProtocolConfig(protocol="x", analog=True, level=1, cycles=2, sigma_cycle=0.1)
         with pytest.raises(ValueError):
-            KernelParams(protocol="tracking", analog=True, level=0, cycles=2, sigma_cycle=0.1)
+            ProtocolConfig(protocol="tracking", analog=True, level=0, cycles=2, sigma_cycle=0.1)
 
 
 VALID = dict(protocol="tracking", analog=True, level=1, cycles=2, sigma_cycle=0.5)
 
-# ProtocolConfig's and NoiseParams' messages: the pure kernel's own checks
+# ProtocolConfig's messages: the checks every kernel's config passes
 INVALID_INPUTS = [
     (dict(cycles=1), "tracking requires cycles >= 2, got 1"),
     (dict(analog=False, cycles=1), "tracking requires cycles >= 2, got 1"),
@@ -46,8 +46,8 @@ INVALID_INPUTS = [
     (dict(level=0), "level must be >= 1, got 0"),
     (dict(protocol="surface"), "unknown protocol kind 'surface'"),
     (dict(quadrature="x"), "quadrature must be one of ('q', 'p', 'both'), got 'x'"),
-    (dict(sigma_cycle=-0.5), "sigma_channel must be finite and >= 0, got -0.5"),
-    (dict(sigma_cycle=float("nan")), "sigma_channel must be finite and >= 0, got nan"),
+    (dict(sigma_cycle=-0.5), "sigma_cycle must be finite and >= 0, got -0.5"),
+    (dict(sigma_cycle=float("nan")), "sigma_cycle must be finite and >= 0, got nan"),
     (dict(sigma_ancilla_p=-0.1), "sigma_ancilla_p must be finite and >= 0, got -0.1"),
     # accepted as parameters, refused when a trial runs
     (dict(sigma_cycle=0.0, sigma_ancilla_q=0.1), "leaves likelihoods undefined"),
@@ -61,7 +61,34 @@ INVALID_INPUTS = [
 def test_invalid_inputs_rejected_alike(backend, fields, message):
     """Every backend refuses the same inputs with the same message."""
     with pytest.raises(ValueError, match=re.escape(message)):
-        get_backend(backend).run_block(KernelParams(**{**VALID, **fields}), make_gen(), 10)
+        get_backend(backend).run_block(ProtocolConfig(**{**VALID, **fields}), make_gen(), 10)
+
+
+# (protocol, analog, level, cycles, sigma_cycle, sigma_ancilla_q,
+#  sigma_ancilla_p, quadrature), trials -> run_block's (failures, failures_p)
+# off make_gen(100 + index), recorded with the pure kernel
+PINNED_STREAM = [
+    (("conventional", True, 1, 2, 0.5), 600, (84, 0)),
+    (("conventional", False, 1, 3, 0.45, 0.0, 0.0, "p"), 600, (128, 0)),
+    (("conventional", True, 2, 2, 0.55, 0.1, 0.15, "both"), 200, (39, 29)),
+    (("conventional", False, 2, 2, 0.5, 0.0, 0.0, "both"), 200, (38, 43)),
+    (("tracking", True, 1, 2, 0.5, 0.1, 0.15, "q"), 600, (103, 0)),
+    (("tracking", True, 1, 3, 0.45, 0.1, 0.15, "p"), 600, (147, 0)),
+    (("tracking", False, 1, 2, 0.5, 0.15, 0.1, "q"), 600, (175, 0)),
+    (("tracking", False, 1, 3, 0.4, 0.1, 0.15, "p"), 600, (122, 0)),
+    (("tracking", True, 1, 2, 0.45, 0.12, 0.08, "both"), 400, (45, 37)),
+    (("tracking", False, 1, 2, 0.45, 0.1, 0.1, "both"), 400, (72, 89)),
+    (("tracking", True, 2, 3, 0.42, 0.1, 0.15, "both"), 150, (18, 28)),
+    (("tracking", False, 2, 2, 0.45, 0.15, 0.1, "p"), 200, (47, 0)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_STREAM)))
+def test_pure_stream_pinned(index):
+    """The pure kernel's draw order and arithmetic give the recorded counts."""
+    fields, trials, expected = PINNED_STREAM[index]
+    params = ProtocolConfig(*fields)
+    assert get_backend("pure").run_block(params, make_gen(100 + index), trials) == expected
 
 
 @requires_compiled
@@ -75,7 +102,7 @@ class TestBitIdentity:
         ),
     )
     def test_matched_streams_matched_counts(self, protocol, analog, level, quadrature):
-        params = KernelParams(
+        params = ProtocolConfig(
             protocol=protocol, analog=analog, level=level, cycles=2,
             sigma_cycle=0.47, quadrature=quadrature,
         )
@@ -84,7 +111,7 @@ class TestBitIdentity:
         assert pure == fast
 
     def test_with_ancilla_noise(self):
-        params = KernelParams(
+        params = ProtocolConfig(
             protocol="tracking", analog=True, level=2, cycles=3,
             sigma_cycle=0.3, sigma_ancilla_q=0.12, sigma_ancilla_p=0.08,
             quadrature="both",
@@ -96,7 +123,7 @@ class TestBitIdentity:
 
     def test_digital_tie_heavy_config(self):
         # digital decoding exercises the exact-tie coin path constantly
-        params = KernelParams(
+        params = ProtocolConfig(
             protocol="conventional", analog=False, level=2, cycles=2, sigma_cycle=0.55
         )
         assert (
@@ -105,7 +132,7 @@ class TestBitIdentity:
         )
 
     def test_level4(self):
-        params = KernelParams(
+        params = ProtocolConfig(
             protocol="tracking", analog=True, level=4, cycles=2, sigma_cycle=0.45
         )
         assert (
@@ -114,7 +141,7 @@ class TestBitIdentity:
         )
 
     def test_zero_sigma(self):
-        params = KernelParams(
+        params = ProtocolConfig(
             protocol="conventional", analog=True, level=1, cycles=2, sigma_cycle=0.0
         )
         assert get_backend("compiled").run_block(params, make_gen(), 100) == (0, 0)

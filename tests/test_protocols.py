@@ -9,7 +9,6 @@ from gkptrack.codes import block_size, random_codeword
 from gkptrack.gkp import (
     HALF_SQRT_PI,
     SQRT_PI,
-    NoiseParams,
     digital_likelihoods,
     log_gauss,
     p_corr,
@@ -29,15 +28,15 @@ from gkptrack.protocols import (
 
 def conv_cfg(sigma, level=1, cycles=2, analog=True, quadrature="q"):
     return ProtocolConfig(
-        kind="conventional", analog=analog, level=level, cycles=cycles,
-        noise=NoiseParams(sigma_channel=sigma), quadrature=quadrature,
+        protocol="conventional", analog=analog, level=level, cycles=cycles,
+        sigma_cycle=sigma, quadrature=quadrature,
     )
 
 
 def track_cfg(sigma, level=1, cycles=2, analog=True, quadrature="q", anc_q=0.0, anc_p=0.0):
     return ProtocolConfig(
-        kind="tracking", analog=analog, level=level, cycles=cycles,
-        noise=NoiseParams(sigma_channel=sigma, sigma_ancilla_q=anc_q, sigma_ancilla_p=anc_p),
+        protocol="tracking", analog=analog, level=level, cycles=cycles,
+        sigma_cycle=sigma, sigma_ancilla_q=anc_q, sigma_ancilla_p=anc_p,
         quadrature=quadrature,
     )
 
@@ -50,10 +49,20 @@ class TestConfig:
 
     def test_bad_kind_and_quadrature(self):
         with pytest.raises(ValueError):
-            ProtocolConfig(kind="nope", analog=True, level=1, cycles=2,
-                           noise=NoiseParams(sigma_channel=0.3))
+            ProtocolConfig(protocol="nope", analog=True, level=1, cycles=2, sigma_cycle=0.3)
         with pytest.raises(ValueError):
             conv_cfg(0.3, quadrature="x")
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            conv_cfg(-0.1)
+        with pytest.raises(ValueError):
+            track_cfg(0.1, anc_q=-1)
+
+    def test_defaults(self):
+        cfg = conv_cfg(0.5)
+        assert cfg.sigma_ancilla_q == 0.0 and cfg.sigma_ancilla_p == 0.0
+        assert cfg.quadrature == "q"
 
 
 class TestScoreTrial:

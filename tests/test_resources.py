@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from gkptrack.codes import block_size
 from gkptrack.resources import (
     bell_pair_cost,
-    logical_block_size,
     logical_prep_cost,
     r_conventional,
     r_tracking,
@@ -32,8 +32,8 @@ class TestCounts:
         assert r_tracking(3, 1) == 32
 
     def test_block_and_prep_costs(self):
-        assert logical_block_size(1) == 4
-        assert logical_block_size(3) == 36
+        assert block_size(1) == 4
+        assert block_size(3) == 36
         assert bell_pair_cost(2) == 192
         assert logical_prep_cost(1) == 4
 
@@ -43,7 +43,7 @@ class TestCounts:
         with pytest.raises(ValueError):
             r_conventional(0, 1)
         with pytest.raises(ValueError):
-            logical_block_size(0)
+            block_size(0)
 
     def test_big_values_exact_ints(self):
         # python ints do not overflow; spot-check a huge case stays exact

@@ -5,141 +5,126 @@ import math
 import numpy as np
 import pytest
 
-from gkptrack.gkp import HALF_SQRT_PI, SQRT_PI, NoiseParams, true_flip
-from gkptrack.single_qec import QubitTrack, cnot_propagate, sqec_cycle, sqec_p, sqec_q
-
-PERFECT = NoiseParams(sigma_channel=0.0)
+from gkptrack.gkp import HALF_SQRT_PI, SQRT_PI, true_flip
+from gkptrack.single_qec import sqec_step
 
 
-class TestCnotPropagate:
-    def test_deviation_transform(self):
-        control = QubitTrack(dev_q=0.1, dev_p=0.2)
-        target = QubitTrack(dev_q=0.3, dev_p=0.4)
-        c, t = cnot_propagate(control, target)
-        assert (c.dev_q, c.dev_p) == (0.1, pytest.approx(-0.2))
-        assert (t.dev_q, t.dev_p) == (pytest.approx(0.4), 0.4)
+class CountingRng:
+    """numpy Generator proxy that counts ``standard_normal`` draws."""
 
-    def test_identity_on_zero(self):
-        z = QubitTrack()
-        assert cnot_propagate(z, z) == (z, z)
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.normals = 0
 
-    def test_algebraic_inversion(self):
-        # two applications with a sign-reversed correction restore target q
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            c = QubitTrack(dev_q=rng.normal(), dev_p=rng.normal())
-            t = QubitTrack(dev_q=rng.normal(), dev_p=rng.normal())
-            c1, t1 = cnot_propagate(c, t)
-            neg_c = QubitTrack(dev_q=-c1.dev_q, dev_p=c1.dev_p)
-            _, t2 = cnot_propagate(neg_c, t1)
-            assert t2.dev_q == pytest.approx(t.dev_q, abs=1e-12)
-
-    def test_flips_untouched(self):
-        c = QubitTrack(dev_q=0.1, dev_p=0.2, flips_q=1, flips_p=1)
-        t = QubitTrack(dev_q=0.3, dev_p=0.4, flips_q=0, flips_p=1)
-        c2, t2 = cnot_propagate(c, t)
-        assert (c2.flips_q, c2.flips_p, t2.flips_q, t2.flips_p) == (1, 1, 0, 1)
+    def standard_normal(self):
+        self.normals += 1
+        return self._rng.standard_normal()
 
 
 class TestSqecP:
     def test_small_deviation_corrected(self):
         rng = np.random.default_rng(0)
-        data = QubitTrack(dev_p=0.3)
-        out, meas = sqec_p(data, PERFECT, rng)
-        assert meas == pytest.approx(-0.3)
-        assert out.dev_p == 0.0
-        assert out.flips_p == 0
+        residual, record, flip = sqec_step(0.3, "p", 0.0, rng)
+        assert record == pytest.approx(-0.3)
+        assert residual == 0.0
+        assert flip == 0
 
     def test_large_deviation_flips(self):
         rng = np.random.default_rng(0)
-        data = QubitTrack(dev_p=0.9 * SQRT_PI)
-        out, meas = sqec_p(data, PERFECT, rng)
-        assert out.dev_p == 0.0
-        assert out.flips_p == 1
-        assert abs(meas) == pytest.approx(0.1 * SQRT_PI)
+        residual, record, flip = sqec_step(0.9 * SQRT_PI, "p", 0.0, rng)
+        assert residual == 0.0
+        assert flip == 1
+        assert abs(record) == pytest.approx(0.1 * SQRT_PI)
 
     def test_conditional_variance(self):
-        # post-correction Var(dev_p) equals the ancilla variance, flips excluded
+        # the p record misreads the deviation by the first ancilla's deviation
+        # alone: Var(record + dev) equals the ancilla variance, flips excluded
         rng = np.random.default_rng(42)
-        noise = NoiseParams(sigma_channel=0.0, sigma_ancilla_q=0.1, sigma_ancilla_p=0.1)
         n = 200_000
-        devs = []
+        errors = []
         for _ in range(n):
-            data = QubitTrack(dev_p=rng.normal(0, 0.2))
-            out, _ = sqec_p(data, noise, rng)
-            if out.flips_p == 0:
-                devs.append(out.dev_p)
-        var = float(np.var(devs))
-        se = 0.01 * math.sqrt(2.0 / len(devs))
+            dev = rng.normal(0, 0.2)
+            _, record, flip = sqec_step(dev, "p", 0.1, rng)
+            if flip == 0:
+                errors.append(record + dev)
+        var = float(np.var(errors))
+        se = 0.01 * math.sqrt(2.0 / len(errors))
         assert abs(var - 0.01) < 4 * se
 
 
 class TestSqecQ:
     def test_small_deviation_corrected(self):
         rng = np.random.default_rng(0)
-        out, meas = sqec_q(QubitTrack(dev_q=0.2), PERFECT, rng)
-        assert abs(meas) == pytest.approx(0.2)
-        assert out.dev_q == pytest.approx(0.0)
-        assert out.flips_q == 0
+        residual, record, flip = sqec_step(0.2, "q", 0.0, rng)
+        assert abs(record) == pytest.approx(0.2)
+        assert residual == pytest.approx(0.0)
+        assert flip == 0
 
     def test_large_deviation_flips(self):
         rng = np.random.default_rng(0)
-        out, _ = sqec_q(QubitTrack(dev_q=0.7 * SQRT_PI), PERFECT, rng)
-        assert out.flips_q == 1
-        assert out.dev_q == pytest.approx(0.0)
+        residual, _, flip = sqec_step(0.7 * SQRT_PI, "q", 0.0, rng)
+        assert flip == 1
+        assert residual == pytest.approx(0.0)
 
 
 class TestSqecCycle:
+    """One recorded cycle of the tracking loop, in each quadrature."""
+
     def test_perfect_ancillas_record_and_reset(self):
         rng = np.random.default_rng(0)
-        data = QubitTrack(dev_q=0.3, dev_p=-0.2)
-        out, rec = sqec_cycle(data, PERFECT, rng)
-        assert abs(rec.meas_dev_q) == pytest.approx(0.3)
-        assert abs(rec.meas_dev_p) == pytest.approx(0.2)
-        assert (out.dev_q, out.dev_p) == (pytest.approx(0.0), pytest.approx(0.0))
-        assert (out.flips_q, out.flips_p) == (0, 0)
+        res_q, rec_q, flip_q = sqec_step(0.3, "q", 0.0, rng)
+        res_p, rec_p, flip_p = sqec_step(-0.2, "p", 0.0, rng)
+        assert abs(rec_q) == pytest.approx(0.3)
+        assert abs(rec_p) == pytest.approx(0.2)
+        assert (res_q, res_p) == (pytest.approx(0.0), pytest.approx(0.0))
+        assert (flip_q, flip_p) == (0, 0)
 
     def test_flip_recorded_past_half_bin(self):
         rng = np.random.default_rng(0)
-        out, rec = sqec_cycle(QubitTrack(dev_q=0.8 * SQRT_PI), PERFECT, rng)
-        assert out.flips_q == 1
-        assert abs(rec.meas_dev_q) == pytest.approx(0.2 * SQRT_PI)
+        _, record, flip = sqec_step(0.8 * SQRT_PI, "q", 0.0, rng)
+        assert flip == 1
+        assert abs(record) == pytest.approx(0.2 * SQRT_PI)
 
     def test_flip_matches_true_flip_for_perfect_ancillas(self):
         rng = np.random.default_rng(3)
         for _ in range(2000):
             dq, dp = rng.normal(0, 0.8, 2)
-            out, _ = sqec_cycle(QubitTrack(dev_q=dq, dev_p=dp), PERFECT, rng)
-            assert out.flips_q == true_flip(dq)
-            assert out.flips_p == true_flip(dp)
-            assert out.dev_q == pytest.approx(0.0, abs=1e-12)
-            assert out.dev_p == pytest.approx(0.0, abs=1e-12)
+            res_q, _, flip_q = sqec_step(dq, "q", 0.0, rng)
+            res_p, _, flip_p = sqec_step(dp, "p", 0.0, rng)
+            assert flip_q == true_flip(dq)
+            assert flip_p == true_flip(dp)
+            assert res_q == pytest.approx(0.0, abs=1e-12)
+            assert res_p == pytest.approx(0.0, abs=1e-12)
 
     def test_record_in_bin_range(self):
         rng = np.random.default_rng(11)
-        noise = NoiseParams(sigma_channel=0.0, sigma_ancilla_q=0.2, sigma_ancilla_p=0.2)
         for _ in range(2000):
-            data = QubitTrack(dev_q=rng.normal(0, 1.0), dev_p=rng.normal(0, 1.0))
-            _, rec = sqec_cycle(data, noise, rng)
-            assert -HALF_SQRT_PI < rec.meas_dev_q <= HALF_SQRT_PI
-            assert -HALF_SQRT_PI < rec.meas_dev_p <= HALF_SQRT_PI
+            for quadrature in ("q", "p"):
+                _, record, _ = sqec_step(rng.normal(0, 1.0), quadrature, 0.2, rng)
+                assert -HALF_SQRT_PI < record <= HALF_SQRT_PI
 
     def test_variance_bookkeeping(self):
-        # after a full cycle: Var(dev_q) = sig_a^2, Var(dev_p) = 2 sig_a^2
+        # after a cycle: Var(residual q) = sig_a^2, Var(residual p) = 2 sig_a^2
         rng = np.random.default_rng(17)
         sig_a = 0.1
-        noise = NoiseParams(sigma_channel=0.0, sigma_ancilla_q=sig_a, sigma_ancilla_p=sig_a)
         n = 200_000
         vq, vp = [], []
         for _ in range(n):
-            data = QubitTrack(dev_q=rng.normal(0, 0.2), dev_p=rng.normal(0, 0.2))
-            out, _ = sqec_cycle(data, noise, rng)
-            if out.flips_q == 0:
-                vq.append(out.dev_q)
-            if out.flips_p == 0:
-                vp.append(out.dev_p)
+            res_q, _, flip_q = sqec_step(rng.normal(0, 0.2), "q", sig_a, rng)
+            res_p, _, flip_p = sqec_step(rng.normal(0, 0.2), "p", sig_a, rng)
+            if flip_q == 0:
+                vq.append(res_q)
+            if flip_p == 0:
+                vp.append(res_p)
         var_q, var_p = float(np.var(vq)), float(np.var(vp))
         se_q = sig_a**2 * math.sqrt(2.0 / len(vq))
         se_p = 2 * sig_a**2 * math.sqrt(2.0 / len(vp))
         assert abs(var_q - sig_a**2) < 4 * se_q
         assert abs(var_p - 2 * sig_a**2) < 4 * se_p
+
+    @pytest.mark.parametrize("quadrature", ["q", "p"])
+    @pytest.mark.parametrize("sigma,draws", [(0.0, 0), (0.1, 2)])
+    def test_ancilla_draw_count(self, quadrature, sigma, draws):
+        rng = CountingRng(5)
+        sqec_step(0.4, quadrature, sigma, rng)
+        assert rng.normals == draws
