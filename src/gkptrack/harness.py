@@ -186,10 +186,12 @@ def estimate_point(
 
     Deterministic for a fixed ``(master_seed, point_index)`` regardless of
     ``workers``; without it the pure kernel runs on one thread and any other
-    kernel on one thread per core, at most 32.  ``max_failures_stop`` ends
-    the run after the first block, in block order, at which the cumulative
-    failure count reaches the threshold; that block is
-    scheduling-independent, so the estimate is too.
+    kernel on one thread per core, at most 32.  The pure kernel holds the GIL
+    on digital configs, and its batched analog path releases it only inside
+    numpy calls on small chunks: two threads were no faster than one.
+    ``max_failures_stop`` ends the run after the first block, in block order,
+    at which the cumulative failure count reaches the threshold; that block
+    is scheduling-independent, so the estimate is too.
 
     The stop is tested at block boundaries, as results arrive in block order.
     Blocks are submitted in order with at most ``workers`` in flight and none
@@ -222,7 +224,7 @@ def estimate_point(
         return backend.run_block(params, gen, n)[0]
 
     if not workers:
-        # the pure kernel holds the GIL: more threads cannot speed it up
+        # the pure kernel mostly holds the GIL: more threads do not speed it up
         workers = 1 if backend.name == "pure" else min(32, os.cpu_count() or 1)
     failures = 0
     used_trials = 0
@@ -499,6 +501,8 @@ def write_manifest(path, cfg: SweepConfig, backend_name: str, workers: int | Non
     payload = {
         "config": manifest_config(cfg),
         "version": __version__,
+        # the Philox/ziggurat stream and the pure kernel's batched path are numpy's
+        "numpy": np.__version__,
         "backend": backend_name,
         "workers": workers,
         "created_unix": time.time(),

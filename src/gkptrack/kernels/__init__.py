@@ -6,6 +6,12 @@ a loop) and a compiled Cython twin that replicates its draw order and
 arithmetic bit for bit.  ``get_backend()`` picks the compiled kernel when the
 extension is importable, else falls back to pure Python; the environment
 variable ``GKPTRACK_KERNEL`` (``compiled`` or ``pure``) overrides.
+
+The pure kernel runs analog configs with ``sigma_cycle > 0`` trial-batched on
+numpy (:mod:`gkptrack.kernels.batched`, loaded on the first such block) and
+everything else through the scalar trial loop.  The batched path draws the
+same stream and reaches the same decisions, so both kernels' counts stay
+bit-identical; see :mod:`gkptrack.kernels.pure` for its speed.
 """
 
 from __future__ import annotations
@@ -24,7 +30,11 @@ class ProtocolConfig:
     ``sigma_cycle`` is the channel displacement noise added per cycle per
     quadrature; the ancilla fields model imperfect ancilla preparation in the
     single-qubit correction step (zero means perfect ancillas).  All are
-    standard deviations.  The compiled kernel reads these fields by name.
+    standard deviations.  Only the tracking protocol runs that step.  The
+    conventional protocol's teleportation consumes fresh perfect ancillas, so
+    it ignores the ancilla sigmas: they draw nothing and change no count
+    (with ``sigma_cycle == 0`` a trial still refuses them, as tracking does).
+    The compiled kernel reads these fields by name.
     """
 
     protocol: str  # "conventional" | "tracking"
@@ -54,7 +64,7 @@ class ProtocolConfig:
 
 
 class PureBackend:
-    """Reference kernel: loops the public protocol functions."""
+    """Reference kernel: the protocol functions, trial-batched on analog configs."""
 
     name = "pure"
 

@@ -14,6 +14,7 @@ from gkptrack.harness import (
     PointEstimate,
     SweepConfig,
     ThresholdEstimate,
+    check_resume,
     estimate_point,
     find_threshold,
     philox_key,
@@ -210,8 +211,8 @@ class TestBlockScheduling:
 
     @pytest.mark.parametrize("kernel,pooled", [("pure", False), ("compiled", True)])
     def test_default_workers_follow_kernel(self, monkeypatch, kernel, pooled):
-        # the pure kernel holds the GIL: without ``workers`` its blocks run on
-        # the calling thread; the compiled kernel's run on one thread per core
+        # the pure kernel mostly holds the GIL: without ``workers`` its blocks
+        # run on the calling thread; the compiled kernel's on one thread per core
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         backend = ThreadRecordingBackend(kernel)
         est = self.estimate(backend, workers=None)
@@ -310,6 +311,11 @@ class TestSweep:
         payload = json.loads((tmp_path / "m.json").read_text())
         assert payload["config"]["master_seed"] == 1
         assert payload["backend"] == "pure"
+        assert payload["numpy"] == np.__version__
+        # a resume compares run settings only, not the numpy that wrote the rows
+        payload["numpy"] = "0.0"
+        (tmp_path / "m.json").write_text(json.dumps(payload))
+        check_resume(tmp_path / "m.json", tmp_path / "results.csv", cfg)
 
     def test_grid_must_be_sorted(self):
         with pytest.raises(ValueError):
