@@ -8,8 +8,8 @@ Subpackages and modules:
 * :mod:`gkptrack.protocols` - conventional and tracking protocol trials
 * :mod:`gkptrack.resources` - physical-qubit budgets and reduction rates
 * :mod:`gkptrack.harness` - failure-probability estimation, sweeps, thresholds
-* :mod:`gkptrack.kernels` - ``ProtocolConfig``, the one trial config type, and
-  the pure-Python and compiled Monte Carlo kernels
+* :mod:`gkptrack.kernels` - ``ProtocolConfig``, the one trial config type, the
+  stream contract, and the Monte Carlo kernel
 * :mod:`gkptrack.cli` - the ``gkptrack`` command line tool
 """
 

@@ -80,9 +80,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", default=None,
                      help="output directory (default: $GKPTRACK_OUT or '.')")
     run.add_argument("--quadrature", choices=["q", "p", "both"], default="q")
-    run.add_argument("--workers", type=int, default=None)
+    run.add_argument("--workers", type=int, default=None,
+                     help="threads running a point's blocks (default: 1)")
     run.add_argument("--max-failures-stop", type=int, default=None)
-    run.add_argument("--kernel", choices=["pure", "compiled"], default=None)
 
     thr = sub.add_parser("threshold", help="locate the level-curve crossing")
     thr.add_argument("--in", dest="infile", required=True)
@@ -120,7 +120,7 @@ def _cmd_run(args) -> int:
         max_failures_stop=args.max_failures_stop,
         quadrature=args.quadrature,
     )
-    backend = get_backend(args.kernel)
+    backend = get_backend()
     results_path = os.path.join(out_dir, "results.csv")
     manifest_path = os.path.join(out_dir, "manifest.json")
     harness.check_resume(manifest_path, results_path, cfg)

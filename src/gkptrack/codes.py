@@ -31,7 +31,10 @@ rounding artifact.  All sums are therefore accumulated in a canonical order:
 per codeword, matched units are summed in index order separately from
 mismatched units; per class, word sums are combined by a sorted
 log-sum-exp.  Mathematically equal configurations then produce identical
-doubles.  The compiled kernel replicates the same ordering.
+doubles.  The trial-batched kernel decodes digital configs with these very
+functions on interned tables (:mod:`gkptrack.kernels.batched`), so it meets
+the same exact ties, and each tie draws its coin from the block's coin
+generator (stream contract in :mod:`gkptrack.kernels`).
 """
 
 from __future__ import annotations
@@ -248,14 +251,20 @@ def _coin(rng) -> int:
     return 0 if rng.random() < 0.5 else 1
 
 
-def _decide_first_bit(table: PairLikelihoods, rng) -> int:
+def first_bit(table: PairLikelihoods) -> int | None:
+    """The more likely first-pair bit of a top table; ``None`` on an exact tie."""
     l0 = logaddexp2(table.f00, table.f01)
     l1 = logaddexp2(table.f10, table.f11)
     if l0 > l1:
         return 0
     if l1 > l0:
         return 1
-    return _coin(rng)
+    return None
+
+
+def _decide_first_bit(table: PairLikelihoods, rng) -> int:
+    bit = first_bit(table)
+    return _coin(rng) if bit is None else bit
 
 
 def decode(

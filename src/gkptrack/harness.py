@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .kernels import ProtocolConfig, get_backend
+from .kernels import STREAM_VERSION, ProtocolConfig, get_backend
 
 DEFAULT_BLOCK_SIZE = 8192
 _Z95 = 1.959963984540054
@@ -185,10 +185,10 @@ def estimate_point(
     """Estimate one failure probability with a Wilson 95% interval.
 
     Deterministic for a fixed ``(master_seed, point_index)`` regardless of
-    ``workers``; without it the pure kernel runs on one thread and any other
-    kernel on one thread per core, at most 32.  The pure kernel holds the GIL
-    on digital configs, and its batched analog path releases it only inside
-    numpy calls on small chunks: two threads were no faster than one.
+    ``workers``, which defaults to one thread.  The kernel's batched path
+    releases the GIL only inside numpy calls on small chunks: on a 2-core VM
+    two threads ran analog points at 0.8-1.0x the speed of one, and digital
+    points at 1.1-1.5x.
     ``max_failures_stop`` ends the run after the first block, in block order,
     at which the cumulative failure count reaches the threshold; that block
     is scheduling-independent, so the estimate is too.
@@ -223,9 +223,7 @@ def estimate_point(
         gen = block_generator(master_seed, point_index, b)
         return backend.run_block(params, gen, n)[0]
 
-    if not workers:
-        # the pure kernel mostly holds the GIL: more threads do not speed it up
-        workers = 1 if backend.name == "pure" else min(32, os.cpu_count() or 1)
+    workers = workers or 1
     failures = 0
     used_trials = 0
     with contextlib.closing(_in_order(run, blocks, workers)) as per_block:
@@ -457,6 +455,8 @@ def manifest_config(cfg: SweepConfig) -> dict:
         "quadrature": cfg.quadrature,
         "sigma_ancilla_q": cfg.sigma_ancilla_q,
         "sigma_ancilla_p": cfg.sigma_ancilla_p,
+        # the kernel's stream contract (gkptrack.kernels), not a setting
+        "stream_version": STREAM_VERSION,
     }
 
 
@@ -469,6 +469,7 @@ _RESUME_FIELDS = (
     "quadrature",
     "sigma_ancilla_q",
     "sigma_ancilla_p",
+    "stream_version",
 )
 
 
@@ -486,6 +487,8 @@ def check_resume(manifest_path, results_path, cfg: SweepConfig) -> None:
         return
     with open(manifest_path) as fh:
         stored = json.load(fh).get("config", {})
+    # manifests from before the field was recorded were written under stream 1
+    stored.setdefault("stream_version", 1)
     wanted = manifest_config(cfg)
     diffs = [
         f"{name} {stored.get(name)!r} -> {wanted[name]!r}"

@@ -1,26 +1,30 @@
-"""Monte Carlo kernel backends.
+"""The Monte Carlo kernel: blocks of protocol trials off a numpy ``Generator``.
 
-Two interchangeable kernels run blocks of protocol trials against a numpy
-``Generator``: the pure-Python reference (:mod:`gkptrack.protocols` driven in
-a loop) and a compiled Cython twin that replicates its draw order and
-arithmetic bit for bit.  ``get_backend()`` picks the compiled kernel when the
-extension is importable, else falls back to pure Python; the environment
-variable ``GKPTRACK_KERNEL`` (``compiled`` or ``pure``) overrides.
+One kernel remains, the pure kernel (:mod:`gkptrack.kernels.pure`).  It runs
+every config with ``sigma_cycle > 0`` trial-batched on numpy
+(:mod:`gkptrack.kernels.batched`, loaded on the first such block), which
+reaches the decisions of the scalar trial loop over
+:mod:`gkptrack.protocols`; that loop stays the test oracle.
 
-The pure kernel runs analog configs with ``sigma_cycle > 0`` trial-batched on
-numpy (:mod:`gkptrack.kernels.batched`, loaded on the first such block) and
-everything else through the scalar trial loop.  The batched path draws the
-same stream and reaches the same decisions, so both kernels' counts stay
-bit-identical; see :mod:`gkptrack.kernels.pure` for its speed.
+Stream contract, version :data:`STREAM_VERSION` (recorded in every
+``manifest.json``): a block's noise normals come from the block's generator
+in the draw order documented in :mod:`gkptrack.protocols`.  Its tie coins
+come from one coin generator per block,
+``Generator(generator.bit_generator.jumped())``, one uniform per exact
+likelihood tie, in trial order (q before p, cycles in order).  So where a
+normal sits in the stream does not depend on ties.  Version 1 drew the coins
+from the block's generator between the normals.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 _QUADRATURES = ("q", "p", "both")
+
+#: version of the stream contract in the module docstring
+STREAM_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,6 @@ class ProtocolConfig:
     conventional protocol's teleportation consumes fresh perfect ancillas, so
     it ignores the ancilla sigmas: they draw nothing and change no count
     (with ``sigma_cycle == 0`` a trial still refuses them, as tracking does).
-    The compiled kernel reads these fields by name.
     """
 
     protocol: str  # "conventional" | "tracking"
@@ -64,7 +67,7 @@ class ProtocolConfig:
 
 
 class PureBackend:
-    """Reference kernel: the protocol functions, trial-batched on analog configs."""
+    """The kernel: the protocol functions, trial-batched where there is channel noise."""
 
     name = "pure"
 
@@ -74,35 +77,21 @@ class PureBackend:
         return pure.run_block(params, generator, trials)
 
 
-class CompiledBackend:
-    """Cython kernel; bitwise-identical results to the pure backend."""
-
-    name = "compiled"
-
-    def __init__(self) -> None:
-        from . import _fast
-
-        self._fast = _fast
-
-    def run_block(self, params: ProtocolConfig, generator, trials: int) -> tuple[int, int]:
-        return self._fast.run_block(params, generator, trials)
-
-
 def compiled_available() -> bool:
-    try:
-        from . import _fast  # noqa: F401
-    except ImportError:
-        return False
-    return True
+    """Always ``False``: the compiled kernel is retired.
+
+    ``perfbench``'s kernel probe still imports this; it goes with the next
+    change to the benchmark (ROADMAP item 1).
+    """
+    return False
 
 
 def get_backend(name: str | None = None):
-    """Resolve a backend by name, env override, or availability."""
-    choice = name or os.environ.get("GKPTRACK_KERNEL")
-    if choice is None:
-        return CompiledBackend() if compiled_available() else PureBackend()
-    if choice == "pure":
+    """The kernel called ``name``; ``None`` and ``"pure"`` both give the pure kernel.
+
+    With one kernel left this only validates the name; ``perfbench``'s kernel
+    probe and its traced pass still call it (ROADMAP item 1).
+    """
+    if name in (None, "pure"):
         return PureBackend()
-    if choice == "compiled":
-        return CompiledBackend()
-    raise ValueError(f"unknown kernel backend {choice!r}")
+    raise ValueError(f"unknown kernel backend {name!r}")

@@ -1,66 +1,84 @@
 """Trial-batched numpy path of the pure kernel, stream-exact with the scalar loop.
 
-:func:`gkptrack.kernels.pure.run_block` sends analog configs with
-``sigma_cycle > 0`` here.  A block runs in chunks of trials.  Each chunk takes
-all its normals in one ``standard_normal`` call, which yields the values the
-scalar loop's one-at-a-time calls would, and reshapes them to the documented
-draw order (:mod:`gkptrack.protocols`): per trial and quadrature, per cycle,
-per qubit the channel normal followed, in recorded tracking cycles, by the
-ancilla normals ``a1`` and ``a2`` when the ancilla sigma is above zero; q
-before p for ``quadrature == "both"``.
+:func:`gkptrack.kernels.pure.run_block` sends every config with
+``sigma_cycle > 0`` here.  A block runs in chunks of trials, and a chunk
+always runs all its trials.  Each chunk takes all its normals in one
+``standard_normal`` call, which yields the values the scalar loop's
+one-at-a-time calls would, and reshapes them to the documented draw order
+(:mod:`gkptrack.protocols`): per trial and quadrature, per cycle, per qubit
+the channel normal followed, in recorded tracking cycles, by the ancilla
+normals ``a1`` and ``a2`` when the ancilla sigma is above zero; q before p
+for ``quadrature == "both"``.  Binning and the recorded deviations use the
+scalar code's IEEE operations in its order, so the measured bits and the
+records are bitwise the scalar values.
 
-Binning and the recorded deviations use the scalar code's IEEE operations in
-its order, so they are bitwise the scalar values.  The likelihoods, the
-parity convolution, the C4 tables, the C6 folds and the first-bit decision
-are then computed over the whole chunk with numpy's ``exp``/``log``/
-``logaddexp``, which may differ from the scalar ``math`` results in the last
-bits.  Only the sign of ``l1 - l0`` matters, so a trial whose gap is below
-:data:`TIE_TOLERANCE` relative to ``1 + |l0| + |l1|``, or whose values are
-not finite, is run again by the scalar reference
-(:func:`gkptrack.kernels.pure.trial_failures`) on a :class:`_Replay` that
-serves the trial's pre-drawn normals.  Rounding differences are some 1e-15
-relative, six orders of magnitude below the tolerance, so every decision,
-every count and the generator's final state equal the scalar loop's.
+Digital decodes are exact.  Every leaf of a digital decode carries the same
+likelihood pair, so a C4 block's table depends only on its four bits and a C6
+fold only on its three sub-tables.  :class:`_DigitalDecoder` computes each
+table with the scalar :func:`gkptrack.codes.block_pair_likelihoods` (16 bit
+patterns) and :func:`gkptrack.codes.c6_level_up` (once per distinct triple of
+sub-tables), numbers the distinct tables of each level, and decides each top
+table once by :func:`gkptrack.codes.first_bit`.  A decode is then a few array
+lookups, and it ties exactly where the scalar decoder does.
 
-A scalar trial that meets an exact tie asks for a fair coin.  The replay then
-rewinds the generator to the chunk's start, redraws the normals the scalar
-loop would have consumed up to that point, and lets the coin and the rest of
-the trial draw live; the chunk ends with that trial, and the next chunk
-starts from the generator's state.  Analog decodes practically never tie;
-digital ones do, and run here only when called directly.
+Analog decodes compute the likelihoods, the parity convolution, the C4
+tables, the C6 folds and the first-bit decision over the whole chunk with
+numpy's ``exp``/``log``/``logaddexp``, which may differ from the scalar
+``math`` results in the last bits.  Only the sign of ``l1 - l0`` matters, so
+a trial whose gap is below :data:`TIE_TOLERANCE` relative to
+``1 + |l0| + |l1|``, or whose values are not finite, is run again by the
+scalar reference (:func:`gkptrack.kernels.pure.trial_failures`) on a
+:class:`_Replay` that serves the trial's pre-drawn normals.  Rounding
+differences are some 1e-15 relative, six orders of magnitude below the
+tolerance, so every decision equals the scalar loop's.
+
+Tie coins come from the block's coin generator in trial order (stream
+contract in :mod:`gkptrack.kernels`).  A chunk's digital ties take one
+``random`` call, in (trial, quadrature, cycle) order; an analog decode that
+ties exactly is one the scalar replay decides, and replays run in trial
+order.  So the counts and the final states of both generators equal the
+scalar loop's, whatever the chunk size.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .. import protocols
+from .. import codes, protocols
 from ..codes import C6_PAIR_TRIPLES, PAIR_VALUE, block_size, c4_table
 from ..gkp import SQRT_PI, digital_likelihoods, log_gauss
 from . import ProtocolConfig, pure
 
-#: normals drawn per chunk: a chunk's largest temporary stays at or below 256 KB
+#: normals drawn per analog chunk: its largest temporary stays at or below
+#: 256 KB.  A digital chunk holds no likelihoods and draws eight times as many.
 CHUNK_DRAWS = 4096
 #: relative gap ``|l1 - l0| / (1 + |l0| + |l1|)`` at or below which the
-#: scalar reference decides the trial
+#: scalar reference decides an analog trial
 TIE_TOLERANCE = 1e-9
 
 # C4 codewords by class index, then word: (4, 2, 4) bits
 _C4_WORDS = np.array([c4_table().codewords[PAIR_VALUE[ci]] for ci in range(4)])
 # C6 words by class index, then word, as sub-pair indices of the three sub-blocks
 _C6_SLOTS = np.array(C6_PAIR_TRIPLES).transpose(2, 0, 1)
+#: :class:`_DigitalDecoder`'s first-bit code of a top table that ties exactly
+_TIE = 2
+# sub-table counts below this number a triple by one int64 key (k**3 < 2**63);
+# at most 125**3 tables reach C6 level 3, so only folds at level 5 and above
+# can need np.unique(axis=0), which makes digital L2/L3 blocks 1.7-2.4x slower
+_KEYED_TABLES = 1 << 21
 
 
-def run_block(params: ProtocolConfig, generator, trials: int) -> tuple[int, int]:
+def run_block(params: ProtocolConfig, generator, trials: int, coins) -> tuple[int, int]:
     """Failure counts of ``trials`` trials, as :func:`gkptrack.kernels.pure.run_block`."""
     sub_trials = _sub_trials(params)
     draws = sum(count for _, _, count in sub_trials)
-    chunk = max(1, CHUNK_DRAWS // draws)
+    chunk = max(1, (CHUNK_DRAWS if params.analog else 8 * CHUNK_DRAWS) // draws)
+    decoder = None if params.analog else _DigitalDecoder(params)
     failures = failures_p = 0
-    done = 0
-    while done < trials:
-        ran, (f, f_p) = _run_chunk(params, sub_trials, draws, generator, min(chunk, trials - done))
-        done += ran
+    for start in range(0, trials, chunk):
+        f, f_p = _run_chunk(params, sub_trials, draws, generator, coins, decoder, min(chunk, trials - start))
         failures += f
         failures_p += f_p
     return failures, failures_p
@@ -83,80 +101,132 @@ def _sub_trials(params: ProtocolConfig) -> list[tuple[str, float, int]]:
     return out
 
 
-def _run_chunk(params, sub_trials, draws, generator, trials) -> tuple[int, list[int]]:
-    """Run up to ``trials`` trials; returns how many ran and their failure counts."""
-    start = generator.bit_generator.state
+def _run_chunk(params, sub_trials, draws, generator, coins, decoder, trials) -> list[int]:
+    """Failure counts of the next ``trials`` trials, ordered as :func:`run_block`'s."""
     normals = generator.standard_normal(trials * draws).reshape(trials, draws)
-    failed = []
+    decided = []
+    ties = []
     unsure = np.zeros(trials, dtype=bool)
     offset = 0
     for quadrature, sigma_ancilla, count in sub_trials:
         z = normals[:, offset : offset + count]
         offset += count
-        # -inf leaves (digital, tiny sigma) give NaN tables: unsure, not an error
+        # a non-finite likelihood gives NaN tables: unsure, not an error
         with np.errstate(invalid="ignore"):
             if params.protocol == "conventional":
                 bits, lm, lf = _conventional_leaves(params, z)
             else:
                 bits, lm, lf = _tracking_leaves(params, quadrature, sigma_ancilla, z)
-            decided, unsure_sub = _decide(bits, lm, lf)
-        if params.protocol == "conventional":
-            # truth is 0 in every cycle: the trial fails on an odd count of wrong cycles
-            decided = np.bitwise_xor.reduce(decided.reshape(trials, params.cycles), axis=1)
-            unsure_sub = unsure_sub.reshape(trials, params.cycles).any(axis=1)
-        failed.append(decided)
-        unsure |= unsure_sub
-
-    ran = trials
+            if decoder is None:
+                bit, unsure_decode = _decide(bits, lm, lf)
+                unsure |= unsure_decode.reshape(trials, -1).any(axis=1)
+            else:
+                bit, tie = decoder.decide(bits)
+                ties.append(tie.reshape(trials, -1))
+        decided.append(bit.reshape(trials, -1))
+    # axes: trial, quadrature (q before p), decode (conventional: one per cycle)
+    decided = np.stack(decided, axis=1)
+    if ties:
+        tie = np.stack(ties, axis=1)
+        n_ties = np.count_nonzero(tie)
+        if n_ties:
+            # codes._coin: 0 below one half
+            decided[tie] = coins.random(n_ties) >= 0.5
+    # truth is 0 in every cycle: a trial fails on an odd count of wrong decodes
+    failed = np.bitwise_xor.reduce(decided, axis=2) & ~unsure[:, None]
     counts = [0, 0]
+    counts[: len(sub_trials)] = np.count_nonzero(failed, axis=0).tolist()
     for j in np.flatnonzero(unsure).tolist():
-        replay = _Replay(generator, normals[j].tolist(), start, j * draws)
-        for k, value in enumerate(pure.trial_failures(params, replay)):
+        for k, value in enumerate(pure.trial_failures(params, _Replay(normals[j].tolist()), coins)):
             counts[k] += value
-        if replay.live:
-            ran = j + 1
-            break
-    sure = ~unsure[:ran]
-    for k, decided in enumerate(failed):
-        counts[k] += int(np.count_nonzero(decided[:ran] & sure))
-    return ran, counts
+    return counts
 
 
 class _Replay:
-    """Generator stand-in that serves one trial's pre-drawn normals.
+    """Generator stand-in that serves one trial's pre-drawn normals to the scalar reference."""
 
-    On a tie coin it puts ``generator`` where the scalar loop would stand
-    (the chunk's start state plus every normal consumed before the coin) and
-    from then on draws from it.
-    """
-
-    def __init__(self, generator, normals: list[float], start_state, drawn_before: int) -> None:
-        self._generator = generator
-        self._normals = normals
-        self._next = 0
-        self._start_state = start_state
-        self._drawn_before = drawn_before
-        self.live = False
+    def __init__(self, normals: list[float]) -> None:
+        self._normals = iter(normals)
 
     def standard_normal(self) -> float:
-        if self.live:
-            return self._generator.standard_normal()
-        value = self._normals[self._next]
-        self._next += 1
-        return value
-
-    def random(self) -> float:
-        if not self.live:
-            self._generator.bit_generator.state = self._start_state
-            self._generator.standard_normal(self._drawn_before + self._next)
-            self.live = True
-        return self._generator.random()
+        return next(self._normals)
 
 
-def _bin(x):
-    """Lattice index and binned deviation, as :func:`gkptrack.gkp.lattice_index`."""
-    s = np.ceil(x / SQRT_PI - 0.5)
-    return s, x - s * SQRT_PI
+class _DigitalDecoder:
+    """Exact first-pair bits of a digital config's decodes, from interned tables.
+
+    Tables are numbered per level in order of first appearance; a C6 fold is
+    computed once per distinct triple of sub-table numbers.
+    """
+
+    def __init__(self, params: ProtocolConfig) -> None:
+        if params.protocol == "conventional":
+            pair = digital_likelihoods(params.sigma_cycle)
+        else:
+            pair = protocols.joint_likelihood([None] * params.cycles, params.sigma_cycle, False)
+        self._top = params.level - 1
+        # per level (0 for C4): table values -> number, number -> table, and
+        # above C4 the fold's sub-table numbers -> number
+        self._numbers = [{} for _ in range(params.level)]
+        self._tables = [[] for _ in range(params.level)]
+        self._folds = [{} for _ in range(params.level)]
+        # first bit of each top table, or _TIE; as a list and as an array
+        self._first_bits: list[int] = []
+        self._first_bit_array = np.empty(0, dtype=np.int8)
+        leaves = [pair] * 4
+        self._c4 = np.array([
+            self._intern(0, codes.block_pair_likelihoods(c4_table(), bits, leaves))
+            for bits in itertools.product((0, 1), repeat=4)
+        ])
+
+    def decide(self, bits):
+        """First-pair bits of decodes (rows of leaf bits), and which of them tie exactly."""
+        rows = bits.shape[0]
+        b = bits.reshape(rows, -1, 4)
+        numbers = self._c4[(b[..., 0] << 3) | (b[..., 1] << 2) | (b[..., 2] << 1) | b[..., 3]]
+        for level in range(1, self._top + 1):
+            numbers = self._fold(level, numbers.reshape(rows, -1, 3))
+        if len(self._first_bit_array) < len(self._first_bits):
+            self._first_bit_array = np.array(self._first_bits, dtype=np.int8)
+        first = self._first_bit_array[numbers[:, 0]]
+        return first == 1, first == _TIE
+
+    def _fold(self, level: int, triples):
+        """Numbers of the level tables folded from ``triples`` of sub-table numbers."""
+        flat = triples.reshape(-1, 3)
+        k = len(self._tables[level - 1])
+        if k < _KEYED_TABLES:
+            keys = (flat[:, 0] * k + flat[:, 1]) * k + flat[:, 2]
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            distinct = flat[first]
+        else:
+            distinct, inverse = np.unique(flat, axis=0, return_inverse=True)
+        folds, subs = self._folds[level], self._tables[level - 1]
+        numbers = []
+        for triple in map(tuple, distinct.tolist()):
+            number = folds.get(triple)
+            if number is None:
+                table = codes.c6_level_up([subs[i] for i in triple])
+                number = folds[triple] = self._intern(level, table)
+            numbers.append(number)
+        return np.array(numbers)[inverse].reshape(triples.shape[:-1])
+
+    def _intern(self, level: int, table) -> int:
+        """The number of ``table`` among the distinct tables of ``level``."""
+        numbers = self._numbers[level]
+        number = numbers.get(table.as_tuple())
+        if number is None:
+            number = numbers[table.as_tuple()] = len(self._tables[level])
+            self._tables[level].append(table)
+            if level == self._top:
+                bit = codes.first_bit(table)
+                self._first_bits.append(_TIE if bit is None else bit)
+        return number
+
+
+def _lattice_index(x):
+    """As :func:`gkptrack.gkp.lattice_index`; the binned deviation is ``x - s * SQRT_PI``."""
+    return np.ceil(x / SQRT_PI - 0.5)
 
 
 def _parity(s):
@@ -164,20 +234,18 @@ def _parity(s):
 
 
 def _conventional_leaves(params: ProtocolConfig, z):
-    """Bits and leaf likelihoods of every cycle's decode, one row per (trial, cycle)."""
+    """Bits and, analog, leaf likelihoods of every cycle's decode, one row per (trial, cycle)."""
     n = block_size(params.level)
     dev = params.sigma_cycle * z.reshape(-1, n)
-    s, record = _bin(dev)
-    if params.analog:
-        lm, lf = _analog_pair(record, params.sigma_cycle)
-    else:
-        pair = digital_likelihoods(params.sigma_cycle)
-        lm, lf = pair.l_match, pair.l_flip
+    s = _lattice_index(dev)
+    if not params.analog:
+        return _parity(s), None, None
+    lm, lf = _analog_pair(dev - s * SQRT_PI, params.sigma_cycle)
     return _parity(s), lm, lf
 
 
 def _tracking_leaves(params: ProtocolConfig, quadrature: str, sigma_ancilla: float, z):
-    """Bits and joint record likelihoods of one tracking quadrature, as ``_tracking_single``."""
+    """Bits and, analog, joint record likelihoods of one tracking quadrature, as ``_tracking_single``."""
     trials = z.shape[0]
     n = block_size(params.level)
     sigma = params.sigma_cycle
@@ -197,16 +265,16 @@ def _tracking_leaves(params: ProtocolConfig, quadrature: str, sigma_ancilla: flo
             measured, dev = a2 + (dev + a1), -a2
         else:
             measured, dev = a1 - dev, a1 - a2
-        s, record = _bin(measured)
-        records.append(record)
+        s = _lattice_index(measured)
+        if params.analog:
+            records.append(measured - s * SQRT_PI)
         flip = flip ^ _parity(s)
     dev = dev + sigma * z[:, (params.cycles - 1) * n * per_qubit :]
-    s, record = _bin(dev)
-    records.append(record)
+    s = _lattice_index(dev)
     bits = flip ^ _parity(s)
     if not params.analog:
-        pair = protocols.joint_likelihood([None] * params.cycles, sigma, False)
-        return bits, pair.l_match, pair.l_flip
+        return bits, None, None
+    records.append(dev - s * SQRT_PI)
     even, odd = _analog_pair(records[0], sigma)
     for record in records[1:]:
         e, o = _analog_pair(record, sigma)
@@ -231,10 +299,10 @@ def _logsumexp(values):
 
 
 def _decide(bits, lm, lf):
-    """First-pair bits of a batch of decodes, and which are too close to call.
+    """First-pair bits of a batch of analog decodes, and which are too close to call.
 
     Rows are decodes, columns leaves in :func:`gkptrack.codes.decode` order;
-    ``lm`` and ``lf`` are arrays like ``bits`` or, digital, scalars.
+    ``lm`` and ``lf`` are arrays like ``bits``.
     """
     rows = bits.shape[0]
     # likelihood of each leaf under a codeword bit of 0 (last axis 0) or 1,

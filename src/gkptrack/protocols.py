@@ -21,12 +21,15 @@ cross-checking.  The transmitted codeword is fixed to all-zeros; linearity
 of the code makes failure statistics identical for any codeword, and
 :func:`run_conventional` accepts an explicit codeword to verify that.
 
-This module is also the reference ("pure") Monte Carlo kernel: the compiled
-kernel replicates its draw order and arithmetic operation for operation.
-Draw order per trial: per cycle, one channel draw per qubit in qubit order,
-followed (tracking, cycles 1..n-1) by that qubit's ancilla draws; an exactly
-zero sigma consumes no draw.  Decoding consumes one uniform draw only on an
-exact likelihood tie.
+This module is also the scalar reference of the Monte Carlo kernel, which
+the trial-batched path (:mod:`gkptrack.kernels.batched`) reproduces.  Every
+trial function takes two generators: ``rng`` for the noise normals and
+``coins`` for tie coins (stream contract in :mod:`gkptrack.kernels`).
+Normal draw order per trial: per cycle, one channel draw per qubit in qubit
+order, followed (tracking, cycles 1..n-1) by that qubit's ancilla draws; an
+exactly zero sigma consumes no draw.  A decode draws one uniform from
+``coins`` only on an exact likelihood tie, so the normals' positions in
+``rng`` never depend on ties.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ def _analog_pair(deviation: float, sigma: float) -> tuple[float, float]:
     return log_gauss(a, sigma), log_gauss(SQRT_PI - a, sigma)
 
 
-def run_conventional(cfg: ProtocolConfig, rng, codeword=None) -> TrialOutcome:
+def run_conventional(cfg: ProtocolConfig, rng, coins, codeword=None) -> TrialOutcome:
     """One conventional trial; ``codeword`` overrides the all-zeros frame.
 
     When a codeword (bit sequence of block length) is supplied, its bits are
@@ -96,10 +99,10 @@ def run_conventional(cfg: ProtocolConfig, rng, codeword=None) -> TrialOutcome:
     if cfg.protocol != "conventional":
         raise ValueError("config is not a conventional-protocol config")
     if cfg.quadrature == "both":
-        out_q = _conventional_single(cfg, rng, codeword)
-        _conventional_single(cfg, rng, codeword)
+        out_q = _conventional_single(cfg, rng, coins, codeword)
+        _conventional_single(cfg, rng, coins, codeword)
         return out_q
-    return _conventional_single(cfg, rng, codeword)
+    return _conventional_single(cfg, rng, coins, codeword)
 
 
 def _zero_noise_outcome(cfg: ProtocolConfig) -> TrialOutcome:
@@ -111,7 +114,7 @@ def _zero_noise_outcome(cfg: ProtocolConfig) -> TrialOutcome:
     return score_trial(0, 0)
 
 
-def _conventional_single(cfg: ProtocolConfig, rng, codeword=None) -> TrialOutcome:
+def _conventional_single(cfg: ProtocolConfig, rng, coins, codeword=None) -> TrialOutcome:
     from .codes import concat_word_first_bit  # local import to avoid cycle at module load
 
     if cfg.sigma_cycle == 0.0:
@@ -141,25 +144,25 @@ def _conventional_single(cfg: ProtocolConfig, rng, codeword=None) -> TrialOutcom
         if codeword is not None:
             bits = [b ^ c for b, c in zip(bits, codeword)]
             truth ^= truth_cycle
-        bit, _table = decode(cfg.level, bits, lps, rng)
+        bit, _table = decode(cfg.level, bits, lps, coins)
         decoded ^= bit
     if codeword is not None:
         return score_trial(decoded, truth)
     return score_trial(decoded, truth_bit)
 
 
-def run_tracking(cfg: ProtocolConfig, rng) -> TrialOutcome:
+def run_tracking(cfg: ProtocolConfig, rng, coins) -> TrialOutcome:
     """One tracking trial: n-1 recorded single-qubit corrections + one decode."""
     if cfg.protocol != "tracking":
         raise ValueError("config is not a tracking-protocol config")
     if cfg.quadrature == "both":
-        out_q = _tracking_single(cfg, rng, "q")
-        _tracking_single(cfg, rng, "p")
+        out_q = _tracking_single(cfg, rng, coins, "q")
+        _tracking_single(cfg, rng, coins, "p")
         return out_q
-    return _tracking_single(cfg, rng, cfg.quadrature)
+    return _tracking_single(cfg, rng, coins, cfg.quadrature)
 
 
-def _tracking_single(cfg: ProtocolConfig, rng, quadrature: str) -> TrialOutcome:
+def _tracking_single(cfg: ProtocolConfig, rng, coins, quadrature: str) -> TrialOutcome:
     if cfg.sigma_cycle == 0.0:
         return _zero_noise_outcome(cfg)
     n = block_size(cfg.level)
@@ -183,19 +186,19 @@ def _tracking_single(cfg: ProtocolConfig, rng, quadrature: str) -> TrialOutcome:
         bits.append(flip[i] ^ (s & 1))
         records[i].append(dev[i] - s * SQRT_PI)
         lps.append(joint_likelihood(records[i], sigma, True) if cfg.analog else digital_lp)
-    bit, _table = decode(cfg.level, bits, lps, rng)
+    bit, _table = decode(cfg.level, bits, lps, coins)
     return score_trial(bit, 0)
 
 
-def run_trial(cfg: ProtocolConfig, rng) -> TrialOutcome:
+def run_trial(cfg: ProtocolConfig, rng, coins) -> TrialOutcome:
     """Run one trial of whichever protocol the config selects."""
     if cfg.protocol == "conventional":
-        return run_conventional(cfg, rng)
-    return run_tracking(cfg, rng)
+        return run_conventional(cfg, rng, coins)
+    return run_tracking(cfg, rng, coins)
 
 
-def run_trial_both(cfg: ProtocolConfig, rng) -> tuple[TrialOutcome, TrialOutcome]:
+def run_trial_both(cfg: ProtocolConfig, rng, coins) -> tuple[TrialOutcome, TrialOutcome]:
     """Run both quadratures' independent simulations; returns (q, p) outcomes."""
     if cfg.protocol == "conventional":
-        return _conventional_single(cfg, rng), _conventional_single(cfg, rng)
-    return _tracking_single(cfg, rng, "q"), _tracking_single(cfg, rng, "p")
+        return _conventional_single(cfg, rng, coins), _conventional_single(cfg, rng, coins)
+    return _tracking_single(cfg, rng, coins, "q"), _tracking_single(cfg, rng, coins, "p")

@@ -1,11 +1,15 @@
 """Acceptance suite: one test per validation criterion, one verdict line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` (expected wall time: a few
-minutes with the compiled kernel).  Every criterion is asserted at its stated
-tolerance; nothing is loosened to force a pass.  Five criteria are known to
-fail, with the measured values printed and the reasons summarized below.
-Criteria 3, 4 and 5 run only when the compiled kernel is built (they are
-skipped otherwise):
+Run with ``pytest tests/test_acceptance.py -v -s``.  The acceptance-scale
+Monte Carlo tests carry the ``heavy`` marker, which the default pytest
+options deselect; run them with ``pytest -m heavy tests/test_acceptance.py
+-v -s`` (minutes of wall time on the pure kernel).  Under stream version 2
+digital ties draw their coins from each block's coin substream
+(:mod:`gkptrack.kernels`), so digital counts differ from version 1 runs
+within their noise.  Every criterion is asserted at its stated tolerance;
+nothing is loosened to force a pass.  Five criteria are known to fail, with
+the measured values printed and the reasons summarized below (criteria 3, 4
+and 5 are heavy, 1 and 9 are not):
 
 * criterion 1 (partly): the exact misidentification rate at sigma 0.607 is
   14.43%, outside the stated 14.3 +- 0.1 window (the 14.3 figure is a rounded
@@ -48,17 +52,12 @@ from gkptrack.harness import (
     sweep,
     wilson_interval,
 )
-from gkptrack.kernels import compiled_available, get_backend
 
 pytestmark = pytest.mark.acceptance
 
 SEED = 0xACCE
 
-heavy = pytest.mark.skipif(
-    not compiled_available(),
-    reason="acceptance-scale Monte Carlo needs the compiled kernel; "
-    "build it with: pip install -e . --no-build-isolation",
-)
+heavy = pytest.mark.heavy
 
 
 def verdict(num, name, ok, detail):
@@ -84,8 +83,6 @@ THRESHOLD_TRIALS = 400_000  # per point; criterion demands >= 1e5
 
 @pytest.fixture(scope="module")
 def thresholds():
-    if not compiled_available():
-        pytest.skip("compiled kernel required")
     out = {}
     for name, proto, analog, start in [
         ("conv-dig", "conventional", False, 1.05),

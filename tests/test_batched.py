@@ -1,9 +1,11 @@
-"""The pure kernel's trial-batched path against the scalar trial loop.
+"""The kernel's trial-batched path against the scalar trial loop, stream v2.
 
-Every case compares failure counts and the generator's final Philox state
-with a loop over the reference protocol functions on an identically keyed
-generator: equal states mean the batched path drew exactly the normals and
-tie coins the scalar loop draws.
+Every case compares failure counts and the final Philox states of both the
+noise generator and the coin generator with a loop over the reference
+protocol functions on identically keyed generators: equal states mean the
+batched path drew exactly the normals and tie coins the scalar loop draws.
+The loop below spells out the stream contract of :mod:`gkptrack.kernels`:
+one coin generator per block, ``Generator(bit_generator.jumped())``.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from gkptrack import protocols
-from gkptrack.kernels import ProtocolConfig, batched, get_backend, pure
+from gkptrack.kernels import ProtocolConfig, batched, pure
 
 
 def make_gen(seed):
@@ -30,25 +32,55 @@ def plain(value):
     return value
 
 
-def scalar_loop(params, gen, trials):
+def coins_of(gen):
+    return np.random.Generator(gen.bit_generator.jumped())
+
+
+def scalar_loop(params, gen, coins, trials):
     failures = failures_p = 0
     for _ in range(trials):
         if params.quadrature == "both":
-            out_q, out_p = protocols.run_trial_both(params, gen)
+            out_q, out_p = protocols.run_trial_both(params, gen, coins)
             failures += out_q.failed
             failures_p += out_p.failed
         else:
-            failures += protocols.run_trial(params, gen).failed
+            failures += protocols.run_trial(params, gen, coins).failed
     return failures, failures_p
 
 
-def assert_stream_exact(params, trials, seed, run=None):
-    run = run or get_backend("pure").run_block
+class CountingCoins:
+    """A coin generator that counts the uniforms drawn from it."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.bit_generator = generator.bit_generator
+        self.draws = 0
+
+    def random(self, size=None):
+        self.draws += 1 if size is None else size
+        return self.generator.random(size)
+
+
+def assert_stream_exact(params, trials, seed):
+    """Equal counts and final generator states; returns the counts and the coins drawn."""
     expected_gen, gen = make_gen(seed), make_gen(seed)
-    expected = scalar_loop(params, expected_gen, trials)
-    assert run(params, gen, trials) == expected
+    expected_coins = CountingCoins(coins_of(expected_gen))
+    expected = scalar_loop(params, expected_gen, expected_coins, trials)
+    made = []
+    coin_generator = pure.coin_generator
+
+    def counting_coin_generator(generator):
+        made.append(CountingCoins(coin_generator(generator)))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pure, "coin_generator", counting_coin_generator)
+        assert pure.run_block(params, gen, trials) == expected
+    (coins,) = made  # one coin generator per block
     assert plain(gen.bit_generator.state) == plain(expected_gen.bit_generator.state)
-    return expected
+    assert plain(coins.bit_generator.state) == plain(expected_coins.bit_generator.state)
+    assert coins.draws == expected_coins.draws
+    return expected, coins.draws
 
 
 def draws_per_trial(params):
@@ -70,6 +102,17 @@ def test_matches_scalar_loop(protocol, quadrature, level, ancilla):
     assert_stream_exact(params, TRIALS_BY_LEVEL[level], seed)
 
 
+@pytest.mark.parametrize(
+    "protocol,quadrature,level,ancilla",
+    list(itertools.product(("conventional", "tracking"), ("q", "p", "both"), (1, 2, 3), ANCILLAS)),
+)
+def test_digital_matches_scalar_loop(protocol, quadrature, level, ancilla):
+    cycles = 3 if level < 3 else 2
+    params = ProtocolConfig(protocol, False, level, cycles, 0.45, *ANCILLAS[ancilla], quadrature)
+    seed = 10 * level + len(quadrature) + (protocol == "tracking")
+    assert_stream_exact(params, TRIALS_BY_LEVEL[level], seed)
+
+
 def test_level4():
     params = ProtocolConfig("tracking", True, 4, 2, 0.42, 0.1, 0.1, "both")
     assert_stream_exact(params, 4, 3)
@@ -87,20 +130,22 @@ def test_chunk_boundaries(offset, quadrature):
 
 
 def test_routing(monkeypatch):
-    """Analog configs with channel noise run batched; digital ones never do."""
+    """Configs with channel noise run batched, analog and digital; noiseless ones never do."""
     calls = []
     original = batched.run_block
 
-    def spy(params, gen, trials):
+    def spy(params, gen, trials, coins):
         calls.append(params)
-        return original(params, gen, trials)
+        return original(params, gen, trials, coins)
 
     monkeypatch.setattr(batched, "run_block", spy)
     analog = ProtocolConfig("conventional", True, 1, 2, 0.5)
-    digital = ProtocolConfig("conventional", False, 1, 2, 0.5)
+    digital = ProtocolConfig("tracking", False, 1, 2, 0.5)
+    noiseless = ProtocolConfig("tracking", False, 1, 2, 0.0)
     assert_stream_exact(analog, 50, 1)
     assert_stream_exact(digital, 50, 2)
-    assert calls == [analog]
+    assert assert_stream_exact(noiseless, 50, 3) == ((0, 0), 0)
+    assert calls == [analog, digital]
 
 
 def test_loaded_lazily():
@@ -116,27 +161,6 @@ def test_loaded_lazily():
     assert "gkptrack.kernels.batched" not in loaded
 
 
-class CountingReplays:
-    """Counts scalar re-runs and the tie coins that made a replay rewind."""
-
-    def __init__(self, monkeypatch):
-        self.reruns = 0
-        self.rewinds = 0
-        trial_failures = pure.trial_failures
-        replay_random = batched._Replay.random
-
-        def counted_trial(params, gen):
-            self.reruns += 1
-            return trial_failures(params, gen)
-
-        def counted_random(replay):
-            self.rewinds += not replay.live
-            return replay_random(replay)
-
-        monkeypatch.setattr(pure, "trial_failures", counted_trial)
-        monkeypatch.setattr(batched._Replay, "random", counted_random)
-
-
 @pytest.mark.parametrize(
     "params,trials",
     [
@@ -146,23 +170,60 @@ class CountingReplays:
     ],
 )
 def test_every_trial_replayed(monkeypatch, params, trials):
-    """With an infinite tolerance every trial goes through the scalar replay."""
+    """With an infinite tolerance every analog trial goes through the scalar replay."""
     monkeypatch.setattr(batched, "TIE_TOLERANCE", float("inf"))
-    counter = CountingReplays(monkeypatch)
+    reruns = []
+    trial_failures = pure.trial_failures
+
+    def counted_trial(params, gen, coins):
+        reruns.append(gen)
+        return trial_failures(params, gen, coins)
+
+    monkeypatch.setattr(pure, "trial_failures", counted_trial)
     assert_stream_exact(params, trials, 8)
-    assert counter.reruns == trials
+    assert len(reruns) == trials
 
 
-@pytest.mark.parametrize(
-    "params,trials",
-    [
-        (ProtocolConfig("conventional", False, 2, 2, 0.55), 1500),
-        (ProtocolConfig("tracking", False, 1, 2, 0.5, 0.1, 0.1, "both"), 1500),
-    ],
-)
-def test_tie_coins_rewind(monkeypatch, params, trials):
-    """Digital decodes tie exactly; each coin rewinds the generator and ends the chunk."""
-    counter = CountingReplays(monkeypatch)
-    failures = assert_stream_exact(params, trials, 9, run=batched.run_block)
-    assert failures[0] > 0
-    assert counter.rewinds > 100
+TIE_HEAVY = [
+    (ProtocolConfig("conventional", False, 2, 2, 0.55), 1500),
+    (ProtocolConfig("tracking", False, 1, 2, 0.5, 0.1, 0.1, "both"), 1500),
+]
+
+
+@pytest.mark.parametrize("params,trials", TIE_HEAVY)
+def test_tie_heavy_digital(params, trials):
+    """Digital decodes tie exactly and often: each tie draws one coin, in trial order."""
+    (failures, _), coins = assert_stream_exact(params, trials, 9)
+    assert failures > 0
+    assert coins > 100
+
+
+CHUNK_CONFIGS = TIE_HEAVY + [
+    (ProtocolConfig("tracking", False, 3, 2, 0.47, 0.1, 0.0, "both"), 30),
+    (ProtocolConfig("conventional", True, 2, 3, 0.5, quadrature="both"), 100),
+]
+
+
+@pytest.mark.parametrize("chunk_draws", [1, 7, batched.CHUNK_DRAWS])
+@pytest.mark.parametrize("params,trials", CHUNK_CONFIGS)
+def test_chunk_size_invariant(monkeypatch, chunk_draws, params, trials):
+    """Counts and both generators' final states do not depend on the chunk size."""
+    monkeypatch.setattr(batched, "CHUNK_DRAWS", chunk_draws)
+    assert_stream_exact(params, trials, 11)
+
+
+def test_digital_decoder_interns_exact_tables():
+    """A C4 table depends on its bits only: 16 patterns give the 5 distinct tables."""
+    decoder = batched._DigitalDecoder(ProtocolConfig("conventional", False, 2, 2, 0.5))
+    assert len(decoder._tables[0]) == 5
+    bits = np.array([[0, 0, 0, 0] * 3, [0, 0, 0, 1] * 3, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]])
+    first, tie = decoder.decide(bits)
+    # all-odd sub-blocks are uniform, so the top table ties exactly
+    assert first.tolist()[0] is False and tie.tolist() == [False, True, False]
+
+
+def test_unkeyed_fold_matches(monkeypatch):
+    """Folds over too many sub-tables for an int64 key give the same decisions."""
+    params, trials = CHUNK_CONFIGS[2]
+    monkeypatch.setattr(batched, "_KEYED_TABLES", 0)
+    assert_stream_exact(params, trials, 11)

@@ -110,6 +110,21 @@ class TestResume:
             assert field in err
         assert {name: (out / name).read_bytes() for name in before} == before
 
+    def test_stream_v1_manifest_refused(self, tmp_path, capsys):
+        """Rows from before the stream version was recorded came from stream 1."""
+        out = tmp_path / "r"
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["stream_version"] == 2
+        del manifest["config"]["stream_version"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        before = {name: (out / name).read_bytes() for name in ("results.csv", "manifest.json")}
+        capsys.readouterr()
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "another configuration" in err and "stream_version 1 -> 2" in err
+        assert {name: (out / name).read_bytes() for name in before} == before
+
     def test_results_without_manifest_refused(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 0

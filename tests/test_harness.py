@@ -209,10 +209,10 @@ class TestBlockScheduling:
         with pytest.raises(RuntimeError, match="block failed"):
             self.estimate(backend, workers=workers)
 
-    @pytest.mark.parametrize("kernel,pooled", [("pure", False), ("compiled", True)])
+    @pytest.mark.parametrize("kernel,pooled", [("pure", False), ("rigged", False)])
     def test_default_workers_follow_kernel(self, monkeypatch, kernel, pooled):
-        # the pure kernel mostly holds the GIL: without ``workers`` its blocks
-        # run on the calling thread; the compiled kernel's on one thread per core
+        # one rule for every kernel: without ``workers`` the blocks run on the
+        # calling thread, however many cores there are
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         backend = ThreadRecordingBackend(kernel)
         est = self.estimate(backend, workers=None)

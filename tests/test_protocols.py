@@ -144,35 +144,35 @@ class TestJointLikelihood:
 class TestZeroNoise:
     @pytest.mark.parametrize("kind", ["conventional", "tracking"])
     def test_never_fails(self, kind):
-        rng = np.random.default_rng(0)
+        rng, coins = np.random.default_rng(0), np.random.default_rng(1)
         cfg = conv_cfg(0.0) if kind == "conventional" else track_cfg(0.0)
         for _ in range(200):
-            out = run_trial(cfg, rng)
+            out = run_trial(cfg, rng, coins)
             assert not out.failed
 
 
 class TestConventional:
     def test_two_cycle_identity(self):
         # failure of 2 cycles equals 2 P (1-P) of the single-cycle rate
-        rng = np.random.default_rng(77)
+        rng, coins = np.random.default_rng(77), np.random.default_rng(78)
         sigma_c = 0.5
         n = 60_000
-        p1 = sum(run_conventional(conv_cfg(sigma_c, cycles=1), rng).failed for _ in range(n)) / n
-        p2 = sum(run_conventional(conv_cfg(sigma_c, cycles=2), rng).failed for _ in range(n)) / n
+        p1 = sum(run_conventional(conv_cfg(sigma_c, cycles=1), rng, coins).failed for _ in range(n)) / n
+        p2 = sum(run_conventional(conv_cfg(sigma_c, cycles=2), rng, coins).failed for _ in range(n)) / n
         expected = 2 * p1 * (1 - p1)
         se = math.sqrt(p2 * (1 - p2) / n) + 2 * abs(1 - 2 * p1) * math.sqrt(p1 * (1 - p1) / n)
         assert abs(p2 - expected) < 4 * se
 
     def test_xor_composition_in_distribution(self):
         # n-cycle failure vs XOR of independent single-cycle runs (two-sample)
-        rng = np.random.default_rng(13)
+        rng, coins = np.random.default_rng(13), np.random.default_rng(14)
         sigma_c, n = 0.55, 40_000
-        direct = sum(run_conventional(conv_cfg(sigma_c, cycles=3), rng).failed for _ in range(n)) / n
+        direct = sum(run_conventional(conv_cfg(sigma_c, cycles=3), rng, coins).failed for _ in range(n)) / n
         xored = 0
         for _ in range(n):
             parity = 0
             for _ in range(3):
-                parity ^= run_conventional(conv_cfg(sigma_c, cycles=1), rng).decoded_bit
+                parity ^= run_conventional(conv_cfg(sigma_c, cycles=1), rng, coins).decoded_bit
             xored += parity
         xored /= n
         se = math.sqrt(direct * (1 - direct) / n + xored * (1 - xored) / n)
@@ -183,15 +183,18 @@ class TestConventional:
         for seed in range(2000):
             rng = np.random.default_rng(seed)
             word = random_codeword(1, rng)
-            base = run_conventional(conv_cfg(0.55, level=1), np.random.default_rng(seed + 10_000))
+            base = run_conventional(conv_cfg(0.55, level=1), np.random.default_rng(seed + 10_000),
+                                    np.random.default_rng(seed + 20_000))
             coded = run_conventional(
-                conv_cfg(0.55, level=1), np.random.default_rng(seed + 10_000), codeword=word
+                conv_cfg(0.55, level=1), np.random.default_rng(seed + 10_000),
+                np.random.default_rng(seed + 20_000), codeword=word,
             )
             assert base.failed == coded.failed
 
     def test_codeword_length_checked(self):
         with pytest.raises(ValueError):
-            run_conventional(conv_cfg(0.5), np.random.default_rng(0), codeword=(0, 0))
+            run_conventional(conv_cfg(0.5), np.random.default_rng(0), np.random.default_rng(1),
+                             codeword=(0, 0))
 
 
 class TestTracking:
@@ -206,7 +209,7 @@ class TestTracking:
         n = block_size(1)
         for seed in range(500):
             cfg = track_cfg(sigma_c, cycles=cycles, level=1)
-            out = run_tracking(cfg, np.random.default_rng(seed))
+            out = run_tracking(cfg, np.random.default_rng(seed), np.random.default_rng(seed + 1000))
 
             rng = np.random.default_rng(seed)
             flips = [0] * n
@@ -224,20 +227,20 @@ class TestTracking:
                 bits.append(flips[i] ^ binned.bit)
                 records[i].append(binned.deviation)
             lps = [joint_likelihood(records[i], sigma_c, True) for i in range(n)]
-            bit, _ = decode(1, bits, lps, rng)
+            bit, _ = decode(1, bits, lps, np.random.default_rng(seed + 1000))
             assert bit == out.decoded_bit
 
     def test_quadrature_p_runs(self):
-        out = run_tracking(track_cfg(0.5, quadrature="p"), np.random.default_rng(0))
+        out = run_tracking(track_cfg(0.5, quadrature="p"), np.random.default_rng(0), np.random.default_rng(1))
         assert out.decoded_bit in (0, 1)
 
     def test_both_quadratures_agree_statistically(self):
-        rng = np.random.default_rng(3)
+        rng, coins = np.random.default_rng(3), np.random.default_rng(4)
         cfg = track_cfg(0.55, quadrature="both")
         n = 30_000
         fq = fp = 0
         for _ in range(n):
-            oq, op = run_trial_both(cfg, rng)
+            oq, op = run_trial_both(cfg, rng, coins)
             fq += oq.failed
             fp += op.failed
         pq, pp = fq / n, fp / n
@@ -246,11 +249,11 @@ class TestTracking:
 
     def test_ancilla_noise_accepted(self):
         cfg = track_cfg(0.4, anc_q=0.1, anc_p=0.1)
-        out = run_tracking(cfg, np.random.default_rng(0))
+        out = run_tracking(cfg, np.random.default_rng(0), np.random.default_rng(1))
         assert out.decoded_bit in (0, 1)
 
     def test_kind_checked(self):
         with pytest.raises(ValueError):
-            run_tracking(conv_cfg(0.5), np.random.default_rng(0))
+            run_tracking(conv_cfg(0.5), np.random.default_rng(0), np.random.default_rng(1))
         with pytest.raises(ValueError):
-            run_conventional(track_cfg(0.5), np.random.default_rng(0))
+            run_conventional(track_cfg(0.5), np.random.default_rng(0), np.random.default_rng(1))
