@@ -80,6 +80,10 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", default=None,
                      help="output directory (default: $GKPTRACK_OUT or '.')")
     run.add_argument("--quadrature", choices=["q", "p", "both"], default="q")
+    run.add_argument("--sigma-ancilla-q", type=float, default=0.0,
+                     help="ancilla noise of the tracking correction step, q quadrature (default: 0)")
+    run.add_argument("--sigma-ancilla-p", type=float, default=0.0,
+                     help="ancilla noise of the tracking correction step, p quadrature (default: 0)")
     run.add_argument("--workers", type=int, default=None,
                      help="threads running a point's blocks (default: 1)")
     run.add_argument("--max-failures-stop", type=int, default=None)
@@ -107,8 +111,6 @@ def _cmd_run(args) -> int:
         raise _UsageError(f"--cycles invalid for protocol {args.protocol}: {args.cycles}")
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
-    out_dir = args.out or os.environ.get("GKPTRACK_OUT", ".")
-    os.makedirs(out_dir, exist_ok=True)
     cfg = harness.SweepConfig(
         protocol=args.protocol,
         analog=args.analog == "on",
@@ -119,7 +121,11 @@ def _cmd_run(args) -> int:
         master_seed=args.seed,
         max_failures_stop=args.max_failures_stop,
         quadrature=args.quadrature,
+        sigma_ancilla_q=args.sigma_ancilla_q,
+        sigma_ancilla_p=args.sigma_ancilla_p,
     )
+    out_dir = args.out or os.environ.get("GKPTRACK_OUT", ".")
+    os.makedirs(out_dir, exist_ok=True)
     backend = get_backend()
     results_path = os.path.join(out_dir, "results.csv")
     manifest_path = os.path.join(out_dir, "manifest.json")

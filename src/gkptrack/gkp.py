@@ -108,9 +108,15 @@ def analog_likelihoods(deviation: float, sigma: float) -> LikelihoodPair:
 
     ``l_match`` is the log density of the deviation itself and ``l_flip`` the
     log density of ``sqrt(pi) - |deviation|``, i.e. the displacement that
-    would explain the same outcome with the bit flipped.  Single-Gaussian
-    model: contributions from peaks two or more bins away are dropped (they
-    are below 1e-4 relative weight for sigma <= 0.7).
+    would explain the same outcome with the bit flipped.  Two-image model:
+    every other lattice image is dropped, the flip image at
+    ``sqrt(pi) + |deviation|``, one bin away, included.  So the pair is
+    miscalibrated at high noise: for tracking L1 records at sigma 0.6 (q,
+    2 cycles, 1M trials), the most confident bin predicts a flip probability
+    of 0.0397 against 0.0551 measured, 34 standard errors off.  Summing all
+    images calibrates it but moves the analog thresholds by 0.0003 at most;
+    changing this likelihood changes seeded analog results, so it needs
+    stream version 3.
     """
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")

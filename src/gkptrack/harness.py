@@ -127,6 +127,10 @@ class SweepConfig:
             raise ValueError("sigma_total_grid must be sorted ascending")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        # settings every point would refuse are refused here, with the same
+        # message, before a sweep writes anything
+        ProtocolConfig(self.protocol, self.analog, 1, self.cycles, 0.0,
+                       self.sigma_ancilla_q, self.sigma_ancilla_p, self.quadrature)
 
     def points(self):
         """(point_index, level, sigma_total) in deterministic order."""
@@ -187,8 +191,8 @@ def estimate_point(
     Deterministic for a fixed ``(master_seed, point_index)`` regardless of
     ``workers``, which defaults to one thread.  The kernel's batched path
     releases the GIL only inside numpy calls on small chunks: on a 2-core VM
-    two threads ran analog points at 0.8-1.0x the speed of one, and digital
-    points at 1.1-1.5x.
+    two threads ran a tracking analog L2 point (two 40k-trial blocks) at
+    0.91-0.94x the speed of one, and digital points at 1.1-1.5x.
     ``max_failures_stop`` ends the run after the first block, in block order,
     at which the cumulative failure count reaches the threshold; that block
     is scheduling-independent, so the estimate is too.

@@ -22,15 +22,40 @@ table once by :func:`gkptrack.codes.first_bit`.  A decode is then a few array
 lookups, and it ties exactly where the scalar decoder does.
 
 Analog decodes compute the likelihoods, the parity convolution, the C4
-tables, the C6 folds and the first-bit decision over the whole chunk with
-numpy's ``exp``/``log``/``logaddexp``, which may differ from the scalar
-``math`` results in the last bits.  Only the sign of ``l1 - l0`` matters, so
-a trial whose gap is below :data:`TIE_TOLERANCE` relative to
-``1 + |l0| + |l1|``, or whose values are not finite, is run again by the
+tables, the C6 folds and the first-bit decision over the whole chunk in the
+scaled probability domain, with no log-add-exp, which costs some thirty
+multiplies in numpy.  A leaf carries a log scale, the match log density
+of its deviation (summed over a tracking qubit's records), and scaled match
+and flip likelihoods: 1 and ``rho = exp(l_flip - l_match)``, which is
+``exp((2 sqrt(pi) a - pi) / (2 sigma^2))`` for a binned deviation ``a`` and
+lies in ``[0, 1]`` on the bin range, up to rounding.  The tracking parity
+convolution is ``even, odd = even + odd * rho, even * rho + odd``.  C4 words
+are products of leaf factors and classes their sums; C6 folds are products
+and sums.  Each level's tables are divided by their peaks, whose logs join
+the decode's scale, so ``l0 = log(t00 + t01) + scale`` and
+``l1 = log(t10 + t11) + scale`` are the scalar decoder's log-domain values.
+
+These values may differ from the scalar ``math`` results in the last bits,
+some 1e-15 relative to the log-domain magnitudes.  Only the sign of
+``l1 - l0`` matters, so a decode is sure when its gap is above
+:data:`TIE_TOLERANCE` relative to ``1 + |l0| + |l1|``, six orders of
+magnitude above that rounding, or when exactly one of ``t00 + t01`` and
+``t10 + t11`` underflowed to zero: the other is at least 1 after the
+division by the peak.  Underflow is the one place where the probability
+domain loses more than rounding: a product that underflows moves a table
+entry by up to 1e-323 divided by the peaks it is divided by afterwards.
+While the product of every level's smallest peak stays above 1e-250
+(``_LOG_FLOOR``), that moves a top entry by less than some 1e-73 times 12
+per level; a decode below the floor is not sure.  A decode that is not
+sure, or whose values are not finite (a deviation outside the bin range,
+which the scalar code refuses, gives NaN), makes its trial run again by the
 scalar reference (:func:`gkptrack.kernels.pure.trial_failures`) on a
-:class:`_Replay` that serves the trial's pre-drawn normals.  Rounding
-differences are some 1e-15 relative, six orders of magnitude below the
-tolerance, so every decision equals the scalar loop's.
+:class:`_Replay` that serves the trial's pre-drawn normals.  So every
+decision equals the scalar loop's.  Replays are rare except at the
+extremes: near-ties at very high noise (tracking L3 at ``sigma_cycle`` 1.5
+replays every trial), and flip ratios that underflow in odd-parity blocks
+(tracking at ``sigma_cycle`` 0.005 with ancilla sigmas 0.3 replays 23-93%
+of its trials from L1 to L3).
 
 Tie coins come from the block's coin generator in trial order (stream
 contract in :mod:`gkptrack.kernels`).  A chunk's digital ties take one
@@ -52,11 +77,14 @@ from ..gkp import SQRT_PI, digital_likelihoods, log_gauss
 from . import ProtocolConfig, pure
 
 #: normals drawn per analog chunk: its largest temporary stays at or below
-#: 256 KB.  A digital chunk holds no likelihoods and draws eight times as many.
-CHUNK_DRAWS = 4096
+#: 512 KB.  A digital chunk holds no likelihoods and draws four times as many.
+CHUNK_DRAWS = 8192
 #: relative gap ``|l1 - l0| / (1 + |l0| + |l1|)`` at or below which the
 #: scalar reference decides an analog trial
 TIE_TOLERANCE = 1e-9
+# log of the floor on the product of every level's smallest table peak, below
+# which an analog decode may rest on underflowed products: such decodes replay
+_LOG_FLOOR = np.log(1e-250)
 
 # C4 codewords by class index, then word: (4, 2, 4) bits
 _C4_WORDS = np.array([c4_table().codewords[PAIR_VALUE[ci]] for ci in range(4)])
@@ -74,7 +102,7 @@ def run_block(params: ProtocolConfig, generator, trials: int, coins) -> tuple[in
     """Failure counts of ``trials`` trials, as :func:`gkptrack.kernels.pure.run_block`."""
     sub_trials = _sub_trials(params)
     draws = sum(count for _, _, count in sub_trials)
-    chunk = max(1, (CHUNK_DRAWS if params.analog else 8 * CHUNK_DRAWS) // draws)
+    chunk = max(1, (CHUNK_DRAWS if params.analog else 4 * CHUNK_DRAWS) // draws)
     decoder = None if params.analog else _DigitalDecoder(params)
     failures = failures_p = 0
     for start in range(0, trials, chunk):
@@ -111,14 +139,14 @@ def _run_chunk(params, sub_trials, draws, generator, coins, decoder, trials) -> 
     for quadrature, sigma_ancilla, count in sub_trials:
         z = normals[:, offset : offset + count]
         offset += count
-        # a non-finite likelihood gives NaN tables: unsure, not an error
-        with np.errstate(invalid="ignore"):
+        # underflowed or non-finite tables make a decode unsure, not an error
+        with np.errstate(divide="ignore", invalid="ignore"):
             if params.protocol == "conventional":
-                bits, lm, lf = _conventional_leaves(params, z)
+                bits, *leaves = _conventional_leaves(params, z)
             else:
-                bits, lm, lf = _tracking_leaves(params, quadrature, sigma_ancilla, z)
+                bits, *leaves = _tracking_leaves(params, quadrature, sigma_ancilla, z)
             if decoder is None:
-                bit, unsure_decode = _decide(bits, lm, lf)
+                bit, unsure_decode = _decide(bits, *leaves)
                 unsure |= unsure_decode.reshape(trials, -1).any(axis=1)
             else:
                 bit, tie = decoder.decide(bits)
@@ -234,18 +262,18 @@ def _parity(s):
 
 
 def _conventional_leaves(params: ProtocolConfig, z):
-    """Bits and, analog, leaf likelihoods of every cycle's decode, one row per (trial, cycle)."""
+    """Bits and, analog, scaled leaf likelihoods of every cycle's decode, one row per (trial, cycle)."""
     n = block_size(params.level)
     dev = params.sigma_cycle * z.reshape(-1, n)
     s = _lattice_index(dev)
     if not params.analog:
-        return _parity(s), None, None
-    lm, lf = _analog_pair(dev - s * SQRT_PI, params.sigma_cycle)
-    return _parity(s), lm, lf
+        return _parity(s), None, None, None
+    scale, flip = _analog_pair(dev - s * SQRT_PI, params.sigma_cycle)
+    return _parity(s), scale, 1.0, flip
 
 
 def _tracking_leaves(params: ProtocolConfig, quadrature: str, sigma_ancilla: float, z):
-    """Bits and, analog, joint record likelihoods of one tracking quadrature, as ``_tracking_single``."""
+    """Bits and, analog, scaled joint record likelihoods of one tracking quadrature, as ``_tracking_single``."""
     trials = z.shape[0]
     n = block_size(params.level)
     sigma = params.sigma_cycle
@@ -273,51 +301,64 @@ def _tracking_leaves(params: ProtocolConfig, quadrature: str, sigma_ancilla: flo
     s = _lattice_index(dev)
     bits = flip ^ _parity(s)
     if not params.analog:
-        return bits, None, None
+        return bits, None, None, None
     records.append(dev - s * SQRT_PI)
-    even, odd = _analog_pair(records[0], sigma)
-    for record in records[1:]:
-        e, o = _analog_pair(record, sigma)
-        even, odd = np.logaddexp(even + e, odd + o), np.logaddexp(even + o, odd + e)
-    return bits, even, odd
+    lm, rho = _analog_pair(np.stack(records), sigma)
+    # parity convolution of the records' scaled (match, flip) pairs (1, rho):
+    # the scaled probabilities of an even and an odd count of flips
+    even, odd = 1.0, rho[0]
+    for r in rho[1:]:
+        even, odd = even + odd * r, even * r + odd
+    return bits, lm.sum(axis=0), even, odd
 
 
 def _analog_pair(record, sigma: float):
-    """(match, flip) log densities of binned deviations, as ``protocols._analog_pair``.
+    """Match log densities of binned deviations, as ``protocols._analog_pair``, and flip/match ratios.
 
-    A deviation outside the bin range, which the scalar code refuses, yields
-    NaN, so the trial goes to the scalar reference and raises there.
+    The ratio ``exp(l_flip - l_match)`` is ``exp((2 sqrt(pi) a - pi) / (2 sigma^2))``
+    in closed form.  A deviation outside the bin range, which the scalar code
+    refuses, yields NaN, so the trial goes to the scalar reference and raises
+    there.
     """
     a = np.abs(record)
     a = np.where(a <= SQRT_PI / 2.0, a, np.nan)
-    return log_gauss(a, sigma), log_gauss(SQRT_PI - a, sigma)
+    return log_gauss(a, sigma), np.exp(a * (SQRT_PI / sigma**2) - np.pi / (2.0 * sigma**2))
 
 
-def _logsumexp(values):
-    m = values.max(axis=-1)
-    return m + np.log(np.exp(values - m[..., None]).sum(axis=-1))
+def _decide(bits, scale, match, flip):
+    """First-pair bits of a batch of analog decodes, and which are not sure (module docstring).
 
-
-def _decide(bits, lm, lf):
-    """First-pair bits of a batch of analog decodes, and which are too close to call.
-
-    Rows are decodes, columns leaves in :func:`gkptrack.codes.decode` order;
-    ``lm`` and ``lf`` are arrays like ``bits``.
+    Rows are decodes, columns leaves in :func:`gkptrack.codes.decode` order.
+    A leaf's likelihoods are ``exp(scale) * match`` that its bit is right and
+    ``exp(scale) * flip`` that it is flipped; ``scale``, ``flip`` and
+    ``match`` (or the scalar 1.0) are arrays like ``bits``.
     """
     rows = bits.shape[0]
-    # likelihood of each leaf under a codeword bit of 0 (last axis 0) or 1,
-    # leaves grouped by C4 block
+    # scaled likelihood of each leaf under a codeword bit of 0 (last axis 0)
+    # or 1, leaves grouped by C4 block
     zero = bits == 0
-    leaf = np.stack((np.where(zero, lm, lf), np.where(zero, lf, lm)), axis=-1).reshape(rows, -1, 4, 2)
-    words = leaf[:, :, np.arange(4), _C4_WORDS].sum(axis=-1)  # (rows, groups, class, word)
-    tables = np.logaddexp(words[..., 0], words[..., 1])
-    while tables.shape[1] > 1:
+    leaf = np.stack((np.where(zero, match, flip), np.where(zero, flip, match)), axis=-1).reshape(rows, -1, 4, 2)
+    tables = leaf[:, :, np.arange(4), _C4_WORDS].prod(axis=-1).sum(axis=-1)  # (rows, groups, class)
+    scale = scale.sum(axis=1)
+    least = 0.0  # log of the product of every level's smallest peak
+    while True:
+        # each table divided by its largest entry; the logs go into the scale
+        peak = tables.max(axis=-1)
+        log_peak = np.log(peak)
+        scale = scale + log_peak.sum(axis=1)
+        least = least + log_peak.min(axis=1)
+        tables = tables / peak[..., None]
+        if tables.shape[1] == 1:
+            break
         tables = tables.reshape(rows, -1, 3, 4)
-        sums = (tables[:, :, 0, _C6_SLOTS[0]] + tables[:, :, 1, _C6_SLOTS[1]]
-                + tables[:, :, 2, _C6_SLOTS[2]])
-        tables = _logsumexp(sums)
-    top = tables[:, 0]
-    l0 = np.logaddexp(top[:, 0], top[:, 1])
-    l1 = np.logaddexp(top[:, 2], top[:, 3])
-    sure = np.abs(l1 - l0) > TIE_TOLERANCE * (1.0 + np.abs(l0) + np.abs(l1))
+        tables = (tables[:, :, 0, _C6_SLOTS[0]] * tables[:, :, 1, _C6_SLOTS[1]]
+                  * tables[:, :, 2, _C6_SLOTS[2]]).sum(axis=-1)
+    t0 = tables[:, 0, 0] + tables[:, 0, 1]
+    t1 = tables[:, 0, 2] + tables[:, 0, 3]
+    l0 = np.log(t0) + scale
+    l1 = np.log(t1) + scale
+    # a sum that underflowed to zero lies below the other, at least 1, by far
+    # more than any rounding: a sure decision though its log is -inf
+    sure = (np.abs(l1 - l0) > TIE_TOLERANCE * (1.0 + np.abs(l0) + np.abs(l1))) | ((t0 == 0.0) != (t1 == 0.0))
+    sure &= least >= _LOG_FLOOR
     return l1 > l0, ~sure

@@ -113,6 +113,40 @@ def test_digital_matches_scalar_loop(protocol, quadrature, level, ancilla):
     assert_stream_exact(params, TRIALS_BY_LEVEL[level], seed)
 
 
+@pytest.mark.parametrize(
+    "protocol,level,ancilla,sigma",
+    list(itertools.product(("conventional", "tracking"), (1, 2, 3), ANCILLAS,
+                           (0.005, 0.02, 0.03, 0.04, 0.05, 0.9, 1.5))),
+)
+def test_extreme_sigmas(protocol, level, ancilla, sigma):
+    """Where flip/match ratios underflow (sigma <= 0.05) and where they approach 1."""
+    params = ProtocolConfig(protocol, True, level, 2, sigma, *ANCILLAS[ancilla], "both")
+    assert_stream_exact(params, TRIALS_BY_LEVEL[level] // 3, 5 * level + (protocol == "tracking"))
+
+
+@pytest.mark.parametrize(
+    "params,replayed",
+    [
+        # odd-parity C4 blocks whose every flip ratio underflows: a table peak of 0
+        (ProtocolConfig("tracking", True, 2, 2, 0.005, 0.3, 0.3, "both"), True),
+        # the losing top sums underflow to exactly zero: sure without a replay
+        (ProtocolConfig("conventional", True, 3, 2, 0.05, quadrature="both"), False),
+    ],
+)
+def test_underflow_replays(monkeypatch, params, replayed):
+    """Underflowed tables replay where a decision could rest on them, and only there."""
+    reruns = []
+    trial_failures = pure.trial_failures
+
+    def counted_trial(params, gen, coins):
+        reruns.append(gen)
+        return trial_failures(params, gen, coins)
+
+    monkeypatch.setattr(pure, "trial_failures", counted_trial)
+    assert_stream_exact(params, 40, 6)
+    assert bool(reruns) == replayed
+
+
 def test_level4():
     params = ProtocolConfig("tracking", True, 4, 2, 0.42, 0.1, 0.1, "both")
     assert_stream_exact(params, 4, 3)
@@ -204,7 +238,8 @@ CHUNK_CONFIGS = TIE_HEAVY + [
 ]
 
 
-@pytest.mark.parametrize("chunk_draws", [1, 7, batched.CHUNK_DRAWS])
+# 4,096 normals also split CHUNK_CONFIGS' analog block into two chunks
+@pytest.mark.parametrize("chunk_draws", [1, 7, 4096, batched.CHUNK_DRAWS])
 @pytest.mark.parametrize("params,trials", CHUNK_CONFIGS)
 def test_chunk_size_invariant(monkeypatch, chunk_draws, params, trials):
     """Counts and both generators' final states do not depend on the chunk size."""
@@ -227,3 +262,13 @@ def test_unkeyed_fold_matches(monkeypatch):
     params, trials = CHUNK_CONFIGS[2]
     monkeypatch.setattr(batched, "_KEYED_TABLES", 0)
     assert_stream_exact(params, trials, 11)
+
+
+def test_floor_on_table_peaks():
+    """A decode whose table peaks multiply to less than 1e-250 is not sure, however clear its gap."""
+    bits = np.array([[0, 0, 0, 1]] * 2)  # odd parity: every word disagrees somewhere
+    flip = np.array([[1e-300, 2e-300, 3e-300, 4e-300], [1e-200, 2e-200, 3e-200, 4e-200]])
+    # classes 00, 01, 10, 11 get 4, 2, 3 and 1 times the row's scale: decision 0
+    first, unsure = batched._decide(bits, np.zeros(bits.shape), 1.0, flip)
+    assert first.tolist() == [False, False]
+    assert unsure.tolist() == [True, False]

@@ -52,6 +52,36 @@ class TestRun:
         assert run_cli(*base, "--out", str(b), "--workers", "8") == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
+    def test_ancilla_noise_round_trip(self, tmp_path):
+        """The ancilla sigmas reach the manifest and the kernel, and resume onto their rows."""
+        base = ["run", "--protocol", "tracking", "--analog", "on", "--cycles", "3",
+                "--levels", "1", "--sigma-total", "1.2:1.2:1", "--trials", "3000",
+                "--seed", "4", "--quadrature", "both"]
+        noisy, perfect = tmp_path / "noisy", tmp_path / "perfect"
+        assert run_cli(*base, "--sigma-ancilla-q", "0.1", "--sigma-ancilla-p", "0.15",
+                       "--out", str(noisy)) == 0
+        assert run_cli(*base, "--out", str(perfect)) == 0
+        config = json.loads((noisy / "manifest.json").read_text())["config"]
+        assert (config["sigma_ancilla_q"], config["sigma_ancilla_p"]) == (0.1, 0.15)
+        config = json.loads((perfect / "manifest.json").read_text())["config"]
+        assert (config["sigma_ancilla_q"], config["sigma_ancilla_p"]) == (0.0, 0.0)
+        rows = (noisy / "results.csv").read_bytes()
+        assert rows != (perfect / "results.csv").read_bytes()
+        assert run_cli(*base, "--sigma-ancilla-q", "0.1", "--sigma-ancilla-p", "0.15",
+                       "--out", str(noisy)) == 0
+        assert (noisy / "results.csv").read_bytes() == rows
+
+    @pytest.mark.parametrize("flag,value", [("--sigma-ancilla-q", "-0.1"), ("--sigma-ancilla-p", "nan")])
+    def test_invalid_ancilla_noise_refused(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "r"
+        code = run_cli("run", "--protocol", "tracking", "--analog", "on", "--cycles", "2",
+                       "--levels", "1", "--sigma-total", "1.0:1.0:1", "--trials", "10",
+                       "--seed", "1", "--out", str(out), flag, value)
+        assert code == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite and >= 0, got {float(value)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GKPTRACK_OUT", str(tmp_path / "envout"))
         code = run_cli(
@@ -95,6 +125,7 @@ class TestResume:
             (("--seed", "5", "--trials", "700"), ["trials_per_point"]),
             (("--seed", "5", "--max-failures-stop", "10"), ["max_failures_stop"]),
             (("--seed", "6", "--quadrature", "p"), ["master_seed", "quadrature"]),
+            (("--seed", "5", "--sigma-ancilla-p", "0.1"), ["sigma_ancilla_p"]),
         ],
     )
     def test_different_config_refused(self, tmp_path, capsys, extra, fields):
