@@ -19,6 +19,7 @@ from the block's generator between the normals.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 _QUADRATURES = ("q", "p", "both")
@@ -67,14 +68,35 @@ class ProtocolConfig:
 
 
 class PureBackend:
-    """The kernel: the protocol functions, trial-batched where there is channel noise."""
+    """The kernel: the protocol functions, trial-batched where there is channel noise.
+
+    A backend keeps one :class:`gkptrack.kernels.batched.DigitalDecoder` per
+    digital config it runs, for its lifetime, so the blocks of a point intern
+    their decoding tables once.  ``gkptrack run`` builds one backend per run.
+    """
 
     name = "pure"
+
+    def __init__(self) -> None:
+        self._decoders = {}
+        self._lock = threading.Lock()
 
     def run_block(self, params: ProtocolConfig, generator, trials: int) -> tuple[int, int]:
         from . import pure
 
-        return pure.run_block(params, generator, trials)
+        return pure.run_block(params, generator, trials, self._decoder(params))
+
+    def _decoder(self, params: ProtocolConfig):
+        """The shared decoder of a digital config with channel noise, else ``None``."""
+        if params.analog or params.sigma_cycle == 0.0:
+            return None
+        from .batched import DigitalDecoder
+
+        with self._lock:
+            decoder = self._decoders.get(params)
+            if decoder is None:
+                decoder = self._decoders[params] = DigitalDecoder(params)
+        return decoder
 
 
 def compiled_available() -> bool:

@@ -22,18 +22,21 @@ def coin_generator(generator) -> np.random.Generator:
     return np.random.Generator(generator.bit_generator.jumped())
 
 
-def run_block(params: ProtocolConfig, generator, trials: int) -> tuple[int, int]:
+def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> tuple[int, int]:
     """Run ``trials`` trials off one generator; returns failure counts.
 
     The first count is for the scored quadrature; the second is the
     p-quadrature count when ``quadrature == "both"`` and zero otherwise.
-    Tie coins come from the block's :func:`coin_generator`.
+    Tie coins come from the block's :func:`coin_generator`.  A digital
+    config decodes on ``decoder``, a
+    :class:`gkptrack.kernels.batched.DigitalDecoder` of ``params``, when one
+    is given.
     """
     coins = coin_generator(generator)
     if params.sigma_cycle > 0.0:
         from . import batched
 
-        return batched.run_block(params, generator, trials, coins)
+        return batched.run_block(params, generator, trials, coins, decoder)
     failures = 0
     failures_p = 0
     for _ in range(trials):

@@ -11,12 +11,13 @@ one coin generator per block, ``Generator(bit_generator.jumped())``.
 import itertools
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from gkptrack import protocols
-from gkptrack.kernels import ProtocolConfig, batched, pure
+from gkptrack.kernels import ProtocolConfig, PureBackend, batched, pure
 
 
 def make_gen(seed):
@@ -168,9 +169,9 @@ def test_routing(monkeypatch):
     calls = []
     original = batched.run_block
 
-    def spy(params, gen, trials, coins):
+    def spy(params, gen, trials, coins, decoder=None):
         calls.append(params)
-        return original(params, gen, trials, coins)
+        return original(params, gen, trials, coins, decoder)
 
     monkeypatch.setattr(batched, "run_block", spy)
     analog = ProtocolConfig("conventional", True, 1, 2, 0.5)
@@ -249,9 +250,10 @@ def test_chunk_size_invariant(monkeypatch, chunk_draws, params, trials):
 
 def test_digital_decoder_interns_exact_tables():
     """A C4 table depends on its bits only: 16 patterns give the 5 distinct tables."""
-    decoder = batched._DigitalDecoder(ProtocolConfig("conventional", False, 2, 2, 0.5))
+    decoder = batched.DigitalDecoder(ProtocolConfig("conventional", False, 2, 2, 0.5))
     assert len(decoder._tables[0]) == 5
-    bits = np.array([[0, 0, 0, 0] * 3, [0, 0, 0, 1] * 3, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]])
+    # one column of leaf bits per decode
+    bits = np.array([[0, 0, 0, 0] * 3, [0, 0, 0, 1] * 3, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]).T
     first, tie = decoder.decide(bits)
     # all-odd sub-blocks are uniform, so the top table ties exactly
     assert first.tolist()[0] is False and tie.tolist() == [False, True, False]
@@ -266,9 +268,113 @@ def test_unkeyed_fold_matches(monkeypatch):
 
 def test_floor_on_table_peaks():
     """A decode whose table peaks multiply to less than 1e-250 is not sure, however clear its gap."""
-    bits = np.array([[0, 0, 0, 1]] * 2)  # odd parity: every word disagrees somewhere
-    flip = np.array([[1e-300, 2e-300, 3e-300, 4e-300], [1e-200, 2e-200, 3e-200, 4e-200]])
+    # two decodes, one column each; odd parity: every word disagrees somewhere
+    bits = np.array([[0, 0, 0, 1]] * 2).T
+    flip = np.array([[1e-300, 2e-300, 3e-300, 4e-300], [1e-200, 2e-200, 3e-200, 4e-200]]).T
     # classes 00, 01, 10, 11 get 4, 2, 3 and 1 times the row's scale: decision 0
-    first, unsure = batched._decide(bits, np.zeros(bits.shape), 1.0, flip)
+    first, unsure = batched._decide(bits, np.zeros(2), 1.0, flip)
     assert first.tolist() == [False, False]
     assert unsure.tolist() == [True, False]
+
+
+SHARED_DECODER_CONFIGS = [
+    ProtocolConfig("conventional", False, 2, 3, 0.55, quadrature="both"),
+    ProtocolConfig("tracking", False, 3, 2, 0.47, 0.1, 0.0, "both"),
+]
+
+
+def run_blocks(run_block, params, blocks, trials):
+    """Counts and final states of the noise and coin generators of each block of a point."""
+    made = []
+    coin_generator = pure.coin_generator
+
+    def kept_coin_generator(generator):
+        made.append(coin_generator(generator))
+        return made[-1]
+
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pure, "coin_generator", kept_coin_generator)
+        for b in range(blocks):
+            gen = make_gen(60 + b)
+            counts = run_block(params, gen, trials)
+            out.append((counts, plain(gen.bit_generator.state), plain(made[-1].bit_generator.state)))
+    return out
+
+
+@pytest.mark.parametrize("params", SHARED_DECODER_CONFIGS)
+def test_shared_decoder_matches_fresh(params):
+    """A backend's decoder, shared by the blocks of a point, decides as a fresh one per block."""
+    backend = PureBackend()
+    shared = run_blocks(backend.run_block, params, 4, 700)
+    assert shared == run_blocks(pure.run_block, params, 4, 700)
+    (decoder,) = backend._decoders.values()
+    assert backend._decoder(params) is decoder
+
+
+def test_shared_decoder_under_threads():
+    """Threads interning into one decoder at once lose no table and change no count."""
+    params = SHARED_DECODER_CONFIGS[1]
+    expected = [pure.run_block(params, make_gen(70 + b), 300) for b in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # each round races six threads over the first tables of a new backend
+        for _ in range(4):
+            backend = PureBackend()
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(backend.run_block, params, make_gen(70 + b), 300) for b in range(6)]
+                assert [future.result(timeout=120) for future in futures] == expected
+            (decoder,) = backend._decoders.values()
+            for numbers, tables in zip(decoder._numbers, decoder._tables):
+                # every table interned once, under the number the dictionary gives it
+                assert len(numbers) == len(tables)
+                assert all(numbers[table.as_tuple()] == i for i, table in enumerate(tables))
+            assert len(decoder._first_bits) == len(decoder._tables[-1])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class FixedNormals:
+    """A generator whose first normals are given values and the rest zeros."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.bit_generator = make_gen(0).bit_generator
+
+    def standard_normal(self, size=None):
+        if size is None:
+            return self.values.pop(0) if self.values else 0.0
+        out = np.zeros(size)
+        head = self.values[:size]
+        out[: len(head)] = head
+        del self.values[:size]
+        return out
+
+
+# binned at sigma 1.0, this value lands 2.5e-15 past the bin edge sqrt(pi)/2
+OUTSIDE_BIN = -70.01192711076787
+
+
+@pytest.mark.parametrize("protocol", ["conventional", "tracking"])
+@pytest.mark.parametrize("position", [0, 7])
+def test_record_outside_bin_range(protocol, position):
+    """A binned deviation that rounds past the bin edge raises the scalar loop's error."""
+    params = ProtocolConfig(protocol, True, 1, 2, 1.0)
+    values = [0.0] * position + [OUTSIDE_BIN]
+    with pytest.raises(ValueError, match="outside the bin range") as scalar:
+        scalar_loop(params, FixedNormals(values), coins_of(make_gen(0)), 2)
+    with pytest.raises(ValueError) as batched_error:
+        pure.run_block(params, FixedNormals(values), 2)
+    assert str(batched_error.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("protocol", ["conventional", "tracking"])
+def test_huge_sigma_raises_scalar_error(protocol):
+    """At sigma 1e200 binning leaves records far outside the bin range: both paths raise the same error."""
+    params = ProtocolConfig(protocol, True, 1, 2, 1e200)
+    with pytest.raises(ValueError, match="outside the bin range") as scalar:
+        scalar_loop(params, make_gen(3), coins_of(make_gen(3)), 5)
+    with pytest.raises(ValueError) as batched_error:
+        pure.run_block(params, make_gen(3), 5)
+    assert str(batched_error.value) == str(scalar.value)

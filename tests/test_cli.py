@@ -12,6 +12,57 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# Whole sweeps under stream version 2: each results.csv text pins the counts,
+# the Philox key of every block, the block split and the CSV formatting.  The
+# early-stopping sweep stops its points after two to four 8,192-trial blocks,
+# and one point runs all five.
+PINNED_SWEEPS = {
+    "tracking-analog-both": (
+        ("--protocol", "tracking", "--analog", "on", "--cycles", "3", "--levels", "1,2",
+         "--sigma-total", "1.2:1.5:0.15", "--trials", "3000", "--seed", "31", "--quadrature", "both",
+         "--sigma-ancilla-q", "0.1", "--sigma-ancilla-p", "0.15"),
+        "protocol,analog,cycles,level,sigma_total,trials,failures,p_fail,ci_low,ci_high,master_seed\n"
+        "tracking,on,3,1,1.2,3000,278,0.09266666666666666,0.08280508045768813,0.10357008830387741,31\n"
+        "tracking,on,3,1,1.3499999999999999,3000,546,0.182,0.1686024982043699,0.1962108495849374,31\n"
+        "tracking,on,3,1,1.5,3000,802,0.2673333333333333,0.25180141886538393,0.28346033874146775,31\n"
+        "tracking,on,3,2,1.2,3000,201,0.067,0.058595575261858435,0.07651190773427385,31\n"
+        "tracking,on,3,2,1.3499999999999999,3000,541,0.18033333333333335,0.166987216883172,0.19449706040188644,31\n"
+        "tracking,on,3,2,1.5,3000,1016,0.33866666666666667,0.32194761295576046,0.3557983622329447,31\n",
+    ),
+    "conventional-analog": (
+        ("--protocol", "conventional", "--analog", "on", "--cycles", "2", "--levels", "1,2",
+         "--sigma-total", "1.0:1.2:0.1", "--trials", "4000", "--seed", "32"),
+        "protocol,analog,cycles,level,sigma_total,trials,failures,p_fail,ci_low,ci_high,master_seed\n"
+        "conventional,on,2,1,1.0,4000,450,0.1125,0.10307726338279677,0.12266630516672189,32\n"
+        "conventional,on,2,1,1.1,4000,768,0.192,0.18009175831108978,0.20449925875536637,32\n"
+        "conventional,on,2,1,1.2,4000,1047,0.26175,0.24836050617772626,0.2755966685498165,32\n"
+        "conventional,on,2,2,1.0,4000,307,0.07675,0.06890075177222962,0.08541141697250268,32\n"
+        "conventional,on,2,2,1.1,4000,683,0.17075,0.15940606721701042,0.18272572618925806,32\n"
+        "conventional,on,2,2,1.2,4000,1101,0.27525,0.26162932823017415,0.2893019415285467,32\n",
+    ),
+    "conventional-digital": (
+        ("--protocol", "conventional", "--analog", "off", "--cycles", "3", "--levels", "1,2",
+         "--sigma-total", "1.6:1.8:0.1", "--trials", "3000", "--seed", "33"),
+        "protocol,analog,cycles,level,sigma_total,trials,failures,p_fail,ci_low,ci_high,master_seed\n"
+        "conventional,off,3,1,1.6,3000,1107,0.369,0.35191082253362094,0.3864242358324145,33\n"
+        "conventional,off,3,1,1.7000000000000002,3000,1226,0.4086666666666667,0.3912034240412069,0.4263635123259527,33\n"
+        "conventional,off,3,1,1.8,3000,1308,0.436,0.4183482421790364,0.4538154504578053,33\n"
+        "conventional,off,3,2,1.6,3000,1023,0.341,0.32424978414501804,0.35815688974963567,33\n"
+        "conventional,off,3,2,1.7000000000000002,3000,1238,0.4126666666666667,0.39517236705089664,0.4303843385264603,33\n"
+        "conventional,off,3,2,1.8,3000,1355,0.45166666666666666,0.4339316108512974,0.4695253445254841,33\n",
+    ),
+    "tracking-digital-stop": (
+        ("--protocol", "tracking", "--analog", "off", "--cycles", "2", "--levels", "1,2",
+         "--sigma-total", "0.9:1.0:0.1", "--trials", "40000", "--seed", "34", "--max-failures-stop", "5000"),
+        "protocol,analog,cycles,level,sigma_total,trials,failures,p_fail,ci_low,ci_high,master_seed\n"
+        "tracking,off,2,1,0.9,32768,5672,0.173095703125,0.16903776299005419,0.17723028157740695,34\n"
+        "tracking,off,2,1,1.0,24576,5941,0.24173990885416666,0.2364278018128891,0.24713274021637424,34\n"
+        "tracking,off,2,2,0.9,40000,6100,0.1525,0.14901029762641166,0.15605644131122587,34\n"
+        "tracking,off,2,2,1.0,24576,6454,0.2626139322916667,0.2571496125227699,0.2681524517908779,34\n",
+    ),
+}
+
+
 class TestRun:
     def test_sweep_writes_expected_rows(self, tmp_path):
         out = tmp_path / "out"
@@ -102,6 +153,14 @@ class TestRun:
         assert code == 0
         lines = (tmp_path / "g" / "results.csv").read_text().splitlines()
         assert len(lines) == 10
+
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+    def test_pinned_sweep(self, tmp_path, name, workers):
+        args, expected = PINNED_SWEEPS[name]
+        assert run_cli("run", *args, "--out", str(tmp_path), "--workers", workers) == 0
+        assert (tmp_path / "results.csv").read_text() == expected
 
 
 class TestResume:
