@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime/IO error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -42,6 +43,8 @@ def _parse_sigma_grid(text: str) -> tuple[float, ...]:
         a, b, step = float(a_s), float(b_s), float(step_s)
     except ValueError:
         raise _UsageError(f"--sigma-total expects A:B:STEP, got {text!r}")
+    if not all(map(math.isfinite, (a, b, step))):
+        raise _UsageError(f"--sigma-total A, B and STEP must be finite, got {text!r}")
     if step <= 0:
         raise _UsageError("--sigma-total STEP must be > 0")
     if b < a:

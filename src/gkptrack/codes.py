@@ -32,7 +32,7 @@ per codeword, matched units are summed in index order separately from
 mismatched units; per class, word sums are combined by a sorted
 log-sum-exp.  Mathematically equal configurations then produce identical
 doubles.  The trial-batched kernel decodes digital configs with these very
-functions on interned tables (:mod:`gkptrack.kernels.batched`), so it meets
+functions on interned tables (:mod:`gkptrack.kernels.pure`), so it meets
 the same exact ties, and each tie draws its coin from the block's coin
 generator (stream contract in :mod:`gkptrack.kernels`).
 """

@@ -7,8 +7,8 @@ point: the point's parity is the measured bit and the residue is the analog
 deviation.  Decoders consume either the full deviation (analog likelihoods)
 or only the bit value (digital likelihoods).
 
-Numerical conventions used throughout the package (the kernel's batched
-path, :mod:`gkptrack.kernels.batched`, bins with the same operations):
+Numerical conventions used throughout the package (the trial-batched
+kernel, :mod:`gkptrack.kernels.pure`, bins with the same operations):
 
 * lattice index of x is ``ceil(x / sqrt(pi) - 0.5)`` - round half *down*, so
   an exact half-bin deviation stays with the lower lattice point and the

@@ -129,6 +129,8 @@ class SweepConfig:
             raise ValueError("trials_per_point must be >= 1")
         # settings every point would refuse are refused here, with the same
         # message, before a sweep writes anything
+        if not all(sigma >= 0.0 for sigma in self.sigma_total_grid):
+            raise ValueError("sigma_total must be >= 0")
         ProtocolConfig(self.protocol, self.analog, 1, self.cycles, 0.0,
                        self.sigma_ancilla_q, self.sigma_ancilla_p, self.quadrature)
 

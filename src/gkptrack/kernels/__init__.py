@@ -1,10 +1,9 @@
 """The Monte Carlo kernel: blocks of protocol trials off a numpy ``Generator``.
 
-One kernel remains, the pure kernel (:mod:`gkptrack.kernels.pure`).  It runs
-every config with ``sigma_cycle > 0`` trial-batched on numpy
-(:mod:`gkptrack.kernels.batched`, loaded on the first such block), which
+One kernel remains, :mod:`gkptrack.kernels.pure`, loaded on the first block.
+It runs every config with ``sigma_cycle > 0`` trial-batched on numpy and
 reaches the decisions of the scalar trial loop over
-:mod:`gkptrack.protocols`; that loop stays the test oracle.
+:func:`gkptrack.protocols.run_trial`; that loop stays the test oracle.
 
 Stream contract, version :data:`STREAM_VERSION` (recorded in every
 ``manifest.json``): a block's noise normals come from the block's generator
@@ -68,9 +67,9 @@ class ProtocolConfig:
 
 
 class PureBackend:
-    """The kernel: the protocol functions, trial-batched where there is channel noise.
+    """The kernel's interface: blocks run by :func:`gkptrack.kernels.pure.run_block`.
 
-    A backend keeps one :class:`gkptrack.kernels.batched.DigitalDecoder` per
+    A backend keeps one :class:`gkptrack.kernels.pure.DigitalDecoder` per
     digital config it runs, for its lifetime, so the blocks of a point intern
     their decoding tables once.  ``gkptrack run`` builds one backend per run.
     """
@@ -90,7 +89,7 @@ class PureBackend:
         """The shared decoder of a digital config with channel noise, else ``None``."""
         if params.analog or params.sigma_cycle == 0.0:
             return None
-        from .batched import DigitalDecoder
+        from .pure import DigitalDecoder
 
         with self._lock:
             decoder = self._decoders.get(params)
@@ -108,12 +107,6 @@ def compiled_available() -> bool:
     return False
 
 
-def get_backend(name: str | None = None):
-    """The kernel called ``name``; ``None`` and ``"pure"`` both give the pure kernel.
-
-    With one kernel left this only validates the name; ``perfbench``'s kernel
-    probe and its traced pass still call it (ROADMAP item 1).
-    """
-    if name in (None, "pure"):
-        return PureBackend()
-    raise ValueError(f"unknown kernel backend {name!r}")
+def get_backend() -> PureBackend:
+    """A new instance of the one kernel."""
+    return PureBackend()

@@ -18,13 +18,12 @@ Gaussian channel the q and p failure processes are independent and
 identically distributed, so ``quadrature="both"`` simply runs two
 independent single-quadrature simulations back to back (q first) for
 cross-checking.  The transmitted codeword is fixed to all-zeros; linearity
-of the code makes failure statistics identical for any codeword, and
-:func:`run_conventional` accepts an explicit codeword to verify that.
+of the code makes failure statistics identical for any codeword.
 
-This module is also the scalar reference of the Monte Carlo kernel, which
-the trial-batched path (:mod:`gkptrack.kernels.batched`) reproduces.  Every
-trial function takes two generators: ``rng`` for the noise normals and
-``coins`` for tie coins (stream contract in :mod:`gkptrack.kernels`).
+:func:`run_trial` is the scalar reference of the Monte Carlo kernel, which
+the trial-batched kernel (:mod:`gkptrack.kernels.pure`) reproduces.  It
+takes two generators: ``rng`` for the noise normals and ``coins`` for tie
+coins (stream contract in :mod:`gkptrack.kernels`).
 Normal draw order per trial: per cycle, one channel draw per qubit in qubit
 order, followed (tracking, cycles 1..n-1) by that qubit's ancilla draws; an
 exactly zero sigma consumes no draw.  A decode draws one uniform from
@@ -33,8 +32,6 @@ exactly zero sigma consumes no draw.  A decode draws one uniform from
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .codes import block_size, decode, logaddexp2
 from .gkp import (
@@ -47,18 +44,6 @@ from .gkp import (
 )
 from .kernels import ProtocolConfig
 from .single_qec import sqec_step
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    failed: bool
-    decoded_bit: int
-    true_bit: int
-
-
-def score_trial(decoded: int, truth: int) -> TrialOutcome:
-    """Wrap a decoded-vs-truth comparison into a TrialOutcome."""
-    return TrialOutcome(failed=decoded != truth, decoded_bit=decoded, true_bit=truth)
 
 
 def joint_likelihood(records, sigma: float, analog: bool) -> LikelihoodPair:
@@ -89,46 +74,32 @@ def _analog_pair(deviation: float, sigma: float) -> tuple[float, float]:
     return log_gauss(a, sigma), log_gauss(SQRT_PI - a, sigma)
 
 
-def run_conventional(cfg: ProtocolConfig, rng, coins, codeword=None) -> TrialOutcome:
-    """One conventional trial; ``codeword`` overrides the all-zeros frame.
+def run_trial(cfg: ProtocolConfig, rng, coins) -> tuple[int, int]:
+    """One trial's failure indicators: of the simulated quadrature, and of p.
 
-    When a codeword (bit sequence of block length) is supplied, its bits are
-    XORed into every cycle's measured bits and its first-pair class bit into
-    the per-cycle truth, which must leave the failure indicator unchanged.
+    The p indicator is set under ``quadrature == "both"``, whose two
+    simulations run q first, and is 0 otherwise.
     """
-    if cfg.protocol != "conventional":
-        raise ValueError("config is not a conventional-protocol config")
-    if cfg.quadrature == "both":
-        out_q = _conventional_single(cfg, rng, coins, codeword)
-        _conventional_single(cfg, rng, coins, codeword)
-        return out_q
-    return _conventional_single(cfg, rng, coins, codeword)
-
-
-def _zero_noise_outcome(cfg: ProtocolConfig) -> TrialOutcome:
-    # zero channel noise: trivially clean, no draws consumed.  With the
-    # likelihood model keyed to the channel sigma, ancilla noise without
-    # channel noise has no defined likelihoods.
-    if cfg.sigma_ancilla_q > 0.0 or cfg.sigma_ancilla_p > 0.0:
-        raise ValueError("sigma_channel = 0 with ancilla noise leaves likelihoods undefined")
-    return score_trial(0, 0)
-
-
-def _conventional_single(cfg: ProtocolConfig, rng, coins, codeword=None) -> TrialOutcome:
-    from .codes import concat_word_first_bit  # local import to avoid cycle at module load
-
     if cfg.sigma_cycle == 0.0:
-        return _zero_noise_outcome(cfg)
+        # zero channel noise: trivially clean, no draws consumed.  With the
+        # likelihood model keyed to the channel sigma, ancilla noise without
+        # channel noise has no defined likelihoods.
+        if cfg.sigma_ancilla_q > 0.0 or cfg.sigma_ancilla_p > 0.0:
+            raise ValueError("sigma_channel = 0 with ancilla noise leaves likelihoods undefined")
+        return 0, 0
+    single = _conventional if cfg.protocol == "conventional" else _tracking
+    if cfg.quadrature == "both":
+        failed = single(cfg, rng, coins, "q")
+        return failed, single(cfg, rng, coins, "p")
+    return single(cfg, rng, coins, cfg.quadrature), 0
+
+
+def _conventional(cfg: ProtocolConfig, rng, coins, quadrature: str) -> int:
+    """Failure indicator of one conventional simulation, either quadrature: its decoded parity."""
     n = block_size(cfg.level)
     sigma = cfg.sigma_cycle
-    truth_bit = 0
-    if codeword is not None:
-        if len(codeword) != n:
-            raise ValueError(f"codeword length {len(codeword)} != block size {n}")
-        truth_cycle = concat_word_first_bit(cfg.level, tuple(codeword))
     digital_pair = None if cfg.analog else digital_likelihoods(sigma)
     decoded = 0
-    truth = 0
     for _ in range(cfg.cycles):
         bits = []
         lps = []
@@ -141,30 +112,13 @@ def _conventional_single(cfg: ProtocolConfig, rng, coins, codeword=None) -> Tria
                 lps.append(LikelihoodPair(*_analog_pair(dm, sigma)))
             else:
                 lps.append(digital_pair)
-        if codeword is not None:
-            bits = [b ^ c for b, c in zip(bits, codeword)]
-            truth ^= truth_cycle
         bit, _table = decode(cfg.level, bits, lps, coins)
         decoded ^= bit
-    if codeword is not None:
-        return score_trial(decoded, truth)
-    return score_trial(decoded, truth_bit)
+    return decoded
 
 
-def run_tracking(cfg: ProtocolConfig, rng, coins) -> TrialOutcome:
-    """One tracking trial: n-1 recorded single-qubit corrections + one decode."""
-    if cfg.protocol != "tracking":
-        raise ValueError("config is not a tracking-protocol config")
-    if cfg.quadrature == "both":
-        out_q = _tracking_single(cfg, rng, coins, "q")
-        _tracking_single(cfg, rng, coins, "p")
-        return out_q
-    return _tracking_single(cfg, rng, coins, cfg.quadrature)
-
-
-def _tracking_single(cfg: ProtocolConfig, rng, coins, quadrature: str) -> TrialOutcome:
-    if cfg.sigma_cycle == 0.0:
-        return _zero_noise_outcome(cfg)
+def _tracking(cfg: ProtocolConfig, rng, coins, quadrature: str) -> int:
+    """Failure indicator of one tracking simulation: n-1 recorded single-qubit corrections + one decode."""
     n = block_size(cfg.level)
     sigma = cfg.sigma_cycle
     sig_anc = cfg.sigma_ancilla_q if quadrature == "q" else cfg.sigma_ancilla_p
@@ -187,18 +141,4 @@ def _tracking_single(cfg: ProtocolConfig, rng, coins, quadrature: str) -> TrialO
         records[i].append(dev[i] - s * SQRT_PI)
         lps.append(joint_likelihood(records[i], sigma, True) if cfg.analog else digital_lp)
     bit, _table = decode(cfg.level, bits, lps, coins)
-    return score_trial(bit, 0)
-
-
-def run_trial(cfg: ProtocolConfig, rng, coins) -> TrialOutcome:
-    """Run one trial of whichever protocol the config selects."""
-    if cfg.protocol == "conventional":
-        return run_conventional(cfg, rng, coins)
-    return run_tracking(cfg, rng, coins)
-
-
-def run_trial_both(cfg: ProtocolConfig, rng, coins) -> tuple[TrialOutcome, TrialOutcome]:
-    """Run both quadratures' independent simulations; returns (q, p) outcomes."""
-    if cfg.protocol == "conventional":
-        return _conventional_single(cfg, rng, coins), _conventional_single(cfg, rng, coins)
-    return _tracking_single(cfg, rng, coins, "q"), _tracking_single(cfg, rng, coins, "p")
+    return bit

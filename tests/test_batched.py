@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gkptrack import protocols
-from gkptrack.kernels import ProtocolConfig, PureBackend, batched, pure
+from gkptrack.kernels import ProtocolConfig, PureBackend, pure
 
 
 def make_gen(seed):
@@ -40,12 +40,9 @@ def coins_of(gen):
 def scalar_loop(params, gen, coins, trials):
     failures = failures_p = 0
     for _ in range(trials):
-        if params.quadrature == "both":
-            out_q, out_p = protocols.run_trial_both(params, gen, coins)
-            failures += out_q.failed
-            failures_p += out_p.failed
-        else:
-            failures += protocols.run_trial(params, gen, coins).failed
+        f, f_p = protocols.run_trial(params, gen, coins)
+        failures += f
+        failures_p += f_p
     return failures, failures_p
 
 
@@ -85,7 +82,7 @@ def assert_stream_exact(params, trials, seed):
 
 
 def draws_per_trial(params):
-    return sum(count for _, _, count in batched._sub_trials(params))
+    return sum(count for _, _, count in pure._sub_trials(params))
 
 
 TRIALS_BY_LEVEL = {1: 300, 2: 80, 3: 15}
@@ -137,13 +134,13 @@ def test_extreme_sigmas(protocol, level, ancilla, sigma):
 def test_underflow_replays(monkeypatch, params, replayed):
     """Underflowed tables replay where a decision could rest on them, and only there."""
     reruns = []
-    trial_failures = pure.trial_failures
+    run_trial = pure.run_trial
 
     def counted_trial(params, gen, coins):
         reruns.append(gen)
-        return trial_failures(params, gen, coins)
+        return run_trial(params, gen, coins)
 
-    monkeypatch.setattr(pure, "trial_failures", counted_trial)
+    monkeypatch.setattr(pure, "run_trial", counted_trial)
     assert_stream_exact(params, 40, 6)
     assert bool(reruns) == replayed
 
@@ -158,7 +155,7 @@ def test_level4():
 def test_chunk_boundaries(offset, quadrature):
     """One trial, and one chunk's worth minus one, exactly and plus one."""
     params = ProtocolConfig("tracking", True, 2, 2, 0.5, 0.1, 0.15, quadrature)
-    chunk = batched.CHUNK_DRAWS // draws_per_trial(params)
+    chunk = pure.CHUNK_DRAWS // draws_per_trial(params)
     assert chunk > 2
     trials = 1 if offset is None else chunk + offset
     assert_stream_exact(params, trials, 40 + (offset or 7))
@@ -167,13 +164,13 @@ def test_chunk_boundaries(offset, quadrature):
 def test_routing(monkeypatch):
     """Configs with channel noise run batched, analog and digital; noiseless ones never do."""
     calls = []
-    original = batched.run_block
+    original = pure._run_chunk
 
-    def spy(params, gen, trials, coins, decoder=None):
+    def spy(params, *args):
         calls.append(params)
-        return original(params, gen, trials, coins, decoder)
+        return original(params, *args)
 
-    monkeypatch.setattr(batched, "run_block", spy)
+    monkeypatch.setattr(pure, "_run_chunk", spy)
     analog = ProtocolConfig("conventional", True, 1, 2, 0.5)
     digital = ProtocolConfig("tracking", False, 1, 2, 0.5)
     noiseless = ProtocolConfig("tracking", False, 1, 2, 0.0)
@@ -183,8 +180,23 @@ def test_routing(monkeypatch):
     assert calls == [analog, digital]
 
 
+def test_noiseless_block_costs_nothing(monkeypatch):
+    """A noiseless block returns after one scalar trial at most, and moves neither generator."""
+    calls = []
+    run_trial = pure.run_trial
+
+    def counted_trial(params, gen, coins):
+        calls.append(params)
+        return run_trial(params, gen, coins)
+
+    monkeypatch.setattr(pure, "run_trial", counted_trial)
+    # the scalar loop at sigma_cycle 0 draws nothing, so the states stay as made
+    assert assert_stream_exact(ProtocolConfig("tracking", True, 2, 3, 0.0), 100_000, 12) == ((0, 0), 0)
+    assert len(calls) <= 1
+
+
 def test_loaded_lazily():
-    """Importing the CLI and resolving the kernel loads neither the pure kernel nor its batched path."""
+    """Importing the CLI and resolving the kernel does not load the kernel module."""
     code = ("import sys, gkptrack.cli\n"
             "from gkptrack.kernels import get_backend\n"
             "get_backend()\n"
@@ -193,7 +205,6 @@ def test_loaded_lazily():
                             check=True, timeout=60).stdout.split()
     assert "gkptrack.cli" in loaded
     assert "gkptrack.kernels.pure" not in loaded
-    assert "gkptrack.kernels.batched" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -206,15 +217,15 @@ def test_loaded_lazily():
 )
 def test_every_trial_replayed(monkeypatch, params, trials):
     """With an infinite tolerance every analog trial goes through the scalar replay."""
-    monkeypatch.setattr(batched, "TIE_TOLERANCE", float("inf"))
+    monkeypatch.setattr(pure, "TIE_TOLERANCE", float("inf"))
     reruns = []
-    trial_failures = pure.trial_failures
+    run_trial = pure.run_trial
 
     def counted_trial(params, gen, coins):
         reruns.append(gen)
-        return trial_failures(params, gen, coins)
+        return run_trial(params, gen, coins)
 
-    monkeypatch.setattr(pure, "trial_failures", counted_trial)
+    monkeypatch.setattr(pure, "run_trial", counted_trial)
     assert_stream_exact(params, trials, 8)
     assert len(reruns) == trials
 
@@ -240,17 +251,17 @@ CHUNK_CONFIGS = TIE_HEAVY + [
 
 
 # 4,096 normals also split CHUNK_CONFIGS' analog block into two chunks
-@pytest.mark.parametrize("chunk_draws", [1, 7, 4096, batched.CHUNK_DRAWS])
+@pytest.mark.parametrize("chunk_draws", [1, 7, 4096, pure.CHUNK_DRAWS])
 @pytest.mark.parametrize("params,trials", CHUNK_CONFIGS)
 def test_chunk_size_invariant(monkeypatch, chunk_draws, params, trials):
     """Counts and both generators' final states do not depend on the chunk size."""
-    monkeypatch.setattr(batched, "CHUNK_DRAWS", chunk_draws)
+    monkeypatch.setattr(pure, "CHUNK_DRAWS", chunk_draws)
     assert_stream_exact(params, trials, 11)
 
 
 def test_digital_decoder_interns_exact_tables():
     """A C4 table depends on its bits only: 16 patterns give the 5 distinct tables."""
-    decoder = batched.DigitalDecoder(ProtocolConfig("conventional", False, 2, 2, 0.5))
+    decoder = pure.DigitalDecoder(ProtocolConfig("conventional", False, 2, 2, 0.5))
     assert len(decoder._tables[0]) == 5
     # one column of leaf bits per decode
     bits = np.array([[0, 0, 0, 0] * 3, [0, 0, 0, 1] * 3, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]).T
@@ -262,7 +273,7 @@ def test_digital_decoder_interns_exact_tables():
 def test_unkeyed_fold_matches(monkeypatch):
     """Folds over too many sub-tables for an int64 key give the same decisions."""
     params, trials = CHUNK_CONFIGS[2]
-    monkeypatch.setattr(batched, "_KEYED_TABLES", 0)
+    monkeypatch.setattr(pure, "_KEYED_TABLES", 0)
     assert_stream_exact(params, trials, 11)
 
 
@@ -272,7 +283,7 @@ def test_floor_on_table_peaks():
     bits = np.array([[0, 0, 0, 1]] * 2).T
     flip = np.array([[1e-300, 2e-300, 3e-300, 4e-300], [1e-200, 2e-200, 3e-200, 4e-200]]).T
     # classes 00, 01, 10, 11 get 4, 2, 3 and 1 times the row's scale: decision 0
-    first, unsure = batched._decide(bits, np.zeros(2), 1.0, flip)
+    first, unsure = pure._decide(bits, np.zeros(2), 1.0, flip)
     assert first.tolist() == [False, False]
     assert unsure.tolist() == [True, False]
 

@@ -133,6 +133,21 @@ class TestRun:
         assert f"{name} must be finite and >= 0, got {float(value)!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid,code,message", [
+        ("0:inf:1", 1, "must be finite"),
+        ("0.5:0.5:inf", 1, "must be finite"),
+        ("nan:1:0.5", 1, "must be finite"),
+        ("-0.5:0.5:0.5", 2, "sigma_total must be >= 0"),
+    ])
+    def test_bad_grid_refused_before_writing(self, tmp_path, capsys, grid, code, message):
+        out = tmp_path / "r"
+        out.mkdir()
+        assert run_cli("run", "--protocol", "tracking", "--analog", "on", "--cycles", "2",
+                       "--levels", "1", f"--sigma-total={grid}", "--trials", "10",
+                       "--seed", "1", "--out", str(out)) == code
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_env_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GKPTRACK_OUT", str(tmp_path / "envout"))
         code = run_cli(

@@ -20,6 +20,7 @@ from gkptrack.codes import (
     c6_level_up,
     c6_table,
     concat_word_class,
+    concat_word_first_bit,
     decode,
     export_tables_json,
     logaddexp2,
@@ -234,12 +235,18 @@ class TestDecode:
     @pytest.mark.parametrize("level,count,seed", [(1, 3000, 10), (2, 150, 11)])
     def test_matches_oracle(self, level, count, seed):
         rng = np.random.default_rng(seed)
+        words = np.random.default_rng(seed + 1000)
         n = block_size(level)
         for _ in range(count):
             bits, lps = random_leaves(rng, n)
             b_dec, _ = decode(level, bits, lps, np.random.default_rng(1))
             b_orc = oracle_ml_decode(level, bits, lps, np.random.default_rng(1))
             assert b_dec == b_orc
+            # frame independence: measuring in a codeword's frame flips the
+            # decision by that codeword's first logical bit
+            word = random_codeword(level, words)
+            b_word, _ = decode(level, [b ^ w for b, w in zip(bits, word)], lps, np.random.default_rng(1))
+            assert b_word == b_dec ^ concat_word_first_bit(level, word)
 
     def test_oracle_rejects_level3(self):
         with pytest.raises(ValueError):
