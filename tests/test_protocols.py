@@ -157,6 +157,34 @@ class TestConventional:
         se = math.sqrt(direct * (1 - direct) / n + xored * (1 - xored) / n)
         assert abs(direct - xored) < 4 * se
 
+    def test_random_codeword_equivalence(self):
+        # same randomness, a random codeword transmitted each cycle: replaying
+        # the trial's stream in the codeword's frame gives the identical
+        # failure flag as run_trial's all-zero transmission
+        from gkptrack.codes import concat_word_first_bit, decode, random_codeword
+        from gkptrack.gkp import bin_measurement
+
+        sigma_c, cycles = 0.55, 2
+        n = block_size(1)
+        for seed in range(2000):
+            words = np.random.default_rng(seed)
+            cfg = conv_cfg(sigma_c, level=1, cycles=cycles)
+            failed, _ = run_trial(cfg, np.random.default_rng(seed + 10_000),
+                                  np.random.default_rng(seed + 20_000))
+
+            rng, coins = np.random.default_rng(seed + 10_000), np.random.default_rng(seed + 20_000)
+            coded = 0
+            for _c in range(cycles):
+                word = random_codeword(1, words)
+                bits, lps = [], []
+                for i in range(n):
+                    binned = bin_measurement(sigma_c * rng.standard_normal())
+                    bits.append(binned.bit ^ word[i])
+                    lps.append(joint_likelihood([binned.deviation], sigma_c, True))
+                bit, _ = decode(1, bits, lps, coins)
+                coded ^= bit ^ concat_word_first_bit(1, word)
+            assert coded == failed
+
 
 class TestTracking:
     def test_hidden_flips_are_xor_of_per_cycle_flips(self):
