@@ -24,6 +24,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
+#: most points a ``--sigma-total`` grid may hold
+MAX_GRID_POINTS = 10**6
+
 
 class _UsageError(Exception):
     pass
@@ -49,7 +52,12 @@ def _parse_sigma_grid(text: str) -> tuple[float, ...]:
         raise _UsageError("--sigma-total STEP must be > 0")
     if b < a:
         raise _UsageError("--sigma-total requires B >= A")
-    count = int((b - a) / step + 1e-9) + 1
+    span = (b - a) / step
+    if not math.isfinite(span):
+        raise _UsageError(f"--sigma-total (B - A) / STEP must be finite, got {text!r}")
+    count = int(span + 1e-9) + 1
+    if count > MAX_GRID_POINTS:
+        raise _UsageError(f"--sigma-total gives {count} points, more than {MAX_GRID_POINTS}")
     return tuple(a + i * step for i in range(count))
 
 

@@ -9,8 +9,8 @@ physical qubits.  Decoding is exact maximum likelihood: every block reduces
 to a four-entry log-likelihood table over its logical pair value, and those
 tables fold upward through the C6 codeword table.  A block's pair table is a
 sufficient statistic for everything outside the block, so the recursive fold
-equals brute-force enumeration over all physical flip patterns
-(:func:`oracle_ml_decode` checks exactly that).
+equals brute-force enumeration over all physical flip patterns (the
+exhaustive reference decoder in ``tests/oracle.py`` checks exactly that).
 
 C6 convention
 -------------
@@ -39,7 +39,6 @@ generator (stream contract in :mod:`gkptrack.kernels`).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,19 +69,11 @@ class PairLikelihoods:
 
 @dataclass(frozen=True)
 class CodeTable:
-    """Codeword classes of a pair code, plus sub-pair slots for C6 folding."""
+    """Codeword classes of a pair code: each logical pair value's codewords."""
 
     name: str
     n_units: int
     codewords: dict[tuple[int, int], tuple[tuple[int, ...], ...]]
-    #: for C6: (first-bit position, second-bit position) of each sub-pair
-    pair_slots: tuple[tuple[int, int], ...] | None = None
-
-    def classes(self) -> list[tuple[int, int]]:
-        return sorted(self.codewords)
-
-    def word_class(self, word: tuple[int, ...]) -> tuple[int, int] | None:
-        return _WORD_CLASS[self.name].get(word)
 
 
 def block_size(level: int) -> int:
@@ -113,20 +104,11 @@ def _build_c6() -> CodeTable:
         key = (s[0] ^ s[2] ^ s[4], s[0] ^ s[1])
         classes.setdefault(key, []).append(s)
     codewords = {key: tuple(sorted(words)) for key, words in classes.items()}
-    return CodeTable(
-        name="C6",
-        n_units=6,
-        codewords=codewords,
-        pair_slots=((0, 3), (1, 4), (2, 5)),
-    )
+    return CodeTable(name="C6", n_units=6, codewords=codewords)
 
 
 _C4 = _build_c4()
 _C6 = _build_c6()
-_WORD_CLASS = {
-    table.name: {w: cls for cls, words in table.codewords.items() for w in words}
-    for table in (_C4, _C6)
-}
 
 #: per class (index order), the four C6 words as triples of sub-pair indices
 C6_PAIR_TRIPLES: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
@@ -146,25 +128,6 @@ def c4_table() -> CodeTable:
 def c6_table() -> CodeTable:
     """The [[6,2,2]] table described in the module docstring."""
     return _C6
-
-
-def export_tables_json(path=None) -> str:
-    """Audit export of both codeword tables as JSON."""
-    entries = []
-    for table in (_C4, _C6):
-        for (b1, b2), words in sorted(table.codewords.items()):
-            entries.append(
-                {
-                    "code": table.name,
-                    "class": f"{b1}{b2}",
-                    "words": ["".join(str(b) for b in w) for w in words],
-                }
-            )
-    text = json.dumps(entries, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 # --- canonical log-sum-exp helpers ------------------------------------------
@@ -291,77 +254,3 @@ def decode(
         tables = [c6_level_up(tables[j : j + 3]) for j in range(0, len(tables), 3)]
     top = tables[0]
     return _decide_first_bit(top, rng), top
-
-
-# --- codeword classification and generation ----------------------------------
-
-def concat_word_class(level: int, word: tuple[int, ...]) -> tuple[int, int] | None:
-    """Logical pair value of a measured word, or None if it is no codeword."""
-    if level == 1:
-        return _WORD_CLASS["C4"].get(tuple(word))
-    sub = block_size(level - 1)
-    pairs = []
-    for j in range(3):
-        cls = concat_word_class(level - 1, tuple(word[j * sub : (j + 1) * sub]))
-        if cls is None:
-            return None
-        pairs.append(cls)
-    # reassemble the C6 string: positions 1..3 carry first bits, 4..6 second bits
-    s = (pairs[0][0], pairs[1][0], pairs[2][0], pairs[0][1], pairs[1][1], pairs[2][1])
-    return _WORD_CLASS["C6"].get(s)
-
-
-def concat_word_first_bit(level: int, word: tuple[int, ...]) -> int:
-    cls = concat_word_class(level, word)
-    if cls is None:
-        raise ValueError("word is not a codeword of the concatenated code")
-    return cls[0]
-
-
-def random_codeword(level: int, rng, cls: tuple[int, int] | None = None) -> tuple[int, ...]:
-    """Uniformly random codeword of a level, optionally within one class."""
-    if cls is None:
-        cls = PAIR_VALUE[int(rng.integers(0, 4))]
-    if level == 1:
-        words = _C4.codewords[cls]
-        return words[int(rng.integers(0, len(words)))]
-    s_options = _C6.codewords[cls]
-    s = s_options[int(rng.integers(0, len(s_options)))]
-    parts = [random_codeword(level - 1, rng, cls=(s[j], s[j + 3])) for j in range(3)]
-    return tuple(b for part in parts for b in part)
-
-
-# --- brute-force oracle -------------------------------------------------------
-
-
-def oracle_ml_decode(
-    level: int,
-    leaf_bits: Sequence[int],
-    leaf_lp: Sequence[LikelihoodPair],
-    rng,
-) -> int:
-    """Exhaustive maximum-likelihood reference decoder (levels 1 and 2 only).
-
-    Enumerates every flip pattern over the block, keeps the hypotheses whose
-    implied transmitted word is a valid codeword, accumulates exact class
-    likelihoods, and decides the first-pair bit like :func:`decode` (same
-    coin rule on ties).
-    """
-    if level not in (1, 2):
-        raise ValueError(f"oracle supports levels 1 and 2, got {level}")
-    n = block_size(level)
-    if len(leaf_bits) != n or len(leaf_lp) != n:
-        raise ValueError(f"level {level} expects {n} leaves, got {len(leaf_bits)}/{len(leaf_lp)}")
-    lm = [lp.l_match for lp in leaf_lp]
-    lf = [lp.l_flip for lp in leaf_lp]
-    terms: dict[tuple[int, int], list[float]] = {cls: [] for cls in _C4.classes()}
-    for flips in range(1 << n):
-        word = tuple(leaf_bits[i] ^ ((flips >> i) & 1) for i in range(n))
-        cls = concat_word_class(level, word)
-        if cls is None:
-            continue
-        terms[cls].append(_word_sum(word, leaf_bits, lm, lf))
-    table = PairLikelihoods.from_tuple(
-        [logsumexp_sorted(terms[PAIR_VALUE[ci]]) for ci in range(4)]
-    )
-    return _decide_first_bit(table, rng)

@@ -26,17 +26,6 @@ SQRT_PI = math.sqrt(math.pi)
 HALF_SQRT_PI = SQRT_PI / 2.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-#: Documented limit of p_corr(sigma) as sigma -> 0+ (p_corr itself rejects 0).
-P_CORR_ZERO_SIGMA = 1.0
-
-
-@dataclass(frozen=True)
-class BinnedOutcome:
-    """A measured bit plus the residual deviation from the chosen lattice point."""
-
-    bit: int
-    deviation: float
-
 
 @dataclass(frozen=True)
 class LikelihoodPair:
@@ -54,33 +43,26 @@ def lattice_index(x: float) -> int:
 def sample_channel(sigma: float, rng) -> float:
     """Draw one Gaussian displacement with standard deviation ``sigma``.
 
-    ``sigma = 0`` returns exactly 0.0 without consuming a draw; the kernels
-    rely on that rule to keep random streams aligned across backends.
+    ``sigma = 0`` returns exactly 0.0 without consuming a draw, a rule of the
+    documented draw order (:mod:`gkptrack.protocols`).  ``sigma`` is not
+    checked here: :class:`gkptrack.kernels.ProtocolConfig` refuses a negative
+    or non-finite one.
     """
-    if not (sigma >= 0.0) or not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if sigma == 0.0:
         return 0.0
     return sigma * rng.standard_normal()
 
 
-def bin_measurement(q_m: float) -> BinnedOutcome:
-    """Bin a raw quadrature value to (bit, deviation).
+def bin_measurement(x: float) -> tuple[int, float]:
+    """Bin a raw quadrature value: ``(bit, deviation)``.
 
-    The bit is the parity of the nearest lattice multiple of sqrt(pi); the
-    deviation is the signed residue in ``(-sqrt(pi)/2, +sqrt(pi)/2]``.
+    The bit is the parity of the nearest lattice multiple of sqrt(pi),
+    :func:`lattice_index`; the deviation is the signed residue
+    ``x - s * sqrt(pi)`` in ``(-sqrt(pi)/2, +sqrt(pi)/2]``.  With a reference
+    bit of 0, the bit of a displacement is its hidden flip.
     """
-    if not math.isfinite(q_m):
-        raise ValueError(f"measurement value must be finite, got {q_m!r}")
-    s = lattice_index(q_m)
-    return BinnedOutcome(bit=s & 1, deviation=q_m - s * SQRT_PI)
-
-
-def true_flip(delta: float) -> int:
-    """1 iff a displacement by ``delta`` carries the peak to an odd lattice shift."""
-    if not math.isfinite(delta):
-        raise ValueError(f"deviation must be finite, got {delta!r}")
-    return lattice_index(delta) & 1
+    s = lattice_index(x)
+    return s & 1, x - s * SQRT_PI
 
 
 def p_corr(sigma: float) -> float:
@@ -90,7 +72,7 @@ def p_corr(sigma: float) -> float:
     mass that lands two or more bins away (and would fold back onto the
     correct bit) is intentionally not credited, which understates the success
     probability by less than 1e-6 for sigma <= 0.7.  Strictly decreasing in
-    sigma; use :data:`P_CORR_ZERO_SIGMA` for the sigma -> 0 limit.
+    sigma, with the limit 1 as sigma -> 0.
     """
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
@@ -101,32 +83,6 @@ def log_gauss(x: float, sigma: float) -> float:
     """Log density of N(0, sigma^2) at ``x`` (canonical operation order)."""
     t = x / sigma
     return -0.5 * t * t - math.log(sigma) - _HALF_LOG_2PI
-
-
-def analog_likelihoods(deviation: float, sigma: float) -> LikelihoodPair:
-    """Analog likelihood pair for one binned deviation.
-
-    ``l_match`` is the log density of the deviation itself and ``l_flip`` the
-    log density of ``sqrt(pi) - |deviation|``, i.e. the displacement that
-    would explain the same outcome with the bit flipped.  Two-image model:
-    every other lattice image is dropped, the flip image at
-    ``sqrt(pi) + |deviation|``, one bin away, included.  So the pair is
-    miscalibrated at high noise: for tracking L1 records at sigma 0.6 (q,
-    2 cycles, 1M trials), the most confident bin predicts a flip probability
-    of 0.0397 against 0.0551 measured, 34 standard errors off.  Summing all
-    images calibrates it but moves the analog thresholds by 0.0003 at most;
-    changing this likelihood changes seeded analog results, so it needs
-    stream version 3.
-    """
-    if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-    a = abs(deviation)
-    if not (a <= HALF_SQRT_PI):
-        raise ValueError(f"deviation {deviation!r} outside the bin range")
-    return LikelihoodPair(
-        l_match=log_gauss(a, sigma),
-        l_flip=log_gauss(SQRT_PI - a, sigma),
-    )
 
 
 def p_incorr(sigma: float) -> float:

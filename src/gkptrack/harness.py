@@ -57,17 +57,17 @@ def block_generator(master_seed: int, point_index: int, block_index: int) -> np.
     return np.random.Generator(np.random.Philox(key=philox_key(master_seed, point_index, block_index)))
 
 
-def wilson_interval(failures: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= failures <= trials:
         raise ValueError("failures must lie in [0, trials]")
     p = failures / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+    half = (_Z95 / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     low = 0.0 if failures == 0 else max(0.0, center - half)
     high = 1.0 if failures == trials else min(1.0, center + half)
     return low, high
@@ -127,12 +127,16 @@ class SweepConfig:
             raise ValueError("sigma_total_grid must be sorted ascending")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
-        # settings every point would refuse are refused here, with the same
+        if not self.sigma_total_grid or not self.levels:
+            raise ValueError("a sweep needs at least one sigma_total and one level")
+        # settings a point would refuse are refused here, with the same
         # message, before a sweep writes anything
         if not all(sigma >= 0.0 for sigma in self.sigma_total_grid):
             raise ValueError("sigma_total must be >= 0")
-        ProtocolConfig(self.protocol, self.analog, 1, self.cycles, 0.0,
-                       self.sigma_ancilla_q, self.sigma_ancilla_p, self.quadrature)
+        for _, level, sigma in self.points():
+            # estimate_point's config; ProtocolConfig refuses cycles < 1 itself
+            ProtocolConfig(self.protocol, self.analog, level, self.cycles, sigma / max(self.cycles, 1),
+                           self.sigma_ancilla_q, self.sigma_ancilla_p, self.quadrature)
 
     def points(self):
         """(point_index, level, sigma_total) in deterministic order."""
@@ -296,7 +300,6 @@ def sweep(
     sink: CsvSink | None = None,
     *,
     workers: int | None = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     backend=None,
     progress=None,
 ) -> list[PointEstimate]:
@@ -324,7 +327,6 @@ def sweep(
             sigma_ancilla_p=cfg.sigma_ancilla_p,
             max_failures_stop=cfg.max_failures_stop,
             workers=workers,
-            block_size=block_size,
             backend=backend,
         )
         if sink is not None:

@@ -29,7 +29,7 @@ STREAM_VERSION = 2
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Scalar trial parameters, the one config type of every kernel.
+    """Trial parameters, the one config type of the kernel and of the scalar trial loop.
 
     ``sigma_cycle`` is the channel displacement noise added per cycle per
     quadrature; the ancilla fields model imperfect ancilla preparation in the
@@ -37,7 +37,10 @@ class ProtocolConfig:
     standard deviations.  Only the tracking protocol runs that step.  The
     conventional protocol's teleportation consumes fresh perfect ancillas, so
     it ignores the ancilla sigmas: they draw nothing and change no count
-    (with ``sigma_cycle == 0`` a trial still refuses them, as tracking does).
+    (with ``sigma_cycle == 0`` the config still refuses them, as for tracking).
+
+    Every invalid config is refused here, when it is made, so no trial or
+    block checks its parameters.
     """
 
     protocol: str  # "conventional" | "tracking"
@@ -50,7 +53,6 @@ class ProtocolConfig:
     quadrature: str = "q"
 
     def __post_init__(self) -> None:
-        # every backend refuses an invalid input here, with the same message
         if self.protocol not in ("conventional", "tracking"):
             raise ValueError(f"unknown protocol kind {self.protocol!r}")
         if self.level < 1:
@@ -64,6 +66,9 @@ class ProtocolConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        # the record likelihoods are keyed to the channel sigma alone
+        if self.sigma_cycle == 0.0 and (self.sigma_ancilla_q > 0.0 or self.sigma_ancilla_p > 0.0):
+            raise ValueError("sigma_cycle = 0 with ancilla noise leaves likelihoods undefined")
 
 
 class PureBackend:

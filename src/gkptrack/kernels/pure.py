@@ -6,9 +6,9 @@ trials, and a chunk always runs all its trials.  It draws the same normals
 and tie coins as a loop over the scalar reference
 :func:`gkptrack.protocols.run_trial`, and reaches the same decisions, counts
 and final generator states.  A noiseless block draws nothing and never
-fails; :func:`run_block` runs one scalar trial of it, which refuses ancilla
-noise without channel noise.  Tie coins come from :func:`coin_generator`,
-one per block (stream contract in :mod:`gkptrack.kernels`).
+fails, so :func:`run_block` returns at once.  Tie coins come from
+:func:`coin_generator`, one per block (stream contract in
+:mod:`gkptrack.kernels`).
 
 Each chunk takes all its normals in one ``standard_normal`` call, which
 yields the values the scalar loop's one-at-a-time calls would, in the
@@ -148,10 +148,7 @@ def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> t
     """
     coins = coin_generator(generator)
     if params.sigma_cycle == 0.0:
-        # a noiseless trial draws nothing and never fails; running one refuses
-        # ancilla noise without channel noise, as every trial would
-        if trials > 0:
-            run_trial(params, generator, coins)
+        # a noiseless trial draws nothing and never fails
         return 0, 0
     sub_trials = _sub_trials(params)
     draws = sum(count for _, _, count in sub_trials)

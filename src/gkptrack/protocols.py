@@ -37,8 +37,8 @@ from .codes import block_size, decode, logaddexp2
 from .gkp import (
     SQRT_PI,
     LikelihoodPair,
+    bin_measurement,
     digital_likelihoods,
-    lattice_index,
     log_gauss,
     sample_channel,
 )
@@ -68,6 +68,20 @@ def joint_likelihood(records, sigma: float, analog: bool) -> LikelihoodPair:
 
 
 def _analog_pair(deviation: float, sigma: float) -> tuple[float, float]:
+    """Analog (match, flip) log likelihoods of one binned deviation.
+
+    The match entry is the log density of the deviation itself and the flip
+    entry that of ``sqrt(pi) - |deviation|``, the displacement that would
+    explain the same outcome with the bit flipped.  Two-image model: every
+    other lattice image is dropped, the flip image at ``sqrt(pi) +
+    |deviation|``, one bin away, included.  So the pair is miscalibrated at
+    high noise: for tracking L1 records at sigma 0.6 (q, 2 cycles, 1M
+    trials), the most confident bin predicts a flip probability of 0.0397
+    against 0.0551 measured, 34 standard errors off.  Summing all images
+    calibrates it but moves the analog thresholds by 0.0003 at most;
+    changing this likelihood changes seeded analog results, so it needs
+    stream version 3.
+    """
     a = abs(deviation)
     if not (a <= SQRT_PI / 2.0):
         raise ValueError(f"record {deviation!r} outside the bin range")
@@ -81,11 +95,7 @@ def run_trial(cfg: ProtocolConfig, rng, coins) -> tuple[int, int]:
     simulations run q first, and is 0 otherwise.
     """
     if cfg.sigma_cycle == 0.0:
-        # zero channel noise: trivially clean, no draws consumed.  With the
-        # likelihood model keyed to the channel sigma, ancilla noise without
-        # channel noise has no defined likelihoods.
-        if cfg.sigma_ancilla_q > 0.0 or cfg.sigma_ancilla_p > 0.0:
-            raise ValueError("sigma_channel = 0 with ancilla noise leaves likelihoods undefined")
+        # zero channel noise, and so no ancilla noise: trivially clean, no draws
         return 0, 0
     single = _conventional if cfg.protocol == "conventional" else _tracking
     if cfg.quadrature == "both":
@@ -104,14 +114,9 @@ def _conventional(cfg: ProtocolConfig, rng, coins, quadrature: str) -> int:
         bits = []
         lps = []
         for _i in range(n):
-            dev = sample_channel(sigma, rng)
-            s = lattice_index(dev)
-            bits.append(s & 1)
-            if cfg.analog:
-                dm = dev - s * SQRT_PI
-                lps.append(LikelihoodPair(*_analog_pair(dm, sigma)))
-            else:
-                lps.append(digital_pair)
+            bit, deviation = bin_measurement(sample_channel(sigma, rng))
+            bits.append(bit)
+            lps.append(LikelihoodPair(*_analog_pair(deviation, sigma)) if cfg.analog else digital_pair)
         bit, _table = decode(cfg.level, bits, lps, coins)
         decoded ^= bit
     return decoded
@@ -135,10 +140,9 @@ def _tracking(cfg: ProtocolConfig, rng, coins, quadrature: str) -> int:
     bits = []
     lps = []
     for i in range(n):
-        dev[i] = dev[i] + sample_channel(sigma, rng)
-        s = lattice_index(dev[i])
-        bits.append(flip[i] ^ (s & 1))
-        records[i].append(dev[i] - s * SQRT_PI)
+        bit, record = bin_measurement(dev[i] + sample_channel(sigma, rng))
+        bits.append(flip[i] ^ bit)
+        records[i].append(record)
         lps.append(joint_likelihood(records[i], sigma, True) if cfg.analog else digital_lp)
     bit, _table = decode(cfg.level, bits, lps, coins)
     return bit

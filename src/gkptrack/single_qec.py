@@ -27,13 +27,13 @@ ancilla's and ``a2`` the second (|+>) ancilla's deviation in that quadrature:
   ``a1 - a2``.
 
 So after one cycle Var_q = sigma_a^2 and Var_p = 2 sigma_a^2 for ancilla
-noise sigma_a.  Draw order (both kernels replicate it): ``a1`` then ``a2``;
-a zero ancilla sigma consumes no draw.
+noise sigma_a.  Draw order (the batched kernel, :mod:`gkptrack.kernels.pure`,
+replicates it): ``a1`` then ``a2``; a zero ancilla sigma consumes no draw.
 """
 
 from __future__ import annotations
 
-from .gkp import SQRT_PI, lattice_index, sample_channel
+from .gkp import bin_measurement, sample_channel
 
 
 def sqec_step(dev: float, quadrature: str, sigma_ancilla: float, rng) -> tuple[float, float, int]:
@@ -52,5 +52,5 @@ def sqec_step(dev: float, quadrature: str, sigma_ancilla: float, rng) -> tuple[f
     else:
         measured = a1 - dev
         residual = a1 - a2
-    s = lattice_index(measured)
-    return residual, measured - s * SQRT_PI, s & 1
+    flip, record = bin_measurement(measured)
+    return residual, record, flip

@@ -52,6 +52,7 @@ from gkptrack.harness import (
     sweep,
     wilson_interval,
 )
+from oracle import oracle_ml_decode
 
 pytestmark = pytest.mark.acceptance
 
@@ -284,7 +285,7 @@ class TestCriteria:
                     for _ in range(n)
                 ]
                 b1, _ = codes.decode(level, bits, lps, np.random.default_rng(i))
-                b2 = codes.oracle_ml_decode(level, bits, lps, np.random.default_rng(i))
+                b2 = oracle_ml_decode(level, bits, lps, np.random.default_rng(i))
                 mismatches += b1 != b2
         verdict(
             8, "decoder = exhaustive ML oracle",

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from gkptrack.cli import main
+from gkptrack.cli import MAX_GRID_POINTS, main
 
 
 def run_cli(*argv):
@@ -137,6 +137,8 @@ class TestRun:
         ("0:inf:1", 1, "must be finite"),
         ("0.5:0.5:inf", 1, "must be finite"),
         ("nan:1:0.5", 1, "must be finite"),
+        ("-1e308:1e308:1", 1, "(B - A) / STEP must be finite"),
+        ("0:1:1e-12", 1, f"more than {MAX_GRID_POINTS}"),
         ("-0.5:0.5:0.5", 2, "sigma_total must be >= 0"),
     ])
     def test_bad_grid_refused_before_writing(self, tmp_path, capsys, grid, code, message):
@@ -147,6 +149,16 @@ class TestRun:
                        "--seed", "1", "--out", str(out)) == code
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_ancilla_noise_at_zero_channel_noise_refused(self, tmp_path, capsys):
+        # the grid's first point has no channel noise, so no likelihoods
+        out = tmp_path / "r"
+        code = run_cli("run", "--protocol", "tracking", "--analog", "on", "--cycles", "2",
+                       "--levels", "1", "--sigma-total", "0:0.5:0.5", "--trials", "10",
+                       "--seed", "1", "--out", str(out), "--sigma-ancilla-q", "0.1")
+        assert code == 2
+        assert "leaves likelihoods undefined" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GKPTRACK_OUT", str(tmp_path / "envout"))

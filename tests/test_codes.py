@@ -1,7 +1,6 @@
 """Tests for the C4/C6 tables and the maximum-likelihood decoder."""
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkptrack.gkp import LikelihoodPair, analog_likelihoods, digital_likelihoods
+from gkptrack.gkp import LikelihoodPair, digital_likelihoods
 from gkptrack.codes import (
     C6_PAIR_TRIPLES,
     PAIR_VALUE,
@@ -19,20 +18,22 @@ from gkptrack.codes import (
     c4_table,
     c6_level_up,
     c6_table,
-    concat_word_class,
-    concat_word_first_bit,
     decode,
-    export_tables_json,
     logaddexp2,
     logsumexp_sorted,
-    oracle_ml_decode,
-    random_codeword,
     PairLikelihoods,
 )
+from gkptrack.protocols import _analog_pair
+from oracle import concat_word_class, concat_word_first_bit, oracle_ml_decode, random_codeword
 
 
 def pair(lm, lf):
     return LikelihoodPair(l_match=lm, l_flip=lf)
+
+
+def analog_pair(deviation, sigma):
+    """The analog likelihood pair of one binned deviation, as the scalar trial builds it."""
+    return LikelihoodPair(*_analog_pair(deviation, sigma))
 
 
 def random_leaves(rng, n):
@@ -100,15 +101,6 @@ class TestC6Table:
     def test_contains_all_zeros_in_class_00(self):
         assert (0, 0, 0, 0, 0, 0) in c6_table().codewords[(0, 0)]
 
-    def test_json_export(self):
-        entries = json.loads(export_tables_json())
-        c4 = [e for e in entries if e["code"] == "C4"]
-        c6 = [e for e in entries if e["code"] == "C6"]
-        assert len(c4) == 4 and len(c6) == 4
-        by_class = {e["class"]: e["words"] for e in c6}
-        assert "000000" in by_class["00"]
-        assert all(len(w) == 6 for ws in by_class.values() for w in ws)
-
 
 class TestBlockPairLikelihoods:
     def test_strong_match_selects_class(self):
@@ -123,7 +115,7 @@ class TestBlockPairLikelihoods:
         sigma = 0.5
         rng = np.random.default_rng(2)
         devs = rng.uniform(-0.8, 0.8, 4)
-        lps = [analog_likelihoods(float(d), sigma) for d in devs]
+        lps = [analog_pair(float(d), sigma) for d in devs]
         lm = [lp.l_match for lp in lps]
         lf = [lp.l_flip for lp in lps]
         table = block_pair_likelihoods(c4_table(), [0, 0, 1, 0], lps)
@@ -215,7 +207,7 @@ class TestC6LevelUp:
 class TestDecode:
     def test_level1_clean(self):
         rng = np.random.default_rng(0)
-        lps = [analog_likelihoods(0.01, 0.4)] * 4
+        lps = [analog_pair(0.01, 0.4)] * 4
         bit, _ = decode(1, [0, 0, 0, 0], lps, rng)
         assert bit == 0
 
@@ -268,7 +260,7 @@ class TestDecode:
         n_trials = 20_000
         for _ in range(n_trials):
             devs = rng.uniform(-0.88, 0.88, 4)
-            lps = [analog_likelihoods(float(d), sigma) for d in devs]
+            lps = [analog_pair(float(d), sigma) for d in devs]
             bits = [int(b) for b in rng.integers(0, 2, 4)]
             t = block_pair_likelihoods(c4_table(), bits, lps)
             if logaddexp2(t.f00, t.f01) == logaddexp2(t.f10, t.f11):

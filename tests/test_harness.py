@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -324,6 +325,19 @@ class TestSweep:
                 sigma_total_grid=(1.0, 0.9), levels=(1,), trials_per_point=10,
                 master_seed=1,
             )
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(levels=(1, 0)), "level must be >= 1, got 0"),
+        (dict(sigma_total_grid=(0.0, 1.0), sigma_ancilla_p=0.1), "leaves likelihoods undefined"),
+        (dict(sigma_total_grid=()), "at least one sigma_total and one level"),
+        (dict(protocol="nope", levels=()), "at least one sigma_total and one level"),
+    ])
+    def test_every_point_validated(self, fields, message):
+        """A config any of whose points a kernel would refuse is refused when it is made."""
+        base = dict(protocol="tracking", analog=True, cycles=2, sigma_total_grid=(1.0,),
+                    levels=(1,), trials_per_point=10, master_seed=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepConfig(**{**base, **fields})
 
 
 class TestReadResults:

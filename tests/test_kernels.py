@@ -36,7 +36,8 @@ INVALID_INPUTS = [
     (dict(sigma_cycle=-0.5), "sigma_cycle must be finite and >= 0, got -0.5"),
     (dict(sigma_cycle=float("nan")), "sigma_cycle must be finite and >= 0, got nan"),
     (dict(sigma_ancilla_p=-0.1), "sigma_ancilla_p must be finite and >= 0, got -0.1"),
-    # accepted as parameters, refused when a trial runs
+    # ancilla noise without channel noise: the record likelihoods are keyed
+    # to the channel sigma, so ProtocolConfig refuses it too
     (dict(sigma_cycle=0.0, sigma_ancilla_q=0.1), "leaves likelihoods undefined"),
     (dict(protocol="conventional", sigma_cycle=0.0, sigma_ancilla_p=0.1),
      "leaves likelihoods undefined"),

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from gkptrack.codes import block_size
+from gkptrack.codes import decode
 from gkptrack.gkp import (
     HALF_SQRT_PI,
     SQRT_PI,
+    bin_measurement,
     digital_likelihoods,
+    lattice_index,
     log_gauss,
     p_corr,
-    true_flip,
 )
 from gkptrack.protocols import ProtocolConfig, joint_likelihood, run_trial
+from oracle import concat_word_first_bit, random_codeword
 
 
 def conv_cfg(sigma, level=1, cycles=2, analog=True, quadrature="q"):
@@ -161,9 +164,6 @@ class TestConventional:
         # same randomness, a random codeword transmitted each cycle: replaying
         # the trial's stream in the codeword's frame gives the identical
         # failure flag as run_trial's all-zero transmission
-        from gkptrack.codes import concat_word_first_bit, decode, random_codeword
-        from gkptrack.gkp import bin_measurement
-
         sigma_c, cycles = 0.55, 2
         n = block_size(1)
         for seed in range(2000):
@@ -178,9 +178,9 @@ class TestConventional:
                 word = random_codeword(1, words)
                 bits, lps = [], []
                 for i in range(n):
-                    binned = bin_measurement(sigma_c * rng.standard_normal())
-                    bits.append(binned.bit ^ word[i])
-                    lps.append(joint_likelihood([binned.deviation], sigma_c, True))
+                    bit, deviation = bin_measurement(sigma_c * rng.standard_normal())
+                    bits.append(bit ^ word[i])
+                    lps.append(joint_likelihood([deviation], sigma_c, True))
                 bit, _ = decode(1, bits, lps, coins)
                 coded ^= bit ^ concat_word_first_bit(1, word)
             assert coded == failed
@@ -190,9 +190,6 @@ class TestTracking:
     def test_hidden_flips_are_xor_of_per_cycle_flips(self):
         # with perfect ancillas, a replay of the same stream that accumulates
         # flips as XOR of per-cycle true flips must reproduce the trial
-        from gkptrack.codes import decode
-        from gkptrack.gkp import bin_measurement
-
         sigma_c = 0.6
         cycles = 3
         n = block_size(1)
@@ -206,15 +203,13 @@ class TestTracking:
             for _c in range(cycles - 1):
                 for i in range(n):
                     d = sigma_c * rng.standard_normal()
-                    binned = bin_measurement(d)
-                    flips[i] ^= true_flip(d)
-                    records[i].append(binned.deviation)
+                    flips[i] ^= lattice_index(d) & 1
+                    records[i].append(bin_measurement(d)[1])
             bits = []
             for i in range(n):
-                d = sigma_c * rng.standard_normal()
-                binned = bin_measurement(d)
-                bits.append(flips[i] ^ binned.bit)
-                records[i].append(binned.deviation)
+                bit, deviation = bin_measurement(sigma_c * rng.standard_normal())
+                bits.append(flips[i] ^ bit)
+                records[i].append(deviation)
             lps = [joint_likelihood(records[i], sigma_c, True) for i in range(n)]
             bit, _ = decode(1, bits, lps, np.random.default_rng(seed + 1000))
             # the truth is 0, so the failure indicator is the decoded bit
