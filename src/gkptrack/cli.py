@@ -7,7 +7,13 @@ Subcommands::
     gkptrack resources  print/write the qubit-budget table
     gkptrack plot       render a results CSV as a self-contained SVG
 
-Exit codes: 0 success, 1 usage error, 2 runtime/IO error.
+``run`` builds one :class:`gkptrack.harness.SweepConfig` from its flags and
+hands it to :func:`gkptrack.harness.sweep`.  The config is the one place a
+setting is refused: an invalid value exits 2 with its message before anything
+is written.  The parser refuses only what it cannot read, or ``--workers``
+below 1.
+
+Exit codes: 0 success, 1 usage error, 2 refused config value or runtime/IO error.
 """
 
 from __future__ import annotations
@@ -70,8 +76,6 @@ def _parse_levels(text: str) -> tuple[int, ...]:
             levels = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise _UsageError(f"--levels expects e.g. '1,2,3' or '1..5', got {text!r}")
-    if not levels or any(l < 1 for l in levels):
-        raise _UsageError("--levels must all be >= 1")
     return levels
 
 
@@ -95,7 +99,7 @@ def _build_parser() -> _Parser:
                      help="ancilla noise of the tracking correction step, q quadrature (default: 0)")
     run.add_argument("--sigma-ancilla-p", type=float, default=0.0,
                      help="ancilla noise of the tracking correction step, p quadrature (default: 0)")
-    run.add_argument("--workers", type=int, default=None,
+    run.add_argument("--workers", type=int, default=1,
                      help="threads running a point's blocks (default: 1)")
     run.add_argument("--max-failures-stop", type=int, default=None)
 
@@ -118,10 +122,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    if args.cycles < 1 or (args.protocol == "tracking" and args.cycles < 2):
-        raise _UsageError(f"--cycles invalid for protocol {args.protocol}: {args.cycles}")
-    if args.trials < 1:
-        raise _UsageError("--trials must be >= 1")
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
+    # the config refuses every invalid setting, before anything is written
     cfg = harness.SweepConfig(
         protocol=args.protocol,
         analog=args.analog == "on",
@@ -169,8 +172,6 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_resources(args) -> int:
-    if args.cycles < 2:
-        raise _UsageError("--cycles must be >= 2 (tracking needs at least two cycles)")
     reports = resources.table(args.cycles, args.levels)
     header = f"{'n':>3} {'l':>3} {'conventional':>14} {'tracking':>10} {'saved':>10} {'rate %':>7}"
     print(header)

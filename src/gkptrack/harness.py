@@ -15,6 +15,15 @@ CSV schema (one row per point)::
 
 The noise axis is the *total* standard deviation summed over cycles; each
 cycle applies ``sigma_total / cycles``.
+
+One :class:`SweepConfig` carries a run's settings from the command line to
+the kernel: ``estimate_point(cfg, point_index, level, sigma_total)`` takes
+its trials, seed and early stop from it, :meth:`SweepConfig.point_params`
+builds each point's :class:`~gkptrack.kernels.ProtocolConfig`, and
+``manifest.json`` records its fields.  A setting is refused in one place,
+when the config is made: ``SweepConfig`` refuses every value that it or the
+``ProtocolConfig`` of any of its points would refuse, before a sweep writes
+anything.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -129,14 +138,20 @@ class SweepConfig:
             raise ValueError("trials_per_point must be >= 1")
         if not self.sigma_total_grid or not self.levels:
             raise ValueError("a sweep needs at least one sigma_total and one level")
-        # settings a point would refuse are refused here, with the same
-        # message, before a sweep writes anything
+        # every point's kernel config is built here, so a value any point would
+        # refuse is refused before a sweep writes anything; a negative grid
+        # value is named as such, not by the sigma_cycle it would give
         if not all(sigma >= 0.0 for sigma in self.sigma_total_grid):
             raise ValueError("sigma_total must be >= 0")
         for _, level, sigma in self.points():
-            # estimate_point's config; ProtocolConfig refuses cycles < 1 itself
-            ProtocolConfig(self.protocol, self.analog, level, self.cycles, sigma / max(self.cycles, 1),
-                           self.sigma_ancilla_q, self.sigma_ancilla_p, self.quadrature)
+            self.point_params(level, sigma)
+
+    def point_params(self, level: int, sigma_total: float) -> ProtocolConfig:
+        """The kernel config of one point, the one place its noise is split over cycles."""
+        # ProtocolConfig refuses cycles < 1 itself, so the split must not divide by zero
+        return ProtocolConfig(self.protocol, self.analog, level, self.cycles,
+                              sigma_total / max(self.cycles, 1),
+                              self.sigma_ancilla_q, self.sigma_ancilla_p, self.quadrature)
 
     def points(self):
         """(point_index, level, sigma_total) in deterministic order."""
@@ -175,33 +190,27 @@ def _in_order(fn, items, workers: int):
 
 
 def estimate_point(
-    protocol: str,
-    analog: bool,
-    cycles: int,
+    cfg: SweepConfig,
+    point_index: int,
     level: int,
     sigma_total: float,
-    trials: int,
-    master_seed: int,
-    point_index: int = 0,
     *,
-    quadrature: str = "q",
-    sigma_ancilla_q: float = 0.0,
-    sigma_ancilla_p: float = 0.0,
-    max_failures_stop: int | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
     backend=None,
 ) -> PointEstimate:
-    """Estimate one failure probability with a Wilson 95% interval.
+    """Estimate one failure probability of ``cfg`` with a Wilson 95% interval.
 
-    Deterministic for a fixed ``(master_seed, point_index)`` regardless of
-    ``workers``, which defaults to one thread.  The kernel's batched path
-    releases the GIL only inside numpy calls on small chunks: on a 2-core VM
-    two threads ran a tracking analog L2 point (two 40k-trial blocks) at
-    0.91-0.94x the speed of one, and digital points at 1.1-1.5x.
-    ``max_failures_stop`` ends the run after the first block, in block order,
-    at which the cumulative failure count reaches the threshold; that block
-    is scheduling-independent, so the estimate is too.
+    The point's kernel config is ``cfg.point_params(level, sigma_total)``; its
+    trials, seed and early stop are ``cfg``'s.  Deterministic for a fixed
+    ``(cfg.master_seed, point_index)`` regardless of ``workers``, which
+    defaults to one thread.  The kernel's batched path releases the GIL only
+    inside numpy calls on small chunks: on a 2-core VM two threads ran a
+    point's 8,192-trial blocks at 0.63-0.68x the speed of one (tracking analog
+    L2 and L3, conventional digital L2).
+    ``cfg.max_failures_stop`` ends the run after the first block, in block
+    order, at which the cumulative failure count reaches the threshold; that
+    block is scheduling-independent, so the estimate is too.
 
     The stop is tested at block boundaries, as results arrive in block order.
     Blocks are submitted in order with at most ``workers`` in flight and none
@@ -210,19 +219,9 @@ def estimate_point(
     is taken over whole blocks; under this data-dependent stop it carries a
     small upward bias and the Wilson interval is nominal only.
     """
-    if sigma_total < 0.0:
-        raise ValueError("sigma_total must be >= 0")
     backend = backend if backend is not None else get_backend()
-    params = ProtocolConfig(
-        protocol=protocol,
-        analog=analog,
-        level=level,
-        cycles=cycles,
-        sigma_cycle=sigma_total / cycles,
-        sigma_ancilla_q=sigma_ancilla_q,
-        sigma_ancilla_p=sigma_ancilla_p,
-        quadrature=quadrature,
-    )
+    params = cfg.point_params(level, sigma_total)
+    trials = cfg.trials_per_point
     blocks = [
         (b, min(block_size, trials - b * block_size))
         for b in range((trials + block_size - 1) // block_size)
@@ -230,23 +229,22 @@ def estimate_point(
 
     def run(block) -> int:
         b, n = block
-        gen = block_generator(master_seed, point_index, b)
+        gen = block_generator(cfg.master_seed, point_index, b)
         return backend.run_block(params, gen, n)[0]
 
-    workers = workers or 1
     failures = 0
     used_trials = 0
     with contextlib.closing(_in_order(run, blocks, workers)) as per_block:
         for (b, n), f in zip(blocks, per_block):
             failures += f
             used_trials += n
-            if max_failures_stop is not None and failures >= max_failures_stop:
+            if cfg.max_failures_stop is not None and failures >= cfg.max_failures_stop:
                 break
     low, high = wilson_interval(failures, used_trials)
     return PointEstimate(
-        protocol=protocol,
-        analog=analog,
-        cycles=cycles,
+        protocol=cfg.protocol,
+        analog=cfg.analog,
+        cycles=cfg.cycles,
         level=level,
         sigma_total=sigma_total,
         trials=used_trials,
@@ -254,7 +252,7 @@ def estimate_point(
         p_fail=failures / used_trials,
         ci_low=low,
         ci_high=high,
-        master_seed=master_seed,
+        master_seed=cfg.master_seed,
     )
 
 
@@ -299,7 +297,7 @@ def sweep(
     cfg: SweepConfig,
     sink: CsvSink | None = None,
     *,
-    workers: int | None = None,
+    workers: int = 1,
     backend=None,
     progress=None,
 ) -> list[PointEstimate]:
@@ -313,22 +311,7 @@ def sweep(
         key = (cfg.protocol, cfg.analog, cfg.cycles, level, sigma)
         if sink is not None and sink.has(key):
             continue
-        est = estimate_point(
-            cfg.protocol,
-            cfg.analog,
-            cfg.cycles,
-            level,
-            sigma,
-            cfg.trials_per_point,
-            cfg.master_seed,
-            point_index,
-            quadrature=cfg.quadrature,
-            sigma_ancilla_q=cfg.sigma_ancilla_q,
-            sigma_ancilla_p=cfg.sigma_ancilla_p,
-            max_failures_stop=cfg.max_failures_stop,
-            workers=workers,
-            backend=backend,
-        )
+        est = estimate_point(cfg, point_index, level, sigma, workers=workers, backend=backend)
         if sink is not None:
             sink.write(est)
         if progress is not None:
@@ -451,21 +434,8 @@ def find_threshold(estimates) -> ThresholdEstimate:
 
 def manifest_config(cfg: SweepConfig) -> dict:
     """The ``config`` section of ``manifest.json``: the settings a sweep ran with."""
-    return {
-        "protocol": cfg.protocol,
-        "analog": cfg.analog,
-        "cycles": cfg.cycles,
-        "sigma_total_grid": list(cfg.sigma_total_grid),
-        "levels": list(cfg.levels),
-        "trials_per_point": cfg.trials_per_point,
-        "master_seed": cfg.master_seed,
-        "max_failures_stop": cfg.max_failures_stop,
-        "quadrature": cfg.quadrature,
-        "sigma_ancilla_q": cfg.sigma_ancilla_q,
-        "sigma_ancilla_p": cfg.sigma_ancilla_p,
-        # the kernel's stream contract (gkptrack.kernels), not a setting
-        "stream_version": STREAM_VERSION,
-    }
+    # the kernel's stream contract (gkptrack.kernels) is recorded with them
+    return {**asdict(cfg), "stream_version": STREAM_VERSION}
 
 
 #: config fields that change a row's values without changing its key; rows of
@@ -508,7 +478,7 @@ def check_resume(manifest_path, results_path, cfg: SweepConfig) -> None:
                          + ", ".join(diffs) + "); use a new output directory")
 
 
-def write_manifest(path, cfg: SweepConfig, backend_name: str, workers: int | None) -> None:
+def write_manifest(path, cfg: SweepConfig, backend_name: str, workers: int) -> None:
     payload = {
         "config": manifest_config(cfg),
         "version": __version__,

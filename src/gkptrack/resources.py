@@ -93,6 +93,8 @@ def report(n: int, l: int) -> ResourceReport:
 
 
 def table(n: int, levels) -> list[ResourceReport]:
+    if not levels:
+        raise ValueError("a table needs at least one level")
     return [report(n, l) for l in levels]
 
 

@@ -71,10 +71,11 @@ def se_of(p, n):
 
 
 def point(protocol, analog, level, sigma_total, trials, seed_offset, cycles=2):
-    return estimate_point(
-        protocol, analog, cycles, level, sigma_total, trials,
-        master_seed=SEED + seed_offset,
+    cfg = SweepConfig(
+        protocol=protocol, analog=analog, cycles=cycles, sigma_total_grid=(sigma_total,),
+        levels=(level,), trials_per_point=trials, master_seed=SEED + seed_offset,
     )
+    return estimate_point(cfg, 0, level, sigma_total)
 
 
 # --- threshold sweeps shared by criteria 2 and 3 -------------------------------

@@ -76,6 +76,7 @@ class TestRun:
         assert len(lines) == 1 + 6  # header + 3 grid x 2 levels
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["master_seed"] == 7
+        assert manifest["workers"] == 1
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         code = run_cli("run", "--protocol", "conventional", "--analog", "on",
@@ -84,13 +85,34 @@ class TestRun:
         assert code == 1
         assert "usage" in capsys.readouterr().err.lower()
 
-    def test_tracking_single_cycle_rejected(self, tmp_path):
+    @pytest.mark.parametrize("flags,message", [
+        (("--cycles", "1"), "tracking requires cycles >= 2, got 1"),
+        (("--cycles", "0"), "tracking requires cycles >= 2, got 0"),
+        (("--trials", "0"), "trials_per_point must be >= 1"),
+        (("--levels", "0"), "level must be >= 1, got 0"),
+    ], ids=["cycles-1", "cycles-0", "trials-0", "levels-0"])
+    def test_refused_config_exits_2(self, tmp_path, capsys, flags, message):
+        """A value the config refuses exits 2 with the config's message, before anything is written."""
+        out = tmp_path / "r"
+        # a repeated flag overrides the earlier one
         code = run_cli(
-            "run", "--protocol", "tracking", "--analog", "off", "--cycles", "1",
+            "run", "--protocol", "tracking", "--analog", "off", "--cycles", "2",
             "--levels", "1", "--sigma-total", "1.0:1.0:1", "--trials", "10",
-            "--seed", "1", "--out", str(tmp_path),
+            "--seed", "1", "--out", str(out), *flags,
         )
-        assert code == 1
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [("--workers", "0"), ("--workers=-3",)])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "r"
+        out.mkdir()
+        assert run_cli("run", "--protocol", "conventional", "--analog", "on", "--cycles", "2",
+                       "--levels", "1", "--sigma-total", "1.0:1.0:1", "--trials", "10",
+                       "--seed", "1", "--out", str(out), *flag) == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_determinism_across_worker_counts(self, tmp_path):
         base = [
@@ -308,6 +330,20 @@ class TestResources:
         assert run_cli("resources", "--cycles", "3", "--levels", "1") == 0
         row = capsys.readouterr().out.splitlines()[1].split()
         assert row[2:5] == ["48", "32", "16"]
+
+    @pytest.mark.parametrize("cycles,levels,message", [
+        ("1", "1", "tracking needs cycles >= 2, got 1"),
+        ("2", "0", "level must be >= 1, got 0"),
+        ("2", "3..1", "at least one level"),
+    ])
+    def test_refused_value_exits_2(self, tmp_path, capsys, cycles, levels, message):
+        out = tmp_path / "r"
+        assert run_cli("resources", "--cycles", cycles, "--levels", levels,
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestPlot:

@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo harness: estimates, sweeps, thresholds."""
 
+import dataclasses
+import json
 import math
 import os
 import re
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from gkptrack.harness import (
+    _RESUME_FIELDS,
     CrossingPair,
     CsvSink,
     NoCrossingError,
@@ -24,6 +27,7 @@ from gkptrack.harness import (
     wilson_interval,
     write_manifest,
 )
+from gkptrack.kernels import STREAM_VERSION
 
 
 class RiggedBackend:
@@ -70,6 +74,13 @@ class ThreadRecordingBackend(RiggedBackend):
         return super().run_block(params, generator, trials)
 
 
+def one_point(protocol, analog, cycles, level, sigma_total, trials, master_seed, **settings):
+    """A ``SweepConfig`` of the one point ``(level, sigma_total)``."""
+    return SweepConfig(protocol=protocol, analog=analog, cycles=cycles,
+                       sigma_total_grid=(sigma_total,), levels=(level,),
+                       trials_per_point=trials, master_seed=master_seed, **settings)
+
+
 def synthetic_estimate(level, sigma, p, trials=10_000, **kw):
     failures = int(round(p * trials))
     lo, hi = wilson_interval(failures, trials)
@@ -111,38 +122,38 @@ class TestWilson:
         covered = 0
         reps = 1000
         for i in range(reps):
-            est = estimate_point(
-                "conventional", True, 2, 1, 1.0, 4000, master_seed=500 + i,
-                backend=backend, workers=1,
-            )
+            cfg = one_point("conventional", True, 2, 1, 1.0, 4000, master_seed=500 + i)
+            est = estimate_point(cfg, 0, 1, 1.0, backend=backend, workers=1)
             covered += est.ci_low <= p_star <= est.ci_high
         assert covered / reps >= 0.93
 
 
 class TestEstimatePoint:
     def test_zero_noise_never_fails(self):
-        est = estimate_point("conventional", True, 2, 1, 0.0, 2000, master_seed=4)
+        cfg = one_point("conventional", True, 2, 1, 0.0, 2000, master_seed=4)
+        est = estimate_point(cfg, 0, 1, 0.0)
         assert est.failures == 0 and est.p_fail == 0.0
 
     def test_deterministic_across_workers(self):
-        kwargs = dict(master_seed=99, point_index=3)
-        a = estimate_point("tracking", True, 2, 2, 0.9, 30_000, workers=1, **kwargs)
-        b = estimate_point("tracking", True, 2, 2, 0.9, 30_000, workers=8, **kwargs)
+        cfg = one_point("tracking", True, 2, 2, 0.9, 30_000, master_seed=99)
+        a = estimate_point(cfg, 3, 2, 0.9, workers=1)
+        b = estimate_point(cfg, 3, 2, 0.9, workers=8)
         assert a == b
 
     def test_block_size_invariance_not_required_but_seeded(self):
         # different block sizes change the stream partition, but fixed
         # (seed, block size) is reproducible
-        a = estimate_point("conventional", False, 2, 1, 1.0, 9000, master_seed=5, block_size=1024)
-        b = estimate_point("conventional", False, 2, 1, 1.0, 9000, master_seed=5, block_size=1024)
+        cfg = one_point("conventional", False, 2, 1, 1.0, 9000, master_seed=5)
+        a = estimate_point(cfg, 0, 1, 1.0, block_size=1024)
+        b = estimate_point(cfg, 0, 1, 1.0, block_size=1024)
         assert a == b
 
     def test_max_failures_stop_truncates_deterministically(self):
         backend = RiggedBackend(0.5)
-        a = estimate_point("conventional", True, 2, 1, 1.0, 100_000, master_seed=1,
-                           backend=backend, max_failures_stop=500, workers=1)
-        b = estimate_point("conventional", True, 2, 1, 1.0, 100_000, master_seed=1,
-                           backend=backend, max_failures_stop=500, workers=6)
+        cfg = one_point("conventional", True, 2, 1, 1.0, 100_000, master_seed=1,
+                        max_failures_stop=500)
+        a = estimate_point(cfg, 0, 1, 1.0, backend=backend, workers=1)
+        b = estimate_point(cfg, 0, 1, 1.0, backend=backend, workers=6)
         assert a == b
         assert a.trials < 100_000
         assert a.failures >= 500
@@ -159,12 +170,11 @@ class TestBlockScheduling:
     """The stop is decided in block order, and no block is started past it."""
 
     # 6 blocks of 1000 trials; block 0 alone has ~500 failures
-    POINT = dict(protocol="conventional", analog=True, cycles=2, level=1, sigma_total=1.0,
-                 trials=6000, master_seed=3, block_size=1000)
+    POINT = one_point("conventional", True, 2, 1, 1.0, 6000, master_seed=3)
 
-    def estimate(self, backend, workers, max_failures_stop=None):
-        return estimate_point(**self.POINT, backend=backend, workers=workers,
-                              max_failures_stop=max_failures_stop)
+    def estimate(self, backend, max_failures_stop=None, **kwargs):
+        cfg = dataclasses.replace(self.POINT, max_failures_stop=max_failures_stop)
+        return estimate_point(cfg, 0, 1, 1.0, backend=backend, block_size=1000, **kwargs)
 
     def test_serial_stop_runs_one_block(self):
         backend = CountingBackend(0.5)
@@ -187,14 +197,14 @@ class TestBlockScheduling:
         assert serial.calls == stop_blocks < 6
         for workers in (2, 3):
             backend = CountingBackend(0.1)
-            assert self.estimate(backend, workers, max_failures_stop=250) == ref
+            assert self.estimate(backend, workers=workers, max_failures_stop=250) == ref
             assert stop_blocks <= backend.calls <= stop_blocks + workers - 1
 
     @pytest.mark.parametrize("stop", [None, 1, 100, 1200, 10_000])
     def test_estimate_identical_across_workers(self, stop):
         ref = self.estimate(RiggedBackend(0.5), workers=1, max_failures_stop=stop)
         for workers in range(2, 7):
-            assert self.estimate(RiggedBackend(0.5), workers, max_failures_stop=stop) == ref
+            assert self.estimate(RiggedBackend(0.5), workers=workers, max_failures_stop=stop) == ref
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_no_stop_runs_every_block(self, workers):
@@ -216,7 +226,7 @@ class TestBlockScheduling:
         # calling thread, however many cores there are
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         backend = ThreadRecordingBackend(kernel)
-        est = self.estimate(backend, workers=None)
+        est = self.estimate(backend)
         assert est == self.estimate(RiggedBackend(0.5), workers=1)
         on_caller = backend.threads == {threading.get_ident()}
         assert on_caller != pooled
@@ -241,8 +251,7 @@ class TestSweep:
             sigma_total_grid=(0.9,), levels=(1,), trials_per_point=5000, master_seed=3,
         )
         [only] = sweep(cfg, None, workers=1)
-        direct = estimate_point("tracking", False, 2, 1, 0.9, 5000, master_seed=3,
-                                point_index=0, workers=1)
+        direct = estimate_point(cfg, 0, 1, 0.9, workers=1)
         assert only == direct
 
     def test_resume_completes_missing_points(self, tmp_path):
@@ -302,8 +311,6 @@ class TestSweep:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_manifest_written(self, tmp_path):
-        import json
-
         cfg = SweepConfig(
             protocol="conventional", analog=True, cycles=2,
             sigma_total_grid=(1.0,), levels=(1,), trials_per_point=10, master_seed=1,
@@ -317,6 +324,19 @@ class TestSweep:
         payload["numpy"] = "0.0"
         (tmp_path / "m.json").write_text(json.dumps(payload))
         check_resume(tmp_path / "m.json", tmp_path / "results.csv", cfg)
+
+    def test_manifest_config_is_every_field(self, tmp_path):
+        """Every config field reaches the manifest, and a resume compares each that is not a row's key."""
+        cfg = one_point("tracking", True, 3, 2, 1.2, 10, master_seed=1, max_failures_stop=5,
+                        quadrature="both", sigma_ancilla_q=0.1, sigma_ancilla_p=0.15)
+        write_manifest(tmp_path / "m.json", cfg, "pure", 1)
+        config = json.loads((tmp_path / "m.json").read_text())["config"]
+        names = [f.name for f in dataclasses.fields(SweepConfig)]
+        assert config == {**{name: json.loads(json.dumps(getattr(cfg, name))) for name in names},
+                          "stream_version": STREAM_VERSION}
+        assert list(config) == names + ["stream_version"]
+        row_key = {"protocol", "analog", "cycles", "sigma_total_grid", "levels"}
+        assert set(config) == row_key | set(_RESUME_FIELDS)
 
     def test_grid_must_be_sorted(self):
         with pytest.raises(ValueError):
@@ -400,8 +420,6 @@ class TestFindThreshold:
 
     def test_json_round_trip(self):
         thr = ThresholdEstimate(1.11, (CrossingPair(1, 2, 1.10), CrossingPair(2, 3, 1.12)), 0.02)
-        import json
-
         payload = json.loads(thr.to_json())
         assert payload["sigma_star"] == 1.11
         assert len(payload["crossings"]) == 2
