@@ -56,7 +56,7 @@ def main() -> int:
     for label, params, base_trials in CONFIGS:
         trials = max(1, int(base_trials * args.trials_scale))
         runs = [time_block(backend, params, trials) for _ in range(3)]
-        (failures, _), rate = runs[0][0], max(rate for _, rate in runs)
+        failures, rate = runs[0][0], max(rate for _, rate in runs)
         print(f"{label:28s} {rate:12,.0f} {failures:10d}")
     return 0
 

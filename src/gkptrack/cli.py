@@ -94,11 +94,10 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", required=True, type=int)
     run.add_argument("--out", default=None,
                      help="output directory (default: $GKPTRACK_OUT or '.')")
-    run.add_argument("--quadrature", choices=["q", "p", "both"], default="q")
-    run.add_argument("--sigma-ancilla-q", type=float, default=0.0,
-                     help="ancilla noise of the tracking correction step, q quadrature (default: 0)")
-    run.add_argument("--sigma-ancilla-p", type=float, default=0.0,
-                     help="ancilla noise of the tracking correction step, p quadrature (default: 0)")
+    run.add_argument("--quadrature", choices=["q", "p"], default="q",
+                     help="the quadrature a trial simulates (default: q)")
+    run.add_argument("--sigma-ancilla", type=float, default=0.0,
+                     help="ancilla noise of the tracking correction step (default: 0)")
     run.add_argument("--workers", type=int, default=1,
                      help="threads running a point's blocks (default: 1)")
     run.add_argument("--max-failures-stop", type=int, default=None)
@@ -135,8 +134,7 @@ def _cmd_run(args) -> int:
         master_seed=args.seed,
         max_failures_stop=args.max_failures_stop,
         quadrature=args.quadrature,
-        sigma_ancilla_q=args.sigma_ancilla_q,
-        sigma_ancilla_p=args.sigma_ancilla_p,
+        sigma_ancilla=args.sigma_ancilla,
     )
     out_dir = args.out or os.environ.get("GKPTRACK_OUT", ".")
     os.makedirs(out_dir, exist_ok=True)

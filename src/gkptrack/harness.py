@@ -17,13 +17,13 @@ The noise axis is the *total* standard deviation summed over cycles; each
 cycle applies ``sigma_total / cycles``.
 
 One :class:`SweepConfig` carries a run's settings from the command line to
-the kernel: ``estimate_point(cfg, point_index, level, sigma_total)`` takes
-its trials, seed and early stop from it, :meth:`SweepConfig.point_params`
-builds each point's :class:`~gkptrack.kernels.ProtocolConfig`, and
-``manifest.json`` records its fields.  A setting is refused in one place,
-when the config is made: ``SweepConfig`` refuses every value that it or the
-``ProtocolConfig`` of any of its points would refuse, before a sweep writes
-anything.
+the kernel: ``estimate_point(cfg, point_index)`` takes the point's level and
+sigma from its grid and its trials, seed and early stop from it,
+:meth:`SweepConfig.point_params` builds each point's
+:class:`~gkptrack.kernels.ProtocolConfig`, and ``manifest.json`` records its
+fields.  A setting is refused in one place, when the config is made:
+``SweepConfig`` refuses every value that it or the ``ProtocolConfig`` of any
+of its points would refuse, before a sweep writes anything.
 """
 
 from __future__ import annotations
@@ -128,14 +128,15 @@ class SweepConfig:
     master_seed: int
     max_failures_stop: int | None = None
     quadrature: str = "q"
-    sigma_ancilla_q: float = 0.0
-    sigma_ancilla_p: float = 0.0
+    sigma_ancilla: float = 0.0
 
     def __post_init__(self) -> None:
         if list(self.sigma_total_grid) != sorted(self.sigma_total_grid):
             raise ValueError("sigma_total_grid must be sorted ascending")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        if self.max_failures_stop is not None and self.max_failures_stop < 1:
+            raise ValueError(f"max_failures_stop must be >= 1, got {self.max_failures_stop}")
         if not self.sigma_total_grid or not self.levels:
             raise ValueError("a sweep needs at least one sigma_total and one level")
         # every point's kernel config is built here, so a value any point would
@@ -150,16 +151,20 @@ class SweepConfig:
         """The kernel config of one point, the one place its noise is split over cycles."""
         # ProtocolConfig refuses cycles < 1 itself, so the split must not divide by zero
         return ProtocolConfig(self.protocol, self.analog, level, self.cycles,
-                              sigma_total / max(self.cycles, 1),
-                              self.sigma_ancilla_q, self.sigma_ancilla_p, self.quadrature)
+                              sigma_total / max(self.cycles, 1), self.sigma_ancilla, self.quadrature)
+
+    def point(self, index: int) -> tuple[int, float]:
+        """(level, sigma_total) of point ``index``: levels outer, sigmas inner."""
+        count = len(self.levels) * len(self.sigma_total_grid)
+        if not 0 <= index < count:
+            raise ValueError(f"point index {index} outside the sweep's {count} points")
+        level, sigma = divmod(index, len(self.sigma_total_grid))
+        return self.levels[level], self.sigma_total_grid[sigma]
 
     def points(self):
         """(point_index, level, sigma_total) in deterministic order."""
-        idx = 0
-        for level in self.levels:
-            for sigma in self.sigma_total_grid:
-                yield idx, level, sigma
-                idx += 1
+        for idx in range(len(self.levels) * len(self.sigma_total_grid)):
+            yield (idx, *self.point(idx))
 
 
 def _in_order(fn, items, workers: int):
@@ -192,22 +197,20 @@ def _in_order(fn, items, workers: int):
 def estimate_point(
     cfg: SweepConfig,
     point_index: int,
-    level: int,
-    sigma_total: float,
     *,
     workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
     backend=None,
 ) -> PointEstimate:
-    """Estimate one failure probability of ``cfg`` with a Wilson 95% interval.
+    """Estimate the failure probability of ``cfg``'s point ``point_index`` with a Wilson 95% interval.
 
-    The point's kernel config is ``cfg.point_params(level, sigma_total)``; its
-    trials, seed and early stop are ``cfg``'s.  Deterministic for a fixed
-    ``(cfg.master_seed, point_index)`` regardless of ``workers``, which
-    defaults to one thread.  The kernel's batched path releases the GIL only
-    inside numpy calls on small chunks: on a 2-core VM two threads ran a
-    point's 8,192-trial blocks at 0.63-0.68x the speed of one (tracking analog
-    L2 and L3, conventional digital L2).
+    The point's level and sigma are ``cfg.point(point_index)``, which refuses
+    an index outside the sweep; its trials, seed and early stop are
+    ``cfg``'s.  Deterministic for a fixed ``(cfg.master_seed, point_index)``
+    regardless of ``workers``, which defaults to one thread.  The kernel's
+    batched path releases the GIL only inside numpy calls on small chunks: on
+    a 2-core VM two threads ran a point's 8,192-trial blocks at 0.63-0.68x
+    the speed of one (tracking analog L2 and L3, conventional digital L2).
     ``cfg.max_failures_stop`` ends the run after the first block, in block
     order, at which the cumulative failure count reaches the threshold; that
     block is scheduling-independent, so the estimate is too.
@@ -219,6 +222,7 @@ def estimate_point(
     is taken over whole blocks; under this data-dependent stop it carries a
     small upward bias and the Wilson interval is nominal only.
     """
+    level, sigma_total = cfg.point(point_index)
     backend = backend if backend is not None else get_backend()
     params = cfg.point_params(level, sigma_total)
     trials = cfg.trials_per_point
@@ -230,7 +234,7 @@ def estimate_point(
     def run(block) -> int:
         b, n = block
         gen = block_generator(cfg.master_seed, point_index, b)
-        return backend.run_block(params, gen, n)[0]
+        return backend.run_block(params, gen, n)
 
     failures = 0
     used_trials = 0
@@ -311,7 +315,7 @@ def sweep(
         key = (cfg.protocol, cfg.analog, cfg.cycles, level, sigma)
         if sink is not None and sink.has(key):
             continue
-        est = estimate_point(cfg, point_index, level, sigma, workers=workers, backend=backend)
+        est = estimate_point(cfg, point_index, workers=workers, backend=backend)
         if sink is not None:
             sink.write(est)
         if progress is not None:
@@ -445,8 +449,7 @@ _RESUME_FIELDS = (
     "master_seed",
     "max_failures_stop",
     "quadrature",
-    "sigma_ancilla_q",
-    "sigma_ancilla_p",
+    "sigma_ancilla",
     "stream_version",
 )
 

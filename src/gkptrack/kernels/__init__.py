@@ -10,7 +10,7 @@ Stream contract, version :data:`STREAM_VERSION` (recorded in every
 in the draw order documented in :mod:`gkptrack.protocols`.  Its tie coins
 come from one coin generator per block,
 ``Generator(generator.bit_generator.jumped())``, one uniform per exact
-likelihood tie, in trial order (q before p, cycles in order).  So where a
+likelihood tie, in trial order (cycles in order within a trial).  So where a
 normal sits in the stream does not depend on ties.  Version 1 drew the coins
 from the block's generator between the normals.
 """
@@ -21,7 +21,7 @@ import math
 import threading
 from dataclasses import dataclass
 
-_QUADRATURES = ("q", "p", "both")
+_QUADRATURES = ("q", "p")
 
 #: version of the stream contract in the module docstring
 STREAM_VERSION = 2
@@ -31,13 +31,12 @@ STREAM_VERSION = 2
 class ProtocolConfig:
     """Trial parameters, the one config type of the kernel and of the scalar trial loop.
 
-    ``sigma_cycle`` is the channel displacement noise added per cycle per
-    quadrature; the ancilla fields model imperfect ancilla preparation in the
-    single-qubit correction step (zero means perfect ancillas).  All are
-    standard deviations.  Only the tracking protocol runs that step.  The
-    conventional protocol's teleportation consumes fresh perfect ancillas, so
-    it ignores the ancilla sigmas: they draw nothing and change no count
-    (with ``sigma_cycle == 0`` the config still refuses them, as for tracking).
+    A trial simulates one quadrature, ``quadrature``.  ``sigma_cycle`` is the
+    channel displacement noise added per cycle; ``sigma_ancilla`` models
+    imperfect ancilla preparation in the tracking protocol's single-qubit
+    correction step (zero means perfect ancillas).  Both are standard
+    deviations.  The conventional protocol's teleportation consumes fresh
+    perfect ancillas, so it refuses ancilla noise.
 
     Every invalid config is refused here, when it is made, so no trial or
     block checks its parameters.
@@ -48,8 +47,7 @@ class ProtocolConfig:
     level: int
     cycles: int
     sigma_cycle: float
-    sigma_ancilla_q: float = 0.0
-    sigma_ancilla_p: float = 0.0
+    sigma_ancilla: float = 0.0
     quadrature: str = "q"
 
     def __post_init__(self) -> None:
@@ -62,13 +60,17 @@ class ProtocolConfig:
             raise ValueError(f"{self.protocol} requires cycles >= {min_cycles}, got {self.cycles}")
         if self.quadrature not in _QUADRATURES:
             raise ValueError(f"quadrature must be one of {_QUADRATURES}, got {self.quadrature!r}")
-        for name in ("sigma_cycle", "sigma_ancilla_q", "sigma_ancilla_p"):
+        for name in ("sigma_cycle", "sigma_ancilla"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        # the record likelihoods are keyed to the channel sigma alone
-        if self.sigma_cycle == 0.0 and (self.sigma_ancilla_q > 0.0 or self.sigma_ancilla_p > 0.0):
-            raise ValueError("sigma_cycle = 0 with ancilla noise leaves likelihoods undefined")
+        if self.sigma_ancilla > 0.0:
+            # the record likelihoods are keyed to the channel sigma alone
+            if self.sigma_cycle == 0.0:
+                raise ValueError("sigma_cycle = 0 with ancilla noise leaves likelihoods undefined")
+            if self.protocol == "conventional":
+                raise ValueError("the conventional protocol uses perfect ancillas, "
+                                 f"so sigma_ancilla must be 0, got {self.sigma_ancilla!r}")
 
 
 class PureBackend:
@@ -85,7 +87,7 @@ class PureBackend:
         self._decoders = {}
         self._lock = threading.Lock()
 
-    def run_block(self, params: ProtocolConfig, generator, trials: int) -> tuple[int, int]:
+    def run_block(self, params: ProtocolConfig, generator, trials: int) -> int:
         from . import pure
 
         return pure.run_block(params, generator, trials, self._decoder(params))

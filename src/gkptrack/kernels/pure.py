@@ -1,10 +1,10 @@
 """The kernel: blocks of trials, trial-batched on numpy, stream-exact with the scalar loop.
 
 A block with channel noise (``sigma_cycle > 0``: conventional or tracking,
-analog or digital, any quadrature, ancilla noise and level) runs in chunks of
-trials, and a chunk always runs all its trials.  It draws the same normals
-and tie coins as a loop over the scalar reference
-:func:`gkptrack.protocols.run_trial`, and reaches the same decisions, counts
+analog or digital, either quadrature, any ancilla noise and level) runs in
+chunks of trials, and a chunk always runs all its trials.  It draws the same
+normals and tie coins as a loop over the scalar reference
+:func:`gkptrack.protocols.run_trial`, and reaches the same decisions, count
 and final generator states.  A noiseless block draws nothing and never
 fails, so :func:`run_block` returns at once.  Tie coins come from
 :func:`coin_generator`, one per block (stream contract in
@@ -12,21 +12,20 @@ fails, so :func:`run_block` returns at once.  Tie coins come from
 
 Each chunk takes all its normals in one ``standard_normal`` call, which
 yields the values the scalar loop's one-at-a-time calls would, in the
-documented draw order (:mod:`gkptrack.protocols`): per trial and quadrature,
-per cycle, per qubit the channel normal followed, in recorded tracking
-cycles, by the ancilla normals ``a1`` and ``a2`` when the ancilla sigma is
-above zero; q before p for ``quadrature == "both"``.
+documented draw order (:mod:`gkptrack.protocols`): per trial, per cycle, per
+qubit the channel normal followed, in recorded tracking cycles, by the
+ancilla normals ``a1`` and ``a2`` when the ancilla sigma is above zero.
 
 Layout.  The chunk's ``(trial, draw)`` normals are transposed once, so every
 later array is leaf-major: a per-qubit quantity is a contiguous
-``(leaf, trial)`` block, a tracking quadrature's records one preallocated
+``(leaf, trial)`` block, a tracking trial's records one preallocated
 ``(cycle, leaf, trial)`` array, and a conventional config decodes
 ``(leaf, cycle, trial)`` arrays whose rows are its ``(cycle, trial)`` decodes.
 Every pass runs over the trial axis; the decode gathers and reduces on the
 leading axes only.  Binning and the recorded deviations use the scalar
 code's IEEE operations in its order (:func:`_bin`), so the measured bits and
 the records are bitwise the scalar values.  No bin feeds back into a
-deviation, so a tracking quadrature forms every cycle's measured values
+deviation, so a tracking chunk forms every cycle's measured values
 first and bins them in one pass; with perfect ancillas the scalar adds of
 ``0.0`` are left out, as they change no bin and no ``|record|``.  A qubit's
 bit is the parity of its summed lattice indices.
@@ -77,15 +76,15 @@ the trial's pre-drawn normals.  So every decision equals the scalar
 loop's, and every error the scalar loop raises is raised.  Replays are rare
 except at the extremes: near-ties at very high noise (tracking L3 at
 ``sigma_cycle`` 1.5 replays every trial), and flip ratios that underflow in
-odd-parity blocks (tracking at ``sigma_cycle`` 0.005 with ancilla sigmas 0.3
+odd-parity blocks (tracking at ``sigma_cycle`` 0.005 with ancilla sigma 0.3
 replays 23-93% of its trials from L1 to L3).
 
 Tie coins come from the block's coin generator in trial order (stream
 contract in :mod:`gkptrack.kernels`).  A chunk's digital ties take one
-``random`` call, in (trial, quadrature, cycle) order; an analog decode that
-ties exactly is one the scalar replay decides, and replays run in trial
-order.  So the counts and the final states of both generators equal the
-scalar loop's, whatever the chunk size.
+``random`` call, in (trial, cycle) order; an analog decode that ties exactly
+is one the scalar replay decides, and replays run in trial order.  So the
+count and the final states of both generators equal the scalar loop's,
+whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -137,11 +136,9 @@ def coin_generator(generator) -> np.random.Generator:
     return np.random.Generator(generator.bit_generator.jumped())
 
 
-def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> tuple[int, int]:
-    """Run ``trials`` trials off one generator; returns failure counts.
+def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> int:
+    """Run ``trials`` trials off one generator; returns their failure count.
 
-    The first count is for the scored quadrature; the second is the
-    p-quadrature count when ``quadrature == "both"`` and zero otherwise.
     Tie coins come from the block's :func:`coin_generator`.  A digital
     config decodes on ``decoder``, a :class:`DigitalDecoder` of ``params``,
     or on a new one when it is ``None``.
@@ -149,76 +146,49 @@ def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> t
     coins = coin_generator(generator)
     if params.sigma_cycle == 0.0:
         # a noiseless trial draws nothing and never fails
-        return 0, 0
-    sub_trials = _sub_trials(params)
-    draws = sum(count for _, _, count in sub_trials)
+        return 0
+    n = block_size(params.level)
+    if params.protocol == "conventional":
+        # teleportation consumes fresh perfect ancillas: no ancilla draws
+        draws = params.cycles * n
+    else:
+        draws = (params.cycles - 1) * n * (3 if params.sigma_ancilla > 0.0 else 1) + n
     chunk = max(1, CHUNK_DRAWS // draws)
     if not params.analog and decoder is None:
         decoder = DigitalDecoder(params)
-    failures = failures_p = 0
-    for start in range(0, trials, chunk):
-        f, f_p = _run_chunk(params, sub_trials, draws, generator, coins, decoder, min(chunk, trials - start))
-        failures += f
-        failures_p += f_p
-    return failures, failures_p
+    return sum(_run_chunk(params, draws, generator, coins, decoder, min(chunk, trials - start))
+               for start in range(0, trials, chunk))
 
 
-def _sub_trials(params: ProtocolConfig) -> list[tuple[str, float, int]]:
-    """(quadrature, ancilla sigma, normals) of each single-quadrature simulation of a trial."""
-    quadratures = ("q", "p") if params.quadrature == "both" else (params.quadrature,)
-    n = block_size(params.level)
-    out = []
-    for quadrature in quadratures:
-        sigma_ancilla = params.sigma_ancilla_q if quadrature == "q" else params.sigma_ancilla_p
-        if params.protocol == "conventional":
-            # teleportation consumes fresh perfect ancillas: no ancilla draws
-            count = params.cycles * n
-        else:
-            per_qubit = 3 if sigma_ancilla > 0.0 else 1
-            count = (params.cycles - 1) * n * per_qubit + n
-        out.append((quadrature, sigma_ancilla, count))
-    return out
-
-
-def _run_chunk(params, sub_trials, draws, generator, coins, decoder, trials) -> list[int]:
-    """Failure counts of the next ``trials`` trials, ordered as :func:`run_block`'s."""
+def _run_chunk(params, draws, generator, coins, decoder, trials) -> int:
+    """Failure count of the next ``trials`` trials."""
     # one row of normals per draw of a trial, one column per trial
     z = np.ascontiguousarray(generator.standard_normal(trials * draws).reshape(trials, draws).T)
     decodes = params.cycles if params.protocol == "conventional" else 1
-    # axes: trial, quadrature (q before p), decode (conventional: one per cycle)
-    decided = np.empty((trials, len(sub_trials), decodes), dtype=bool)
-    tie = None if decoder is None else np.empty_like(decided)
     unsure = np.zeros(trials, dtype=bool)
-    offset = 0
-    for k, (quadrature, sigma_ancilla, count) in enumerate(sub_trials):
-        zk = z[offset : offset + count]
-        offset += count
-        # underflowed or non-finite values make an analog decode unsure, not an error
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if params.protocol == "conventional":
-                bits, scale, match, flip, outside = _conventional_leaves(params, zk)
-            else:
-                bits, scale, match, flip, outside = _tracking_leaves(params, quadrature, sigma_ancilla, zk)
-            if decoder is None:
-                bit, unsure_rows = _decide(bits, scale, match, flip)
-                unsure |= (unsure_rows | outside).reshape(decodes, trials).any(axis=0)
-            else:
-                bit, tie_rows = decoder.decide(bits)
-                tie[:, k] = tie_rows.reshape(decodes, trials).T
-        decided[:, k] = bit.reshape(decodes, trials).T
-    if tie is not None:
+    # underflowed or non-finite values make an analog decode unsure, not an error
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if params.protocol == "conventional":
+            bits, scale, match, flip, outside = _conventional_leaves(params, z)
+        else:
+            bits, scale, match, flip, outside = _tracking_leaves(params, z)
+        if decoder is None:
+            bit, unsure_rows = _decide(bits, scale, match, flip)
+            unsure = (unsure_rows | outside).reshape(decodes, trials).any(axis=0)
+        else:
+            bit, tie = decoder.decide(bits)
+    # axes: decode (conventional: one per cycle), trial
+    decided = bit.reshape(decodes, trials)
+    if decoder is not None:
         n_ties = np.count_nonzero(tie)
         if n_ties:
-            # codes._coin: 0 below one half
-            decided[tie] = coins.random(n_ties) >= 0.5
+            # codes._coin: 0 below one half; coins in (trial, cycle) order
+            decided.T[tie.reshape(decodes, trials).T] = coins.random(n_ties) >= 0.5
     # truth is 0 in every cycle: a trial fails on an odd count of wrong decodes
-    failed = np.bitwise_xor.reduce(decided, axis=2) & ~unsure[:, None]
-    counts = [0, 0]
-    counts[: len(sub_trials)] = np.count_nonzero(failed, axis=0).tolist()
+    failures = int(np.count_nonzero(np.bitwise_xor.reduce(decided, axis=0) & ~unsure))
     for j in np.flatnonzero(unsure).tolist():
-        for k, value in enumerate(run_trial(params, _Replay(z[:, j].tolist()), coins)):
-            counts[k] += value
-    return counts
+        failures += run_trial(params, _Replay(z[:, j].tolist()), coins)
+    return failures
 
 
 class _Replay:
@@ -340,8 +310,8 @@ def _conventional_leaves(params: ProtocolConfig, z):
     return bits, scale, 1.0, flip, outside
 
 
-def _tracking_leaves(params: ProtocolConfig, quadrature: str, sigma_ancilla: float, z):
-    """Bits and, analog, scaled joint record likelihoods of one tracking quadrature: ``(leaf, trial)``.
+def _tracking_leaves(params: ProtocolConfig, z):
+    """Bits and, analog, scaled joint record likelihoods of tracking trials: ``(leaf, trial)``.
 
     As ``protocols._tracking``, with ``single_qec.sqec_step`` inline.
     No bin feeds back into a deviation, so every cycle's measured value is
@@ -351,6 +321,7 @@ def _tracking_leaves(params: ProtocolConfig, quadrature: str, sigma_ancilla: flo
     n = block_size(params.level)
     sigma = params.sigma_cycle
     cycles = params.cycles
+    quadrature, sigma_ancilla = params.quadrature, params.sigma_ancilla
     # the recorded cycles' measured values, then the final deviation
     records = np.empty((cycles, n, trials))
     if sigma_ancilla == 0.0:

@@ -13,12 +13,12 @@ block-level correction.  Each qubit then carries n recorded deviations whose
 joint flip-parity likelihood (:func:`joint_likelihood`) feeds a single
 decode.
 
-Both protocols simulate one quadrature per trial; under the independent
-Gaussian channel the q and p failure processes are independent and
-identically distributed, so ``quadrature="both"`` simply runs two
-independent single-quadrature simulations back to back (q first) for
-cross-checking.  The transmitted codeword is fixed to all-zeros; linearity
-of the code makes failure statistics identical for any codeword.
+Both protocols simulate one quadrature per trial, ``cfg.quadrature``.  Under
+the independent Gaussian channel the q and p failure processes are
+identically distributed; they differ only in how the tracking protocol's
+single-qubit correction propagates ancilla noise (:mod:`gkptrack.single_qec`).
+The transmitted codeword is fixed to all-zeros; linearity of the code makes
+failure statistics identical for any codeword.
 
 :func:`run_trial` is the scalar reference of the Monte Carlo kernel, which
 the trial-batched kernel (:mod:`gkptrack.kernels.pure`) reproduces.  It
@@ -88,24 +88,16 @@ def _analog_pair(deviation: float, sigma: float) -> tuple[float, float]:
     return log_gauss(a, sigma), log_gauss(SQRT_PI - a, sigma)
 
 
-def run_trial(cfg: ProtocolConfig, rng, coins) -> tuple[int, int]:
-    """One trial's failure indicators: of the simulated quadrature, and of p.
-
-    The p indicator is set under ``quadrature == "both"``, whose two
-    simulations run q first, and is 0 otherwise.
-    """
+def run_trial(cfg: ProtocolConfig, rng, coins) -> int:
+    """One trial's failure indicator, 1 if it failed."""
     if cfg.sigma_cycle == 0.0:
         # zero channel noise, and so no ancilla noise: trivially clean, no draws
-        return 0, 0
-    single = _conventional if cfg.protocol == "conventional" else _tracking
-    if cfg.quadrature == "both":
-        failed = single(cfg, rng, coins, "q")
-        return failed, single(cfg, rng, coins, "p")
-    return single(cfg, rng, coins, cfg.quadrature), 0
+        return 0
+    return (_conventional if cfg.protocol == "conventional" else _tracking)(cfg, rng, coins)
 
 
-def _conventional(cfg: ProtocolConfig, rng, coins, quadrature: str) -> int:
-    """Failure indicator of one conventional simulation, either quadrature: its decoded parity."""
+def _conventional(cfg: ProtocolConfig, rng, coins) -> int:
+    """Failure indicator of one conventional trial, either quadrature: its decoded parity."""
     n = block_size(cfg.level)
     sigma = cfg.sigma_cycle
     digital_pair = None if cfg.analog else digital_likelihoods(sigma)
@@ -122,11 +114,10 @@ def _conventional(cfg: ProtocolConfig, rng, coins, quadrature: str) -> int:
     return decoded
 
 
-def _tracking(cfg: ProtocolConfig, rng, coins, quadrature: str) -> int:
-    """Failure indicator of one tracking simulation: n-1 recorded single-qubit corrections + one decode."""
+def _tracking(cfg: ProtocolConfig, rng, coins) -> int:
+    """Failure indicator of one tracking trial: n-1 recorded single-qubit corrections + one decode."""
     n = block_size(cfg.level)
     sigma = cfg.sigma_cycle
-    sig_anc = cfg.sigma_ancilla_q if quadrature == "q" else cfg.sigma_ancilla_p
     dev = [0.0] * n
     flip = [0] * n
     records: list[list[float]] = [[] for _ in range(n)]
@@ -134,7 +125,8 @@ def _tracking(cfg: ProtocolConfig, rng, coins, quadrature: str) -> int:
     digital_lp = None if cfg.analog else joint_likelihood([None] * cfg.cycles, sigma, False)
     for _cycle in range(cfg.cycles - 1):
         for i in range(n):
-            dev[i], record, flipped = sqec_step(dev[i] + sample_channel(sigma, rng), quadrature, sig_anc, rng)
+            dev[i], record, flipped = sqec_step(dev[i] + sample_channel(sigma, rng), cfg.quadrature,
+                                                cfg.sigma_ancilla, rng)
             records[i].append(record)
             flip[i] ^= flipped
     bits = []

@@ -75,7 +75,7 @@ def point(protocol, analog, level, sigma_total, trials, seed_offset, cycles=2):
         protocol=protocol, analog=analog, cycles=cycles, sigma_total_grid=(sigma_total,),
         levels=(level,), trials_per_point=trials, master_seed=SEED + seed_offset,
     )
-    return estimate_point(cfg, 0, level, sigma_total)
+    return estimate_point(cfg, 0)
 
 
 # --- threshold sweeps shared by criteria 2 and 3 -------------------------------

@@ -17,17 +17,17 @@ def run_cli(*argv):
 # early-stopping sweep stops its points after two to four 8,192-trial blocks,
 # and one point runs all five.
 PINNED_SWEEPS = {
-    "tracking-analog-both": (
+    "tracking-analog-p": (
         ("--protocol", "tracking", "--analog", "on", "--cycles", "3", "--levels", "1,2",
-         "--sigma-total", "1.2:1.5:0.15", "--trials", "3000", "--seed", "31", "--quadrature", "both",
-         "--sigma-ancilla-q", "0.1", "--sigma-ancilla-p", "0.15"),
+         "--sigma-total", "1.2:1.5:0.15", "--trials", "3000", "--seed", "31", "--quadrature", "p",
+         "--sigma-ancilla", "0.15"),
         "protocol,analog,cycles,level,sigma_total,trials,failures,p_fail,ci_low,ci_high,master_seed\n"
-        "tracking,on,3,1,1.2,3000,278,0.09266666666666666,0.08280508045768813,0.10357008830387741,31\n"
-        "tracking,on,3,1,1.3499999999999999,3000,546,0.182,0.1686024982043699,0.1962108495849374,31\n"
-        "tracking,on,3,1,1.5,3000,802,0.2673333333333333,0.25180141886538393,0.28346033874146775,31\n"
-        "tracking,on,3,2,1.2,3000,201,0.067,0.058595575261858435,0.07651190773427385,31\n"
-        "tracking,on,3,2,1.3499999999999999,3000,541,0.18033333333333335,0.166987216883172,0.19449706040188644,31\n"
-        "tracking,on,3,2,1.5,3000,1016,0.33866666666666667,0.32194761295576046,0.3557983622329447,31\n",
+        "tracking,on,3,1,1.2,3000,458,0.15266666666666667,0.14024117573651607,0.16598053117801037,31\n"
+        "tracking,on,3,1,1.3499999999999999,3000,706,0.23533333333333334,0.22049796334297023,0.2508456405823023,31\n"
+        "tracking,on,3,1,1.5,3000,928,0.30933333333333335,0.2930459647235896,0.3261083695903347,31\n"
+        "tracking,on,3,2,1.2,3000,403,0.13433333333333333,0.12259714257424147,0.14700478879354692,31\n"
+        "tracking,on,3,2,1.3499999999999999,3000,784,0.2613333333333333,0.245923595872965,0.27735350791859054,31\n"
+        "tracking,on,3,2,1.5,3000,1113,0.371,0.35388903228434293,0.38844091068679115,31\n",
     ),
     "conventional-analog": (
         ("--protocol", "conventional", "--analog", "on", "--cycles", "2", "--levels", "1,2",
@@ -90,7 +90,11 @@ class TestRun:
         (("--cycles", "0"), "tracking requires cycles >= 2, got 0"),
         (("--trials", "0"), "trials_per_point must be >= 1"),
         (("--levels", "0"), "level must be >= 1, got 0"),
-    ], ids=["cycles-1", "cycles-0", "trials-0", "levels-0"])
+        (("--max-failures-stop", "0"), "max_failures_stop must be >= 1, got 0"),
+        (("--max-failures-stop=-5",), "max_failures_stop must be >= 1, got -5"),
+        (("--protocol", "conventional", "--sigma-ancilla", "0.1"), "sigma_ancilla must be 0, got 0.1"),
+    ], ids=["cycles-1", "cycles-0", "trials-0", "levels-0", "stop-0", "stop-negative",
+            "conventional-ancilla"])
     def test_refused_config_exits_2(self, tmp_path, capsys, flags, message):
         """A value the config refuses exits 2 with the config's message, before anything is written."""
         out = tmp_path / "r"
@@ -125,26 +129,39 @@ class TestRun:
         assert run_cli(*base, "--out", str(b), "--workers", "8") == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
-    def test_ancilla_noise_round_trip(self, tmp_path):
-        """The ancilla sigmas reach the manifest and the kernel, and resume onto their rows."""
+    def test_ancilla_noise_round_trip(self, tmp_path, capsys):
+        """The ancilla sigma reaches the manifest and the kernel, resumes onto its rows and refuses others."""
         base = ["run", "--protocol", "tracking", "--analog", "on", "--cycles", "3",
                 "--levels", "1", "--sigma-total", "1.2:1.2:1", "--trials", "3000",
-                "--seed", "4", "--quadrature", "both"]
+                "--seed", "4", "--quadrature", "p"]
         noisy, perfect = tmp_path / "noisy", tmp_path / "perfect"
-        assert run_cli(*base, "--sigma-ancilla-q", "0.1", "--sigma-ancilla-p", "0.15",
-                       "--out", str(noisy)) == 0
+        assert run_cli(*base, "--sigma-ancilla", "0.15", "--out", str(noisy)) == 0
         assert run_cli(*base, "--out", str(perfect)) == 0
         config = json.loads((noisy / "manifest.json").read_text())["config"]
-        assert (config["sigma_ancilla_q"], config["sigma_ancilla_p"]) == (0.1, 0.15)
+        assert config["sigma_ancilla"] == 0.15
         config = json.loads((perfect / "manifest.json").read_text())["config"]
-        assert (config["sigma_ancilla_q"], config["sigma_ancilla_p"]) == (0.0, 0.0)
+        assert config["sigma_ancilla"] == 0.0
         rows = (noisy / "results.csv").read_bytes()
         assert rows != (perfect / "results.csv").read_bytes()
-        assert run_cli(*base, "--sigma-ancilla-q", "0.1", "--sigma-ancilla-p", "0.15",
-                       "--out", str(noisy)) == 0
+        assert run_cli(*base, "--sigma-ancilla", "0.15", "--out", str(noisy)) == 0
+        assert (noisy / "results.csv").read_bytes() == rows
+        capsys.readouterr()
+        assert run_cli(*base, "--sigma-ancilla", "0.1", "--out", str(noisy)) == 2
+        assert "sigma_ancilla 0.15 -> 0.1" in capsys.readouterr().err
         assert (noisy / "results.csv").read_bytes() == rows
 
-    @pytest.mark.parametrize("flag,value", [("--sigma-ancilla-q", "-0.1"), ("--sigma-ancilla-p", "nan")])
+    @pytest.mark.parametrize("flags", [("--quadrature", "both"), ("--sigma-ancilla-q", "0.1"),
+                                       ("--sigma-ancilla-p", "0.1")], ids=lambda flags: flags[0][2:])
+    def test_retired_flags_are_usage_errors(self, tmp_path, capsys, flags):
+        """The two-quadrature trial and its per-quadrature ancilla sigmas are gone from the command line."""
+        out = tmp_path / "r"
+        assert run_cli("run", "--protocol", "tracking", "--analog", "on", "--cycles", "2",
+                       "--levels", "1", "--sigma-total", "1.0:1.0:1", "--trials", "10",
+                       "--seed", "1", "--out", str(out), *flags) == 1
+        assert "usage" in capsys.readouterr().err.lower()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--sigma-ancilla", "-0.1"), ("--sigma-ancilla", "nan")])
     def test_invalid_ancilla_noise_refused(self, tmp_path, capsys, flag, value):
         out = tmp_path / "r"
         code = run_cli("run", "--protocol", "tracking", "--analog", "on", "--cycles", "2",
@@ -177,7 +194,7 @@ class TestRun:
         out = tmp_path / "r"
         code = run_cli("run", "--protocol", "tracking", "--analog", "on", "--cycles", "2",
                        "--levels", "1", "--sigma-total", "0:0.5:0.5", "--trials", "10",
-                       "--seed", "1", "--out", str(out), "--sigma-ancilla-q", "0.1")
+                       "--seed", "1", "--out", str(out), "--sigma-ancilla", "0.1")
         assert code == 2
         assert "leaves likelihoods undefined" in capsys.readouterr().err
         assert not out.exists()
@@ -233,7 +250,7 @@ class TestResume:
             (("--seed", "5", "--trials", "700"), ["trials_per_point"]),
             (("--seed", "5", "--max-failures-stop", "10"), ["max_failures_stop"]),
             (("--seed", "6", "--quadrature", "p"), ["master_seed", "quadrature"]),
-            (("--seed", "5", "--sigma-ancilla-p", "0.1"), ["sigma_ancilla_p"]),
+            (("--seed", "5", "--quadrature", "p"), ["quadrature"]),
         ],
     )
     def test_different_config_refused(self, tmp_path, capsys, extra, fields):
@@ -262,6 +279,20 @@ class TestResume:
         assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "another configuration" in err and "stream_version 1 -> 2" in err
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_per_quadrature_ancilla_manifest_refused(self, tmp_path, capsys):
+        """A manifest with one ancilla sigma per quadrature lacks ``sigma_ancilla``: its rows are not resumed."""
+        out = tmp_path / "r"
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["config"]["sigma_ancilla"]
+        manifest["config"].update(sigma_ancilla_q=0.0, sigma_ancilla_p=0.0)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        before = {name: (out / name).read_bytes() for name in ("results.csv", "manifest.json")}
+        capsys.readouterr()
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 2
+        assert "sigma_ancilla None -> 0.0" in capsys.readouterr().err
         assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_results_without_manifest_refused(self, tmp_path, capsys):

@@ -40,7 +40,7 @@ class RiggedBackend:
 
     def run_block(self, params, generator, trials):
         draws = generator.random(trials)
-        return int(np.sum(draws < self.p_fail)), 0
+        return int(np.sum(draws < self.p_fail))
 
 
 class CountingBackend(RiggedBackend):
@@ -123,7 +123,7 @@ class TestWilson:
         reps = 1000
         for i in range(reps):
             cfg = one_point("conventional", True, 2, 1, 1.0, 4000, master_seed=500 + i)
-            est = estimate_point(cfg, 0, 1, 1.0, backend=backend, workers=1)
+            est = estimate_point(cfg, 0, backend=backend, workers=1)
             covered += est.ci_low <= p_star <= est.ci_high
         assert covered / reps >= 0.93
 
@@ -131,29 +131,38 @@ class TestWilson:
 class TestEstimatePoint:
     def test_zero_noise_never_fails(self):
         cfg = one_point("conventional", True, 2, 1, 0.0, 2000, master_seed=4)
-        est = estimate_point(cfg, 0, 1, 0.0)
+        est = estimate_point(cfg, 0)
         assert est.failures == 0 and est.p_fail == 0.0
 
     def test_deterministic_across_workers(self):
-        cfg = one_point("tracking", True, 2, 2, 0.9, 30_000, master_seed=99)
-        a = estimate_point(cfg, 3, 2, 0.9, workers=1)
-        b = estimate_point(cfg, 3, 2, 0.9, workers=8)
+        cfg = SweepConfig(protocol="tracking", analog=True, cycles=2, sigma_total_grid=(0.8, 0.9),
+                          levels=(1, 2), trials_per_point=30_000, master_seed=99)
+        a = estimate_point(cfg, 3, workers=1)
+        b = estimate_point(cfg, 3, workers=8)
+        assert (a.level, a.sigma_total) == (2, 0.9)
         assert a == b
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_index_outside_grid_refused(self, index):
+        cfg = SweepConfig(protocol="tracking", analog=True, cycles=2, sigma_total_grid=(0.8, 0.9),
+                          levels=(1, 2), trials_per_point=10, master_seed=99)
+        with pytest.raises(ValueError, match=f"point index {index} outside the sweep's 4 points"):
+            estimate_point(cfg, index, backend=CountingBackend(0.5))
 
     def test_block_size_invariance_not_required_but_seeded(self):
         # different block sizes change the stream partition, but fixed
         # (seed, block size) is reproducible
         cfg = one_point("conventional", False, 2, 1, 1.0, 9000, master_seed=5)
-        a = estimate_point(cfg, 0, 1, 1.0, block_size=1024)
-        b = estimate_point(cfg, 0, 1, 1.0, block_size=1024)
+        a = estimate_point(cfg, 0, block_size=1024)
+        b = estimate_point(cfg, 0, block_size=1024)
         assert a == b
 
     def test_max_failures_stop_truncates_deterministically(self):
         backend = RiggedBackend(0.5)
         cfg = one_point("conventional", True, 2, 1, 1.0, 100_000, master_seed=1,
                         max_failures_stop=500)
-        a = estimate_point(cfg, 0, 1, 1.0, backend=backend, workers=1)
-        b = estimate_point(cfg, 0, 1, 1.0, backend=backend, workers=6)
+        a = estimate_point(cfg, 0, backend=backend, workers=1)
+        b = estimate_point(cfg, 0, backend=backend, workers=6)
         assert a == b
         assert a.trials < 100_000
         assert a.failures >= 500
@@ -174,7 +183,7 @@ class TestBlockScheduling:
 
     def estimate(self, backend, max_failures_stop=None, **kwargs):
         cfg = dataclasses.replace(self.POINT, max_failures_stop=max_failures_stop)
-        return estimate_point(cfg, 0, 1, 1.0, backend=backend, block_size=1000, **kwargs)
+        return estimate_point(cfg, 0, backend=backend, block_size=1000, **kwargs)
 
     def test_serial_stop_runs_one_block(self):
         backend = CountingBackend(0.5)
@@ -251,7 +260,7 @@ class TestSweep:
             sigma_total_grid=(0.9,), levels=(1,), trials_per_point=5000, master_seed=3,
         )
         [only] = sweep(cfg, None, workers=1)
-        direct = estimate_point(cfg, 0, 1, 0.9, workers=1)
+        direct = estimate_point(cfg, 0, workers=1)
         assert only == direct
 
     def test_resume_completes_missing_points(self, tmp_path):
@@ -328,7 +337,7 @@ class TestSweep:
     def test_manifest_config_is_every_field(self, tmp_path):
         """Every config field reaches the manifest, and a resume compares each that is not a row's key."""
         cfg = one_point("tracking", True, 3, 2, 1.2, 10, master_seed=1, max_failures_stop=5,
-                        quadrature="both", sigma_ancilla_q=0.1, sigma_ancilla_p=0.15)
+                        quadrature="p", sigma_ancilla=0.15)
         write_manifest(tmp_path / "m.json", cfg, "pure", 1)
         config = json.loads((tmp_path / "m.json").read_text())["config"]
         names = [f.name for f in dataclasses.fields(SweepConfig)]
@@ -348,7 +357,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("fields,message", [
         (dict(levels=(1, 0)), "level must be >= 1, got 0"),
-        (dict(sigma_total_grid=(0.0, 1.0), sigma_ancilla_p=0.1), "leaves likelihoods undefined"),
+        (dict(sigma_total_grid=(0.0, 1.0), sigma_ancilla=0.1), "leaves likelihoods undefined"),
         (dict(sigma_total_grid=()), "at least one sigma_total and one level"),
         (dict(protocol="nope", levels=()), "at least one sigma_total and one level"),
     ])
