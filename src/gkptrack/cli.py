@@ -192,18 +192,8 @@ def _cmd_plot(args) -> int:
         raise RuntimeError(f"{args.infile}: no data rows")
     threshold = None
     if args.threshold:
-        import json
-
         with open(args.threshold) as fh:
-            payload = json.load(fh)
-        threshold = harness.ThresholdEstimate(
-            sigma_star=payload["sigma_star"],
-            crossing_pairs=tuple(
-                harness.CrossingPair(c["level_a"], c["level_b"], c["sigma_cross"])
-                for c in payload["crossings"]
-            ),
-            spread=payload["spread"],
-        )
+            threshold = harness.ThresholdEstimate.from_json(fh.read())
     svgplot.render_curves(estimates, args.outfile, threshold=threshold, title=args.title)
     print(f"plot: {args.outfile}")
     return EXIT_OK

@@ -43,10 +43,10 @@ def lattice_index(x: float) -> int:
 def sample_channel(sigma: float, rng) -> float:
     """Draw one Gaussian displacement with standard deviation ``sigma``.
 
-    ``sigma = 0`` returns exactly 0.0 without consuming a draw, a rule of the
-    documented draw order (:mod:`gkptrack.protocols`).  ``sigma`` is not
-    checked here: :class:`gkptrack.kernels.ProtocolConfig` refuses a negative
-    or non-finite one.
+    ``sigma = 0``, a perfect ancilla's, returns exactly 0.0 without consuming
+    a draw, a rule of the documented draw order (:mod:`gkptrack.protocols`).
+    ``sigma`` is not checked here: :class:`gkptrack.kernels.ProtocolConfig`
+    refuses a negative or non-finite one, and a zero channel sigma.
     """
     if sigma == 0.0:
         return 0.0

@@ -9,9 +9,9 @@ in block order (and an early stop is decided in that order), so a sweep's CSV
 output is byte-identical for a given ``SweepConfig`` regardless of
 parallelism or scheduling.
 
-CSV schema (one row per point)::
-
-    protocol,analog,cycles,level,sigma_total,trials,failures,p_fail,ci_low,ci_high,master_seed
+CSV schema: a header of :class:`PointEstimate`'s field names, then one row
+per point holding its fields in that order, a bool as ``on`` or ``off``, a
+float as its ``repr`` and an int or str as its ``str``.
 
 The noise axis is the *total* standard deviation summed over cycles; each
 cycle applies ``sigma_total / cycles``.
@@ -19,7 +19,7 @@ cycle applies ``sigma_total / cycles``.
 One :class:`SweepConfig` carries a run's settings from the command line to
 the kernel: ``estimate_point(cfg, point_index)`` takes the point's level and
 sigma from its grid and its trials, seed and early stop from it,
-:meth:`SweepConfig.point_params` builds each point's
+:meth:`SweepConfig.point_params` builds the point's
 :class:`~gkptrack.kernels.ProtocolConfig`, and ``manifest.json`` records its
 fields.  A setting is refused in one place, when the config is made:
 ``SweepConfig`` refuses every value that it or the ``ProtocolConfig`` of any
@@ -35,7 +35,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -44,8 +44,6 @@ from .kernels import STREAM_VERSION, ProtocolConfig, get_backend
 
 DEFAULT_BLOCK_SIZE = 8192
 _Z95 = 1.959963984540054
-
-CSV_HEADER = "protocol,analog,cycles,level,sigma_total,trials,failures,p_fail,ci_low,ci_high,master_seed"
 
 _MAX_BLOCKS = 1 << 24
 _MAX_POINTS = 1 << 40
@@ -82,6 +80,12 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
+# results.csv text of a PointEstimate field's value, and the value of its
+# text, by the field's annotation
+_TO_TEXT = {"bool": lambda value: "on" if value else "off", "float": repr, "int": str, "str": str}
+_FROM_TEXT = {"bool": {"on": True, "off": False}.__getitem__, "float": float, "int": int, "str": str}
+
+
 @dataclass(frozen=True)
 class PointEstimate:
     protocol: str
@@ -97,24 +101,13 @@ class PointEstimate:
     master_seed: int
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.protocol,
-                "on" if self.analog else "off",
-                str(self.cycles),
-                str(self.level),
-                repr(self.sigma_total),
-                str(self.trials),
-                str(self.failures),
-                repr(self.p_fail),
-                repr(self.ci_low),
-                repr(self.ci_high),
-                str(self.master_seed),
-            ]
-        )
+        return ",".join(_TO_TEXT[f.type](getattr(self, f.name)) for f in fields(self))
 
     def key(self) -> tuple:
         return (self.protocol, self.analog, self.cycles, self.level, self.sigma_total)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(PointEstimate))
 
 
 @dataclass(frozen=True)
@@ -140,15 +133,16 @@ class SweepConfig:
         if not self.sigma_total_grid or not self.levels:
             raise ValueError("a sweep needs at least one sigma_total and one level")
         # every point's kernel config is built here, so a value any point would
-        # refuse is refused before a sweep writes anything; a negative grid
-        # value is named as such, not by the sigma_cycle it would give
-        if not all(sigma >= 0.0 for sigma in self.sigma_total_grid):
-            raise ValueError("sigma_total must be >= 0")
-        for _, level, sigma in self.points():
-            self.point_params(level, sigma)
+        # refuse is refused before a sweep writes anything; a grid value <= 0
+        # is named as such, not by the sigma_cycle it would give
+        if not all(sigma > 0.0 for sigma in self.sigma_total_grid):
+            raise ValueError("sigma_total must be > 0")
+        for index, _, _ in self.points():
+            self.point_params(index)
 
-    def point_params(self, level: int, sigma_total: float) -> ProtocolConfig:
-        """The kernel config of one point, the one place its noise is split over cycles."""
+    def point_params(self, index: int) -> ProtocolConfig:
+        """The kernel config of point ``index``, the one place its noise is split over cycles."""
+        level, sigma_total = self.point(index)
         # ProtocolConfig refuses cycles < 1 itself, so the split must not divide by zero
         return ProtocolConfig(self.protocol, self.analog, level, self.cycles,
                               sigma_total / max(self.cycles, 1), self.sigma_ancilla, self.quadrature)
@@ -224,7 +218,7 @@ def estimate_point(
     """
     level, sigma_total = cfg.point(point_index)
     backend = backend if backend is not None else get_backend()
-    params = cfg.point_params(level, sigma_total)
+    params = cfg.point_params(point_index)
     trials = cfg.trials_per_point
     blocks = [
         (b, min(block_size, trials - b * block_size))
@@ -326,6 +320,7 @@ def sweep(
 
 def read_results(path) -> list[PointEstimate]:
     """Parse a results CSV; malformed rows raise with their line number."""
+    columns = fields(PointEstimate)
     out = []
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -336,24 +331,10 @@ def read_results(path) -> list[PointEstimate]:
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 11:
-                raise ValueError(f"{path}: line {lineno}: expected 11 fields, got {len(parts)}")
+            if len(parts) != len(columns):
+                raise ValueError(f"{path}: line {lineno}: expected {len(columns)} fields, got {len(parts)}")
             try:
-                out.append(
-                    PointEstimate(
-                        protocol=parts[0],
-                        analog={"on": True, "off": False}[parts[1]],
-                        cycles=int(parts[2]),
-                        level=int(parts[3]),
-                        sigma_total=float(parts[4]),
-                        trials=int(parts[5]),
-                        failures=int(parts[6]),
-                        p_fail=float(parts[7]),
-                        ci_low=float(parts[8]),
-                        ci_high=float(parts[9]),
-                        master_seed=int(parts[10]),
-                    )
-                )
+                out.append(PointEstimate(*(_FROM_TEXT[f.type](text) for f, text in zip(columns, parts))))
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return out
@@ -379,17 +360,19 @@ class ThresholdEstimate:
     spread: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sigma_star": self.sigma_star,
-                "crossings": [
-                    {"level_a": c.level_a, "level_b": c.level_b, "sigma_cross": c.sigma_cross}
-                    for c in self.crossing_pairs
-                ],
-                "spread": self.spread,
-            },
-            indent=2,
-        )
+        return json.dumps({"sigma_star": self.sigma_star,
+                           "crossings": [asdict(c) for c in self.crossing_pairs],
+                           "spread": self.spread}, indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> ThresholdEstimate:
+        """The estimate :meth:`to_json` wrote as ``text``; other JSON raises ``ValueError``."""
+        payload = json.loads(text)
+        try:
+            return cls(payload["sigma_star"], tuple(CrossingPair(**c) for c in payload["crossings"]),
+                       payload["spread"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed threshold report: {exc!r}") from exc
 
 
 def find_threshold(estimates) -> ThresholdEstimate:

@@ -1,8 +1,8 @@
 """The Monte Carlo kernel: blocks of protocol trials off a numpy ``Generator``.
 
 One kernel remains, :mod:`gkptrack.kernels.pure`, loaded on the first block.
-It runs every config with ``sigma_cycle > 0`` trial-batched on numpy and
-reaches the decisions of the scalar trial loop over
+It runs every config trial-batched on numpy and reaches the decisions of
+the scalar trial loop over
 :func:`gkptrack.protocols.run_trial`; that loop stays the test oracle.
 
 Stream contract, version :data:`STREAM_VERSION` (recorded in every
@@ -32,11 +32,12 @@ class ProtocolConfig:
     """Trial parameters, the one config type of the kernel and of the scalar trial loop.
 
     A trial simulates one quadrature, ``quadrature``.  ``sigma_cycle`` is the
-    channel displacement noise added per cycle; ``sigma_ancilla`` models
-    imperfect ancilla preparation in the tracking protocol's single-qubit
-    correction step (zero means perfect ancillas).  Both are standard
-    deviations.  The conventional protocol's teleportation consumes fresh
-    perfect ancillas, so it refuses ancilla noise.
+    channel displacement noise added per cycle, above zero because the record
+    likelihoods divide by its square; ``sigma_ancilla`` models imperfect
+    ancilla preparation in the tracking protocol's single-qubit correction
+    step (zero means perfect ancillas).  Both are standard deviations.  The
+    conventional protocol's teleportation consumes fresh perfect ancillas, so
+    it refuses ancilla noise.
 
     Every invalid config is refused here, when it is made, so no trial or
     block checks its parameters.
@@ -60,17 +61,13 @@ class ProtocolConfig:
             raise ValueError(f"{self.protocol} requires cycles >= {min_cycles}, got {self.cycles}")
         if self.quadrature not in _QUADRATURES:
             raise ValueError(f"quadrature must be one of {_QUADRATURES}, got {self.quadrature!r}")
-        for name in ("sigma_cycle", "sigma_ancilla"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.sigma_ancilla > 0.0:
-            # the record likelihoods are keyed to the channel sigma alone
-            if self.sigma_cycle == 0.0:
-                raise ValueError("sigma_cycle = 0 with ancilla noise leaves likelihoods undefined")
-            if self.protocol == "conventional":
-                raise ValueError("the conventional protocol uses perfect ancillas, "
-                                 f"so sigma_ancilla must be 0, got {self.sigma_ancilla!r}")
+        if not (math.isfinite(self.sigma_cycle) and self.sigma_cycle > 0.0):
+            raise ValueError(f"sigma_cycle must be finite and > 0, got {self.sigma_cycle!r}")
+        if not (math.isfinite(self.sigma_ancilla) and self.sigma_ancilla >= 0.0):
+            raise ValueError(f"sigma_ancilla must be finite and >= 0, got {self.sigma_ancilla!r}")
+        if self.sigma_ancilla > 0.0 and self.protocol == "conventional":
+            raise ValueError("the conventional protocol uses perfect ancillas, "
+                             f"so sigma_ancilla must be 0, got {self.sigma_ancilla!r}")
 
 
 class PureBackend:
@@ -93,8 +90,8 @@ class PureBackend:
         return pure.run_block(params, generator, trials, self._decoder(params))
 
     def _decoder(self, params: ProtocolConfig):
-        """The shared decoder of a digital config with channel noise, else ``None``."""
-        if params.analog or params.sigma_cycle == 0.0:
+        """The shared decoder of a digital config, else ``None``."""
+        if params.analog:
             return None
         from .pure import DigitalDecoder
 

@@ -1,12 +1,10 @@
 """The kernel: blocks of trials, trial-batched on numpy, stream-exact with the scalar loop.
 
-A block with channel noise (``sigma_cycle > 0``: conventional or tracking,
-analog or digital, either quadrature, any ancilla noise and level) runs in
-chunks of trials, and a chunk always runs all its trials.  It draws the same
-normals and tie coins as a loop over the scalar reference
-:func:`gkptrack.protocols.run_trial`, and reaches the same decisions, count
-and final generator states.  A noiseless block draws nothing and never
-fails, so :func:`run_block` returns at once.  Tie coins come from
+A block (conventional or tracking, analog or digital, either quadrature, any
+ancilla noise and level) runs in chunks of trials, and a chunk always runs
+all its trials.  It draws the same normals and tie coins as a loop over the
+scalar reference :func:`gkptrack.protocols.run_trial`, and reaches the same
+decisions, count and final generator states.  Tie coins come from
 :func:`coin_generator`, one per block (stream contract in
 :mod:`gkptrack.kernels`).
 
@@ -31,14 +29,15 @@ first and bins them in one pass; with perfect ancillas the scalar adds of
 bit is the parity of its summed lattice indices.
 
 Digital decodes are exact.  Every leaf of a digital decode carries the same
-likelihood pair, so a C4 block's table depends only on its four bits and a C6
-fold only on its three sub-tables.  :class:`DigitalDecoder` computes each
-table with the scalar :func:`gkptrack.codes.block_pair_likelihoods` (16 bit
-patterns) and :func:`gkptrack.codes.c6_level_up` (once per distinct triple of
-sub-tables), numbers the distinct tables of each level, and decides each top
-table once by :func:`gkptrack.codes.first_bit`.  A decode is then a few array
-lookups, and it ties exactly where the scalar decoder does.  One decoder
-serves every block of a config that the same backend runs.
+likelihood pair, :func:`gkptrack.protocols.digital_pair`, so a C4 block's
+table depends only on its four bits and a C6 fold only on its three
+sub-tables.  :class:`DigitalDecoder` computes each table with the scalar
+:func:`gkptrack.codes.block_pair_likelihoods` (16 bit patterns) and
+:func:`gkptrack.codes.c6_level_up` (once per distinct triple of sub-tables),
+numbers the distinct tables of each level, and decides each top table once by
+:func:`gkptrack.codes.first_bit`.  A decode is then a few array lookups, and
+it ties exactly where the scalar decoder does.  One decoder serves every
+block of a config that the same backend runs.
 
 Analog decodes compute the likelihoods, the parity convolution, the C4
 tables, the C6 folds and the first-bit decision over the whole chunk in the
@@ -97,7 +96,7 @@ import numpy as np
 
 from .. import codes, protocols
 from ..codes import C6_PAIR_TRIPLES, PAIR_VALUE, block_size, c4_table
-from ..gkp import HALF_SQRT_PI, SQRT_PI, digital_likelihoods
+from ..gkp import HALF_SQRT_PI, SQRT_PI
 from ..protocols import run_trial
 from . import ProtocolConfig
 
@@ -144,9 +143,6 @@ def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> i
     or on a new one when it is ``None``.
     """
     coins = coin_generator(generator)
-    if params.sigma_cycle == 0.0:
-        # a noiseless trial draws nothing and never fails
-        return 0
     n = block_size(params.level)
     if params.protocol == "conventional":
         # teleportation consumes fresh perfect ancillas: no ancilla draws
@@ -210,10 +206,7 @@ class DigitalDecoder:
     """
 
     def __init__(self, params: ProtocolConfig) -> None:
-        if params.protocol == "conventional":
-            pair = digital_likelihoods(params.sigma_cycle)
-        else:
-            pair = protocols.joint_likelihood([None] * params.cycles, params.sigma_cycle, False)
+        pair = protocols.digital_pair(params)
         self._lock = threading.Lock()
         self._top = params.level - 1
         # per level (0 for C4): table values -> number, number -> table, and

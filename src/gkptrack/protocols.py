@@ -26,7 +26,7 @@ takes two generators: ``rng`` for the noise normals and ``coins`` for tie
 coins (stream contract in :mod:`gkptrack.kernels`).
 Normal draw order per trial: per cycle, one channel draw per qubit in qubit
 order, followed (tracking, cycles 1..n-1) by that qubit's ancilla draws; an
-exactly zero sigma consumes no draw.  A decode draws one uniform from
+exactly zero ancilla sigma consumes no draw.  A decode draws one uniform from
 ``coins`` only on an exact likelihood tie, so the normals' positions in
 ``rng`` never depend on ties.
 """
@@ -88,11 +88,19 @@ def _analog_pair(deviation: float, sigma: float) -> tuple[float, float]:
     return log_gauss(a, sigma), log_gauss(SQRT_PI - a, sigma)
 
 
+def digital_pair(cfg: ProtocolConfig) -> LikelihoodPair:
+    """The likelihood pair every leaf of a digital decode of ``cfg`` carries.
+
+    A conventional leaf is one measured bit; a tracking leaf the parity of
+    ``cfg.cycles`` recorded bits, whose records carry no deviation.
+    """
+    if cfg.protocol == "conventional":
+        return digital_likelihoods(cfg.sigma_cycle)
+    return joint_likelihood([None] * cfg.cycles, cfg.sigma_cycle, False)
+
+
 def run_trial(cfg: ProtocolConfig, rng, coins) -> int:
     """One trial's failure indicator, 1 if it failed."""
-    if cfg.sigma_cycle == 0.0:
-        # zero channel noise, and so no ancilla noise: trivially clean, no draws
-        return 0
     return (_conventional if cfg.protocol == "conventional" else _tracking)(cfg, rng, coins)
 
 
@@ -100,7 +108,7 @@ def _conventional(cfg: ProtocolConfig, rng, coins) -> int:
     """Failure indicator of one conventional trial, either quadrature: its decoded parity."""
     n = block_size(cfg.level)
     sigma = cfg.sigma_cycle
-    digital_pair = None if cfg.analog else digital_likelihoods(sigma)
+    digital_lp = None if cfg.analog else digital_pair(cfg)
     decoded = 0
     for _ in range(cfg.cycles):
         bits = []
@@ -108,7 +116,7 @@ def _conventional(cfg: ProtocolConfig, rng, coins) -> int:
         for _i in range(n):
             bit, deviation = bin_measurement(sample_channel(sigma, rng))
             bits.append(bit)
-            lps.append(LikelihoodPair(*_analog_pair(deviation, sigma)) if cfg.analog else digital_pair)
+            lps.append(LikelihoodPair(*_analog_pair(deviation, sigma)) if cfg.analog else digital_lp)
         bit, _table = decode(cfg.level, bits, lps, coins)
         decoded ^= bit
     return decoded
@@ -121,8 +129,7 @@ def _tracking(cfg: ProtocolConfig, rng, coins) -> int:
     dev = [0.0] * n
     flip = [0] * n
     records: list[list[float]] = [[] for _ in range(n)]
-    # a digital record carries no deviation, so every qubit shares one pair
-    digital_lp = None if cfg.analog else joint_likelihood([None] * cfg.cycles, sigma, False)
+    digital_lp = None if cfg.analog else digital_pair(cfg)
     for _cycle in range(cfg.cycles - 1):
         for i in range(n):
             dev[i], record, flipped = sqec_step(dev[i] + sample_channel(sigma, rng), cfg.quadrature,

@@ -171,7 +171,7 @@ def test_chunk_boundaries(offset, quadrature):
 
 
 def test_routing(monkeypatch):
-    """Configs with channel noise run batched, analog and digital; noiseless ones never do."""
+    """Analog and digital configs run batched."""
     calls = []
     original = pure._run_chunk
 
@@ -182,26 +182,9 @@ def test_routing(monkeypatch):
     monkeypatch.setattr(pure, "_run_chunk", spy)
     analog = ProtocolConfig("conventional", True, 1, 2, 0.5)
     digital = ProtocolConfig("tracking", False, 1, 2, 0.5)
-    noiseless = ProtocolConfig("tracking", False, 1, 2, 0.0)
     assert_stream_exact(analog, 50, 1)
     assert_stream_exact(digital, 50, 2)
-    assert assert_stream_exact(noiseless, 50, 3) == (0, 0)
     assert calls == [analog, digital]
-
-
-def test_noiseless_block_costs_nothing(monkeypatch):
-    """A noiseless block returns without a scalar trial, and moves neither generator."""
-    calls = []
-    run_trial = pure.run_trial
-
-    def counted_trial(params, gen, coins):
-        calls.append(params)
-        return run_trial(params, gen, coins)
-
-    monkeypatch.setattr(pure, "run_trial", counted_trial)
-    # the scalar loop at sigma_cycle 0 draws nothing, so the states stay as made
-    assert assert_stream_exact(ProtocolConfig("tracking", True, 2, 3, 0.0), 100_000, 12) == (0, 0)
-    assert calls == []
 
 
 def test_loaded_lazily():

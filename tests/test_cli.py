@@ -178,7 +178,7 @@ class TestRun:
         ("nan:1:0.5", 1, "must be finite"),
         ("-1e308:1e308:1", 1, "(B - A) / STEP must be finite"),
         ("0:1:1e-12", 1, f"more than {MAX_GRID_POINTS}"),
-        ("-0.5:0.5:0.5", 2, "sigma_total must be >= 0"),
+        ("-0.5:0.5:0.5", 2, "sigma_total must be > 0"),
     ])
     def test_bad_grid_refused_before_writing(self, tmp_path, capsys, grid, code, message):
         out = tmp_path / "r"
@@ -189,14 +189,14 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    def test_ancilla_noise_at_zero_channel_noise_refused(self, tmp_path, capsys):
-        # the grid's first point has no channel noise, so no likelihoods
+    def test_zero_channel_noise_refused(self, tmp_path, capsys):
+        # the grid's first point has no channel noise, so no record likelihoods
         out = tmp_path / "r"
         code = run_cli("run", "--protocol", "tracking", "--analog", "on", "--cycles", "2",
-                       "--levels", "1", "--sigma-total", "0:0.5:0.5", "--trials", "10",
-                       "--seed", "1", "--out", str(out), "--sigma-ancilla", "0.1")
+                       "--levels", "1", "--sigma-total", "0:1.0:0.5", "--trials", "10",
+                       "--seed", "1", "--out", str(out))
         assert code == 2
-        assert "leaves likelihoods undefined" in capsys.readouterr().err
+        assert "sigma_total must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_default_out_dir(self, tmp_path, monkeypatch):
@@ -437,3 +437,17 @@ class TestPlot:
         assert run_cli("plot", "--in", str(out / "results.csv"), "--out", str(fig),
                        "--threshold", str(report)) == 0
         assert "threshold" in fig.read_text()
+
+    @pytest.mark.parametrize("report", [
+        "{}", "[]", '{"sigma_star": 1.0, "crossings": [{"level": 1}], "spread": 0.0}',
+    ], ids=["empty", "list", "bad-crossing"])
+    def test_malformed_threshold_report_exits_2(self, tmp_path, capsys, report):
+        from gkptrack.harness import CSV_HEADER
+
+        results = tmp_path / "r.csv"
+        results.write_text(CSV_HEADER + "\nconventional,on,2,1,1.0,10,1,0.1,0.0,0.2,7\n")
+        (tmp_path / "rep.json").write_text(report)
+        assert run_cli("plot", "--in", str(results), "--out", str(tmp_path / "f.svg"),
+                       "--threshold", str(tmp_path / "rep.json")) == 2
+        assert "malformed threshold report" in capsys.readouterr().err
+        assert not (tmp_path / "f.svg").exists()

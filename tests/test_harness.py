@@ -9,9 +9,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkptrack.harness import (
     _RESUME_FIELDS,
+    CSV_HEADER,
     CrossingPair,
     CsvSink,
     NoCrossingError,
@@ -129,11 +132,6 @@ class TestWilson:
 
 
 class TestEstimatePoint:
-    def test_zero_noise_never_fails(self):
-        cfg = one_point("conventional", True, 2, 1, 0.0, 2000, master_seed=4)
-        est = estimate_point(cfg, 0)
-        assert est.failures == 0 and est.p_fail == 0.0
-
     def test_deterministic_across_workers(self):
         cfg = SweepConfig(protocol="tracking", analog=True, cycles=2, sigma_total_grid=(0.8, 0.9),
                           levels=(1, 2), trials_per_point=30_000, master_seed=99)
@@ -300,8 +298,6 @@ class TestSweep:
         assert path.read_bytes() == full_bytes
 
     def test_resume_rejects_malformed_complete_row(self, tmp_path):
-        from gkptrack.harness import CSV_HEADER
-
         path = tmp_path / "r.csv"
         path.write_text(CSV_HEADER + "\nconventional,on,2,1,1.0,100,bad,0.1,0.0,0.2,7\n"
                         "conventional,on,2,1,1.1,100,3")
@@ -357,7 +353,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("fields,message", [
         (dict(levels=(1, 0)), "level must be >= 1, got 0"),
-        (dict(sigma_total_grid=(0.0, 1.0), sigma_ancilla=0.1), "leaves likelihoods undefined"),
+        (dict(sigma_total_grid=(0.0, 1.0)), "sigma_total must be > 0"),
         (dict(sigma_total_grid=()), "at least one sigma_total and one level"),
         (dict(protocol="nope", levels=()), "at least one sigma_total and one level"),
     ])
@@ -378,11 +374,34 @@ class TestReadResults:
 
     def test_malformed_row_names_line(self, tmp_path):
         p = tmp_path / "x.csv"
-        from gkptrack.harness import CSV_HEADER
-
         p.write_text(CSV_HEADER + "\nconventional,on,2,1,1.0,100,bad,0.1,0.0,0.2,7\n")
         with pytest.raises(ValueError, match="line 2"):
             read_results(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(
+        PointEstimate,
+        protocol=st.sampled_from(["conventional", "tracking"]),
+        analog=st.booleans(),
+        cycles=st.integers(),
+        level=st.integers(),
+        sigma_total=st.floats(allow_nan=False, allow_infinity=False),
+        trials=st.integers(),
+        failures=st.integers(),
+        p_fail=st.floats(allow_nan=False, allow_infinity=False),
+        ci_low=st.floats(allow_nan=False, allow_infinity=False),
+        ci_high=st.floats(allow_nan=False, allow_infinity=False),
+        master_seed=st.integers(),
+    ))
+    def test_csv_row_round_trip(self, tmp_path_factory, est):
+        """A row read back is the estimate written: floats bit-equal, on/off intact."""
+        path = tmp_path_factory.getbasetemp() / "round-trip.csv"
+        path.write_text(CSV_HEADER + "\n" + est.csv_row() + "\n")
+        (back,) = read_results(path)
+        assert back == est
+        assert back.analog is est.analog
+        for name in ("sigma_total", "p_fail", "ci_low", "ci_high"):
+            assert getattr(back, name).hex() == getattr(est, name).hex()
 
 
 class TestFindThreshold:
@@ -432,3 +451,4 @@ class TestFindThreshold:
         payload = json.loads(thr.to_json())
         assert payload["sigma_star"] == 1.11
         assert len(payload["crossings"]) == 2
+        assert ThresholdEstimate.from_json(thr.to_json()) == thr

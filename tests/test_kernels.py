@@ -33,14 +33,13 @@ INVALID_INPUTS = [
     (dict(level=0), "level must be >= 1, got 0"),
     (dict(protocol="surface"), "unknown protocol kind 'surface'"),
     (dict(quadrature="x"), "quadrature must be one of ('q', 'p'), got 'x'"),
-    (dict(sigma_cycle=-0.5), "sigma_cycle must be finite and >= 0, got -0.5"),
-    (dict(sigma_cycle=float("nan")), "sigma_cycle must be finite and >= 0, got nan"),
+    (dict(sigma_cycle=-0.5), "sigma_cycle must be finite and > 0, got -0.5"),
+    (dict(sigma_cycle=float("nan")), "sigma_cycle must be finite and > 0, got nan"),
     (dict(sigma_ancilla=-0.1), "sigma_ancilla must be finite and >= 0, got -0.1"),
-    # ancilla noise without channel noise: the record likelihoods are keyed
-    # to the channel sigma, so ProtocolConfig refuses it too
-    (dict(sigma_cycle=0.0, sigma_ancilla=0.1), "leaves likelihoods undefined"),
-    (dict(protocol="conventional", sigma_cycle=0.0, sigma_ancilla=0.1),
-     "leaves likelihoods undefined"),
+    # no channel noise: the record likelihoods divide by its square
+    (dict(sigma_cycle=0.0), "sigma_cycle must be finite and > 0, got 0.0"),
+    (dict(protocol="conventional", analog=False, sigma_cycle=0.0),
+     "sigma_cycle must be finite and > 0, got 0.0"),
     # teleportation consumes fresh perfect ancillas: the value would change no count
     (dict(protocol="conventional", sigma_ancilla=0.1),
      "the conventional protocol uses perfect ancillas, so sigma_ancilla must be 0, got 0.1"),

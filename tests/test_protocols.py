@@ -125,8 +125,12 @@ class TestJointLikelihood:
 class TestZeroNoise:
     @pytest.mark.parametrize("kind", ["conventional", "tracking"])
     def test_never_fails(self, kind):
+        """Zero channel noise is refused (the likelihoods divide by its square); near it no trial fails."""
         rng, coins = np.random.default_rng(0), np.random.default_rng(1)
-        cfg = conv_cfg(0.0) if kind == "conventional" else track_cfg(0.0)
+        make = conv_cfg if kind == "conventional" else track_cfg
+        with pytest.raises(ValueError, match="sigma_cycle must be finite and > 0"):
+            make(0.0)
+        cfg = make(0.05)
         for _ in range(200):
             assert run_trial(cfg, rng, coins) == 0
 
