@@ -5,13 +5,16 @@ Subcommands::
     gkptrack run        run a Monte Carlo sweep, write results.csv + manifest.json
     gkptrack threshold  locate the level-curve crossing from a results CSV
     gkptrack resources  print/write the qubit-budget table
-    gkptrack plot       render a results CSV as a self-contained SVG
+    gkptrack plot       render one or more results CSVs as a self-contained SVG
 
 ``run`` builds one :class:`gkptrack.harness.SweepConfig` from its flags and
 hands it to :func:`gkptrack.harness.sweep`.  The config is the one place a
 setting is refused: an invalid value exits 2 with its message before anything
 is written.  The parser refuses only what it cannot read, or ``--workers``
-below 1.
+below 1.  One output directory holds one sweep: ``run`` into a directory
+whose manifest records another configuration, or whose rows are not the
+sweep's first points, exits 2 and changes nothing there.  ``plot`` draws
+several sweeps from their files.
 
 Exit codes: 0 success, 1 usage error, 2 refused config value or runtime/IO error.
 """
@@ -112,7 +115,8 @@ def _build_parser() -> _Parser:
     res.add_argument("--out", default=None, help="directory for resources.csv/.json")
 
     plot = sub.add_parser("plot", help="render results as SVG")
-    plot.add_argument("--in", dest="infile", required=True)
+    plot.add_argument("--in", dest="infiles", nargs="+", required=True,
+                      help="one or more results CSVs, drawn in one figure")
     plot.add_argument("--out", dest="outfile", required=True)
     plot.add_argument("--threshold", default=None, help="threshold report JSON to mark")
     plot.add_argument("--title", default="")
@@ -142,8 +146,10 @@ def _cmd_run(args) -> int:
     results_path = os.path.join(out_dir, "results.csv")
     manifest_path = os.path.join(out_dir, "manifest.json")
     harness.check_resume(manifest_path, results_path, cfg)
-    # manifest first: results never exist without the manifest that vouches for them
-    harness.write_manifest(manifest_path, cfg, backend.name, args.workers)
+    # manifest first: results never exist without the manifest that vouches
+    # for them; a resume keeps the one that started the sweep
+    if not os.path.exists(manifest_path):
+        harness.write_manifest(manifest_path, cfg, backend.name, args.workers)
     sink = harness.CsvSink(results_path)
 
     def progress(est):
@@ -187,9 +193,12 @@ def _cmd_resources(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    estimates = harness.read_results(args.infile)
-    if not estimates:
-        raise RuntimeError(f"{args.infile}: no data rows")
+    estimates = []
+    for path in args.infiles:
+        rows = harness.read_results(path)
+        if not rows:
+            raise RuntimeError(f"{path}: no data rows")
+        estimates += rows
     threshold = None
     if args.threshold:
         with open(args.threshold) as fh:

@@ -2,16 +2,16 @@
 
 Determinism contract
 --------------------
-Trials are grouped into fixed-size blocks; block ``b`` of point ``k`` draws
-from a counter-based Philox stream keyed by ``(master_seed, k, b)``.  Blocks
-may execute on any number of worker threads, but failure counts are combined
-in block order (and an early stop is decided in that order), so a sweep's CSV
-output is byte-identical for a given ``SweepConfig`` regardless of
-parallelism or scheduling.
+Trials are grouped into blocks of :data:`BLOCK_SIZE`; block ``b`` of point
+``k`` draws from a counter-based Philox stream keyed by ``(master_seed, k,
+b)``.  Blocks may execute on any number of worker threads, but failure counts
+are combined in block order (and an early stop is decided in that order), so
+a sweep's CSV output is byte-identical for a given ``SweepConfig`` regardless
+of parallelism or scheduling.
 
 CSV schema: a header of :class:`PointEstimate`'s field names, then one row
-per point holding its fields in that order, a bool as ``on`` or ``off``, a
-float as its ``repr`` and an int or str as its ``str``.
+per point, in point order, holding its fields in that order, a bool as
+``on`` or ``off``, a float as its ``repr`` and an int or str as its ``str``.
 
 The noise axis is the *total* standard deviation summed over cycles; each
 cycle applies ``sigma_total / cycles``.
@@ -42,7 +42,8 @@ import numpy as np
 from . import __version__
 from .kernels import STREAM_VERSION, ProtocolConfig, get_backend
 
-DEFAULT_BLOCK_SIZE = 8192
+#: trials per block, part of the stream contract: a block's counts depend on its size
+BLOCK_SIZE = 8192
 _Z95 = 1.959963984540054
 
 _MAX_BLOCKS = 1 << 24
@@ -102,9 +103,6 @@ class PointEstimate:
 
     def csv_row(self) -> str:
         return ",".join(_TO_TEXT[f.type](getattr(self, f.name)) for f in fields(self))
-
-    def key(self) -> tuple:
-        return (self.protocol, self.analog, self.cycles, self.level, self.sigma_total)
 
 
 CSV_HEADER = ",".join(f.name for f in fields(PointEstimate))
@@ -193,7 +191,6 @@ def estimate_point(
     point_index: int,
     *,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     backend=None,
 ) -> PointEstimate:
     """Estimate the failure probability of ``cfg``'s point ``point_index`` with a Wilson 95% interval.
@@ -221,8 +218,8 @@ def estimate_point(
     params = cfg.point_params(point_index)
     trials = cfg.trials_per_point
     blocks = [
-        (b, min(block_size, trials - b * block_size))
-        for b in range((trials + block_size - 1) // block_size)
+        (b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE))
+        for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE)
     ]
 
     def run(block) -> int:
@@ -255,32 +252,30 @@ def estimate_point(
 
 
 class CsvSink:
-    """Append-only CSV persistence with resume support.
+    """Append-only results.csv of one sweep.
 
-    A row counts as written once its newline is: on resume, a last line
-    without one (a write cut short by a crash) is dropped, so its point is
-    computed again.  A malformed complete row still raises.
+    ``rows`` holds the file's complete rows in file order; :func:`sweep`
+    checks that they are its first points and continues after them.  A row
+    counts as written once its newline is: on opening, a last line without one
+    (a write cut short by a crash) is dropped, so its point is computed again.
+    A malformed complete row raises.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        self._seen: set[tuple] = set()
         if os.path.exists(self.path):
             _drop_partial_last_line(self.path)
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-            for est in read_results(self.path):
-                self._seen.add(est.key())
+            self.rows = read_results(self.path)
         else:
+            self.rows = []
             with open(self.path, "w") as fh:
                 fh.write(CSV_HEADER + "\n")
-
-    def has(self, estimate_key: tuple) -> bool:
-        return estimate_key in self._seen
 
     def write(self, est: PointEstimate) -> None:
         with open(self.path, "a") as fh:
             fh.write(est.csv_row() + "\n")
-        self._seen.add(est.key())
+        self.rows.append(est)
 
 
 def _drop_partial_last_line(path) -> None:
@@ -299,16 +294,23 @@ def sweep(
     backend=None,
     progress=None,
 ) -> list[PointEstimate]:
-    """Run the full grid; streams completed points to ``sink`` in order.
+    """Run the grid in point order; streams completed points to ``sink``.
 
-    Points already present in the sink are skipped, so an interrupted sweep
-    resumes where it stopped and still produces the identical file.
+    The sink's rows must be the sweep's first points, in order, so an
+    interrupted sweep continues at the first point it lacks and still
+    produces the identical file.  A row that is not its point, or a row
+    beyond the grid, raises ``ValueError`` naming its line before anything is
+    computed or written.  Returns the points computed.
     """
+    points = [(cfg.protocol, cfg.analog, cfg.cycles, level, sigma) for _, level, sigma in cfg.points()]
+    done = sink.rows if sink is not None else []
+    for index, row in enumerate(done):
+        have = (row.protocol, row.analog, row.cycles, row.level, row.sigma_total)
+        if index >= len(points) or have != points[index]:
+            raise ValueError(f"{sink.path}: line {index + 2}: row {have} is not point {index} of "
+                             f"the sweep's {len(points)} points; use a new output directory")
     results = []
-    for point_index, level, sigma in cfg.points():
-        key = (cfg.protocol, cfg.analog, cfg.cycles, level, sigma)
-        if sink is not None and sink.has(key):
-            continue
+    for point_index in range(len(done), len(points)):
         est = estimate_point(cfg, point_index, workers=workers, backend=backend)
         if sink is not None:
             sink.write(est)
@@ -425,23 +427,13 @@ def manifest_config(cfg: SweepConfig) -> dict:
     return {**asdict(cfg), "stream_version": STREAM_VERSION}
 
 
-#: config fields that change a row's values without changing its key; rows of
-#: other protocols, cycles, levels or sigmas may share a results file
-_RESUME_FIELDS = (
-    "trials_per_point",
-    "master_seed",
-    "max_failures_stop",
-    "quadrature",
-    "sigma_ancilla",
-    "stream_version",
-)
-
-
 def check_resume(manifest_path, results_path, cfg: SweepConfig) -> None:
-    """Refuse to add ``cfg``'s rows to results written under other run settings.
+    """Refuse to continue in an output directory that holds another sweep.
 
-    Raises ``ValueError`` naming each field of :data:`_RESUME_FIELDS` in which
-    the stored manifest differs from ``cfg``, or when results exist without a
+    One directory holds one sweep: every key of the stored manifest's
+    ``config`` must equal :func:`manifest_config` of ``cfg``.  Raises
+    ``ValueError`` naming each field that differs, when the manifest is not a
+    JSON object with a ``config`` object, or when results exist without a
     manifest to check them against.
     """
     if not os.path.exists(manifest_path):
@@ -449,15 +441,18 @@ def check_resume(manifest_path, results_path, cfg: SweepConfig) -> None:
             raise ValueError(f"{results_path} exists but {manifest_path} does not; "
                              "cannot tell which configuration wrote it")
         return
-    with open(manifest_path) as fh:
-        stored = json.load(fh).get("config", {})
-    # manifests from before the field was recorded were written under stream 1
-    stored.setdefault("stream_version", 1)
-    wanted = manifest_config(cfg)
+    try:
+        with open(manifest_path) as fh:
+            # manifests from before the field was recorded were written under stream 1
+            stored = {"stream_version": 1, **json.load(fh)["config"]}
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"malformed manifest {manifest_path}: {exc!r}") from exc
+    # compared as stored: JSON turns the config's tuples into lists
+    wanted = json.loads(json.dumps(manifest_config(cfg)))
     diffs = [
-        f"{name} {stored.get(name)!r} -> {wanted[name]!r}"
-        for name in _RESUME_FIELDS
-        if stored.get(name) != wanted[name]
+        f"{name} {stored.get(name)!r} -> {wanted.get(name)!r}"
+        for name in {**wanted, **stored}
+        if stored.get(name) != wanted.get(name)
     ]
     if diffs:
         raise ValueError(f"{manifest_path} was written for another configuration ("

@@ -238,10 +238,13 @@ class TestResume:
         args = (*self.BASE, "--seed", "5", "--out", str(out))
         assert run_cli(*args) == 0
         full = (out / "results.csv").read_bytes()
+        manifest = (out / "manifest.json").read_bytes()
         lines = full.splitlines(keepends=True)
         (out / "results.csv").write_bytes(b"".join(lines[:3]))
         assert run_cli(*args, "--workers", "2") == 0
         assert (out / "results.csv").read_bytes() == full
+        # the manifest that started the sweep vouches for the resumed rows too
+        assert (out / "manifest.json").read_bytes() == manifest
 
     @pytest.mark.parametrize(
         "extra,fields",
@@ -251,6 +254,11 @@ class TestResume:
             (("--seed", "5", "--max-failures-stop", "10"), ["max_failures_stop"]),
             (("--seed", "6", "--quadrature", "p"), ["master_seed", "quadrature"]),
             (("--seed", "5", "--quadrature", "p"), ["quadrature"]),
+            (("--seed", "5", "--protocol", "tracking"), ["protocol"]),
+            (("--seed", "5", "--analog", "on"), ["analog"]),
+            (("--seed", "5", "--cycles", "3"), ["cycles"]),
+            (("--seed", "5", "--levels", "1,2,3"), ["levels"]),
+            (("--seed", "5", "--sigma-total", "1.0:1.2:0.1"), ["sigma_total_grid"]),
         ],
     )
     def test_different_config_refused(self, tmp_path, capsys, extra, fields):
@@ -263,7 +271,37 @@ class TestResume:
         err = capsys.readouterr().err
         assert "another configuration" in err
         for field in fields:
-            assert field in err
+            assert f"{field} " in err
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("edit,line", [
+        # the second row's sigma becomes the third point's
+        (lambda lines: [lines[0], lines[1], lines[2].replace(",1.1,", ",1.0,", 1)], 3),
+        # a complete sweep and a row past its last point
+        (lambda lines: lines + [lines[1]], 6),
+    ], ids=["another-sigma", "beyond-grid"])
+    def test_rows_out_of_point_order_refused(self, tmp_path, capsys, edit, line):
+        """A resume continues a sweep in point order: a row that is not its point exits 2, writing nothing."""
+        out = tmp_path / "r"
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 0
+        lines = (out / "results.csv").read_text().splitlines(keepends=True)
+        (out / "results.csv").write_text("".join(edit(lines)))
+        before = {name: (out / name).read_bytes() for name in ("results.csv", "manifest.json")}
+        capsys.readouterr()
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 2
+        assert f"results.csv: line {line}: row " in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("manifest", ["[1, 2]", '{"config": 3}', "{}", "not json"],
+                             ids=["list", "config-int", "empty", "not-json"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest):
+        out = tmp_path / "r"
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 0
+        (out / "manifest.json").write_text(manifest)
+        before = {name: (out / name).read_bytes() for name in ("results.csv", "manifest.json")}
+        capsys.readouterr()
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 2
+        assert "malformed manifest" in capsys.readouterr().err
         assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_stream_v1_manifest_refused(self, tmp_path, capsys):
@@ -392,15 +430,16 @@ class TestPlot:
         assert svg.count("<polyline") == 3
 
     def test_merged_protocols_six_series(self, tmp_path):
-        out = tmp_path / "m"
+        """One figure from two sweeps, each in its own directory."""
         for proto in ("conventional", "tracking"):
             assert run_cli(
                 "run", "--protocol", proto, "--analog", "on", "--cycles", "2",
                 "--levels", "1,2,3", "--sigma-total", "1.0:1.2:0.1", "--trials", "300",
-                "--seed", "9", "--out", str(out),
+                "--seed", "9", "--out", str(tmp_path / proto),
             ) == 0
         fig = tmp_path / "fig.svg"
-        assert run_cli("plot", "--in", str(out / "results.csv"), "--out", str(fig)) == 0
+        assert run_cli("plot", "--in", str(tmp_path / "conventional" / "results.csv"),
+                       str(tmp_path / "tracking" / "results.csv"), "--out", str(fig)) == 0
         svg = fig.read_text()
         assert svg.count(" L1<") + svg.count(" L2<") + svg.count(" L3<") == 6
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkptrack.harness import (
-    _RESUME_FIELDS,
+    BLOCK_SIZE,
     CSV_HEADER,
     CrossingPair,
     CsvSink,
@@ -147,14 +147,6 @@ class TestEstimatePoint:
         with pytest.raises(ValueError, match=f"point index {index} outside the sweep's 4 points"):
             estimate_point(cfg, index, backend=CountingBackend(0.5))
 
-    def test_block_size_invariance_not_required_but_seeded(self):
-        # different block sizes change the stream partition, but fixed
-        # (seed, block size) is reproducible
-        cfg = one_point("conventional", False, 2, 1, 1.0, 9000, master_seed=5)
-        a = estimate_point(cfg, 0, block_size=1024)
-        b = estimate_point(cfg, 0, block_size=1024)
-        assert a == b
-
     def test_max_failures_stop_truncates_deterministically(self):
         backend = RiggedBackend(0.5)
         cfg = one_point("conventional", True, 2, 1, 1.0, 100_000, master_seed=1,
@@ -176,49 +168,51 @@ class TestEstimatePoint:
 class TestBlockScheduling:
     """The stop is decided in block order, and no block is started past it."""
 
-    # 6 blocks of 1000 trials; block 0 alone has ~500 failures
-    POINT = one_point("conventional", True, 2, 1, 1.0, 6000, master_seed=3)
+    # 6 blocks of BLOCK_SIZE trials; at p = 0.5 block 0 alone has ~4,096 failures
+    POINT = one_point("conventional", True, 2, 1, 1.0, 6 * BLOCK_SIZE, master_seed=3)
 
     def estimate(self, backend, max_failures_stop=None, **kwargs):
         cfg = dataclasses.replace(self.POINT, max_failures_stop=max_failures_stop)
-        return estimate_point(cfg, 0, backend=backend, block_size=1000, **kwargs)
+        return estimate_point(cfg, 0, backend=backend, **kwargs)
 
     def test_serial_stop_runs_one_block(self):
         backend = CountingBackend(0.5)
         est = self.estimate(backend, workers=1, max_failures_stop=100)
         assert backend.calls == 1
-        assert est.trials == 1000
+        assert est.trials == BLOCK_SIZE
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 6])
     def test_pool_stop_runs_at_most_workers_blocks(self, workers):
         backend = CountingBackend(0.5)
         est = self.estimate(backend, workers=workers, max_failures_stop=100)
         assert 1 <= backend.calls <= workers
-        assert est.trials == 1000
+        assert est.trials == BLOCK_SIZE
 
     def test_late_stop_bounded_overshoot(self):
-        # p = 0.1 gives ~100 failures per block: the stop falls in block 2
-        serial = CountingBackend(0.1)
+        # ~100 failures per block: the stop falls in block 2
+        serial = CountingBackend(100 / BLOCK_SIZE)
         ref = self.estimate(serial, workers=1, max_failures_stop=250)
-        stop_blocks = ref.trials // 1000
-        assert serial.calls == stop_blocks < 6
+        stop_blocks = ref.trials // BLOCK_SIZE
+        assert serial.calls == stop_blocks == 3
         for workers in (2, 3):
-            backend = CountingBackend(0.1)
+            backend = CountingBackend(100 / BLOCK_SIZE)
             assert self.estimate(backend, workers=workers, max_failures_stop=250) == ref
             assert stop_blocks <= backend.calls <= stop_blocks + workers - 1
 
     @pytest.mark.parametrize("stop", [None, 1, 100, 1200, 10_000])
     def test_estimate_identical_across_workers(self, stop):
-        ref = self.estimate(RiggedBackend(0.5), workers=1, max_failures_stop=stop)
+        # ~500 failures per block: stops in block 0, in block 2, and never
+        p_fail = 500 / BLOCK_SIZE
+        ref = self.estimate(RiggedBackend(p_fail), workers=1, max_failures_stop=stop)
         for workers in range(2, 7):
-            assert self.estimate(RiggedBackend(0.5), workers=workers, max_failures_stop=stop) == ref
+            assert self.estimate(RiggedBackend(p_fail), workers=workers, max_failures_stop=stop) == ref
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_no_stop_runs_every_block(self, workers):
         backend = CountingBackend(0.5)
         est = self.estimate(backend, workers=workers)
         assert backend.calls == 6
-        assert est.trials == 6000
+        assert est.trials == 6 * BLOCK_SIZE
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("failing_call", [1, 4, 6])
@@ -276,9 +270,8 @@ class TestSweep:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:3]))
         resumed = sweep(cfg, CsvSink(path), workers=1)
-        assert len(resumed) == 2  # only the missing points were computed
+        assert resumed == full[2:]  # only the missing points were computed
         assert path.read_bytes() == full_bytes
-        assert [e.key() for e in full[2:]] == [e.key() for e in resumed]
 
     @pytest.mark.parametrize("cut", [1, 4, 30])
     def test_resume_drops_truncated_last_row(self, tmp_path, cut):
@@ -331,17 +324,22 @@ class TestSweep:
         check_resume(tmp_path / "m.json", tmp_path / "results.csv", cfg)
 
     def test_manifest_config_is_every_field(self, tmp_path):
-        """Every config field reaches the manifest, and a resume compares each that is not a row's key."""
+        """Every config field reaches the manifest, and a resume compares each of them."""
         cfg = one_point("tracking", True, 3, 2, 1.2, 10, master_seed=1, max_failures_stop=5,
                         quadrature="p", sigma_ancilla=0.15)
-        write_manifest(tmp_path / "m.json", cfg, "pure", 1)
-        config = json.loads((tmp_path / "m.json").read_text())["config"]
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, cfg, "pure", 1)
+        payload = json.loads(manifest.read_text())
+        config = payload["config"]
         names = [f.name for f in dataclasses.fields(SweepConfig)]
         assert config == {**{name: json.loads(json.dumps(getattr(cfg, name))) for name in names},
                           "stream_version": STREAM_VERSION}
         assert list(config) == names + ["stream_version"]
-        row_key = {"protocol", "analog", "cycles", "sigma_total_grid", "levels"}
-        assert set(config) == row_key | set(_RESUME_FIELDS)
+        check_resume(manifest, tmp_path / "results.csv", cfg)
+        for name, value in config.items():
+            manifest.write_text(json.dumps({**payload, "config": {**config, name: "other"}}))
+            with pytest.raises(ValueError, match=re.escape(f"({name} 'other' -> {value!r})")):
+                check_resume(manifest, tmp_path / "results.csv", cfg)
 
     def test_grid_must_be_sorted(self):
         with pytest.raises(ValueError):
