@@ -14,7 +14,7 @@ is written.  The parser refuses only what it cannot read, or ``--workers``
 below 1.  One output directory holds one sweep: ``run`` into a directory
 whose manifest records another configuration, or whose rows are not the
 sweep's first points, exits 2 and changes nothing there.  ``plot`` draws
-several sweeps from their files.
+several sweeps from their files, one series per file and level.
 
 Exit codes: 0 success, 1 usage error, 2 refused config value or runtime/IO error.
 """
@@ -193,17 +193,16 @@ def _cmd_resources(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    estimates = []
+    sweeps = {}
     for path in args.infiles:
-        rows = harness.read_results(path)
-        if not rows:
+        sweeps[path] = harness.read_results(path)
+        if not sweeps[path]:
             raise RuntimeError(f"{path}: no data rows")
-        estimates += rows
     threshold = None
     if args.threshold:
         with open(args.threshold) as fh:
             threshold = harness.ThresholdEstimate.from_json(fh.read())
-    svgplot.render_curves(estimates, args.outfile, threshold=threshold, title=args.title)
+    svgplot.render_curves(sweeps, args.outfile, threshold=threshold, title=args.title)
     print(f"plot: {args.outfile}")
     return EXIT_OK
 

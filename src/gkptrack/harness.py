@@ -321,7 +321,7 @@ def sweep(
 
 
 def read_results(path) -> list[PointEstimate]:
-    """Parse a results CSV; malformed rows raise with their line number."""
+    """Parse a results CSV; malformed rows and blank lines raise with their line number."""
     columns = fields(PointEstimate)
     out = []
     with open(path) as fh:
@@ -331,7 +331,8 @@ def read_results(path) -> list[PointEstimate]:
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
-                continue
+                # never written; refusing it keeps row i on line i + 2, as sweep names it
+                raise ValueError(f"{path}: line {lineno}: blank line")
             parts = line.split(",")
             if len(parts) != len(columns):
                 raise ValueError(f"{path}: line {lineno}: expected {len(columns)} fields, got {len(parts)}")

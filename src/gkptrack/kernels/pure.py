@@ -14,8 +14,9 @@ documented draw order (:mod:`gkptrack.protocols`): per trial, per cycle, per
 qubit the channel normal followed, in recorded tracking cycles, by the
 ancilla normals ``a1`` and ``a2`` when the ancilla sigma is above zero.
 
-Layout.  The chunk's ``(trial, draw)`` normals are transposed once, so every
-later array is leaf-major: a per-qubit quantity is a contiguous
+Layout.  The leaves read the chunk's ``(trial, draw)`` normals through a
+transposed view in their first multiply, so every later array is
+leaf-major: a per-qubit quantity is a contiguous
 ``(leaf, trial)`` block, a tracking trial's records one preallocated
 ``(cycle, leaf, trial)`` array, and a conventional config decodes
 ``(leaf, cycle, trial)`` arrays whose rows are its ``(cycle, trial)`` decodes.
@@ -28,16 +29,29 @@ first and bins them in one pass; with perfect ancillas the scalar adds of
 ``0.0`` are left out, as they change no bin and no ``|record|``.  A qubit's
 bit is the parity of its summed lattice indices.
 
+Chunks.  An analog block runs in chunks of :data:`CHUNK_DRAWS` normals, a
+digital block in as few equal chunks as fit :data:`DIGITAL_CHUNK_DRAWS`
+(one chunk for a 2,048-trial conventional L2 point).  A chunk's normals, its
+deviations or records, their bins and its ancilla values live in buffers
+that each thread keeps and reuses (:func:`_buffer`), so a chunk takes no
+fresh pages; the normals are drawn into theirs by ``standard_normal(out=)``.
+A digital chunk keeps no deviation, so it bins its deviations in place.
+
 Digital decodes are exact.  Every leaf of a digital decode carries the same
 likelihood pair, :func:`gkptrack.protocols.digital_pair`, so a C4 block's
-table depends only on its four bits and a C6 fold only on its three
-sub-tables.  :class:`DigitalDecoder` computes each table with the scalar
-:func:`gkptrack.codes.block_pair_likelihoods` (16 bit patterns) and
-:func:`gkptrack.codes.c6_level_up` (once per distinct triple of sub-tables),
-numbers the distinct tables of each level, and decides each top table once by
-:func:`gkptrack.codes.first_bit`.  A decode is then a few array lookups, and
-it ties exactly where the scalar decoder does.  One decoder serves every
-block of a config that the same backend runs.
+table depends only on how many of its four bits each word of each class
+matches, and a C6 fold only on its three sub-tables.
+:class:`DigitalDecoder` computes the 5 distinct C4 tables with the scalar
+:func:`gkptrack.codes.block_pair_likelihoods` (one per pattern of
+:data:`_C4_FIRST`) and each fold with :func:`gkptrack.codes.c6_level_up`,
+once per distinct triple of sub-tables; it numbers the distinct tables of
+each level and decides each top table once by :func:`gkptrack.codes.first_bit`.
+A decode is then a few array lookups, and it ties exactly where the scalar
+decoder does.  While a level's sub-table count ``k`` has ``k**3`` at most
+:data:`_DENSE_KEYS`, a triple's key ``(n0*k + n1)*k + n2`` indexes an array
+of fold numbers, rebuilt when ``k`` grows (every L2 and L3 fold seen); above
+it, triples are found by ``np.unique``.  One decoder serves every block of a
+config that the same backend runs.
 
 Analog decodes compute the likelihoods, the parity convolution, the C4
 tables, the C6 folds and the first-bit decision over the whole chunk in the
@@ -100,13 +114,18 @@ from ..gkp import HALF_SQRT_PI, SQRT_PI
 from ..protocols import run_trial
 from . import ProtocolConfig
 
-#: normals drawn per chunk, analog or digital.  On tracking analog L1-L3
-#: blocks of 8,192 trials (2-core VM, numpy 2.4.6, two runs), chunks of 4,096
-#: normals ran at 0.69-0.79x the speed of this size, 16,384 at 0.79-0.92x and
-#: 32,768 at 0.79-0.85x.  Digital chunks of 32,768 normals ran at 0.78-0.92x
-#: its speed on conventional L1-L2 and tracking L1 blocks and at 0.92-1.13x
-#: on L3 blocks: their 256 KB arrays take fresh pages on every chunk.
+#: normals drawn per analog chunk.  On tracking analog L1-L3 blocks of 8,192
+#: trials (2-core VM, numpy 2.4.6, two runs), chunks of 4,096 normals ran at
+#: 0.69-0.79x the speed of this size, 16,384 at 0.79-0.92x and 32,768 at
+#: 0.79-0.85x, before chunks reused their buffers.
 CHUNK_DRAWS = 8192
+#: normals drawn per digital chunk at most; a digital block runs in as few
+#: equal chunks as fit this number.  Each chunk's decode pays a fixed cost in
+#: numpy calls and fold lookups, and with reused buffers its 1 MB of normals
+#: takes no fresh pages.  Warm 8,192-trial blocks ran 1.3-2.5x faster at
+#: L2-L4 and 1.0-1.5x at tracking L1 than in chunks of CHUNK_DRAWS on fresh
+#: arrays (2-core VM, numpy 2.4.6).
+DIGITAL_CHUNK_DRAWS = 1 << 17
 #: relative gap ``|l1 - l0| / (1 + |l0| + |l1|)`` at or below which the
 #: scalar reference decides an analog trial
 TIE_TOLERANCE = 1e-9
@@ -124,10 +143,31 @@ _BIT_VALUES = np.arange(2).reshape(2, 1, 1)
 _C6_SLOTS = np.array(C6_PAIR_TRIPLES).transpose(2, 0, 1).reshape(3, -1)
 #: :class:`DigitalDecoder`'s first-bit code of a top table that ties exactly
 _TIE = 2
+# sub-table counts k with k**3 up to this number fold through a dense lookup
+# of key (n0*k + n1)*k + n2, at most 512 KB: every L2 and L3 fold seen (k up to 26)
+_DENSE_KEYS = 1 << 16
 # sub-table counts below this number a triple by one int64 key (k**3 < 2**63);
 # at most 125**3 tables reach C6 level 3, so only folds at level 5 and above
 # can need np.unique(axis=0), which makes digital L2/L3 blocks 1.7-2.4x slower
 _KEYED_TABLES = 1 << 21
+
+
+def _c4_first_patterns() -> list[int]:
+    """For each C4 bit pattern, the index of the first pattern with its match counts.
+
+    A pattern's match counts are, per class, the sorted counts of its bits
+    that each of the class's two words matches.  A digital table depends on
+    these only (``codes._word_sum`` adds equal terms, ``logsumexp_sorted``
+    sorts the words), so the patterns of one index share a table.
+    """
+    counts = [[sorted(sum(b == w for b, w in zip(bits, word)) for word in c4_table().codewords[PAIR_VALUE[ci]])
+               for ci in range(4)] for bits in _C4_PATTERNS]
+    return [counts.index(c) for c in counts]
+
+
+_C4_PATTERNS = list(itertools.product((0, 1), repeat=4))
+# 5 distinct indices: the even patterns of each class, and the odd patterns
+_C4_FIRST = _c4_first_patterns()
 
 
 def coin_generator(generator) -> np.random.Generator:
@@ -149,25 +189,30 @@ def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> i
         draws = params.cycles * n
     else:
         draws = (params.cycles - 1) * n * (3 if params.sigma_ancilla > 0.0 else 1) + n
-    chunk = max(1, CHUNK_DRAWS // draws)
-    if not params.analog and decoder is None:
-        decoder = DigitalDecoder(params)
+    if params.analog:
+        chunk = max(1, CHUNK_DRAWS // draws)
+    else:
+        # as few equal chunks as fit DIGITAL_CHUNK_DRAWS normals
+        chunks = max(1, -(-trials // max(1, DIGITAL_CHUNK_DRAWS // draws)))
+        chunk = max(1, -(-trials // chunks))
+        if decoder is None:
+            decoder = DigitalDecoder(params)
     return sum(_run_chunk(params, draws, generator, coins, decoder, min(chunk, trials - start))
                for start in range(0, trials, chunk))
 
 
 def _run_chunk(params, draws, generator, coins, decoder, trials) -> int:
     """Failure count of the next ``trials`` trials."""
-    # one row of normals per draw of a trial, one column per trial
-    z = np.ascontiguousarray(generator.standard_normal(trials * draws).reshape(trials, draws).T)
+    # one row of normals per trial, read by the leaves through its transpose
+    z = generator.standard_normal(out=_buffer("z", (trials, draws)))
     decodes = params.cycles if params.protocol == "conventional" else 1
     unsure = np.zeros(trials, dtype=bool)
     # underflowed or non-finite values make an analog decode unsure, not an error
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if params.protocol == "conventional":
-            bits, scale, match, flip, outside = _conventional_leaves(params, z)
+            bits, scale, match, flip, outside = _conventional_leaves(params, z.T)
         else:
-            bits, scale, match, flip, outside = _tracking_leaves(params, z)
+            bits, scale, match, flip, outside = _tracking_leaves(params, z.T)
         if decoder is None:
             bit, unsure_rows = _decide(bits, scale, match, flip)
             unsure = (unsure_rows | outside).reshape(decodes, trials).any(axis=0)
@@ -183,8 +228,26 @@ def _run_chunk(params, draws, generator, coins, decoder, trials) -> int:
     # truth is 0 in every cycle: a trial fails on an odd count of wrong decodes
     failures = int(np.count_nonzero(np.bitwise_xor.reduce(decided, axis=0) & ~unsure))
     for j in np.flatnonzero(unsure).tolist():
-        failures += run_trial(params, _Replay(z[:, j].tolist()), coins)
+        failures += run_trial(params, _Replay(z[j].tolist()), coins)
     return failures
+
+
+# each thread's chunk buffers, by name
+_buffers = threading.local()
+
+
+def _buffer(name: str, shape, dtype=np.float64):
+    """This thread's reused buffer ``name`` as a contiguous ``shape`` array; it grows and never shrinks.
+
+    A chunk's arrays live in these buffers, so chunks take no fresh pages,
+    and each ``--workers`` thread has its own.
+    """
+    buffer = getattr(_buffers, name, None)
+    if buffer is None or buffer.size < math.prod(shape):
+        # float64 and int64 elements take 8 bytes alike
+        buffer = np.empty(math.prod(shape))
+        setattr(_buffers, name, buffer)
+    return np.ndarray(shape, dtype, buffer)
 
 
 class _Replay:
@@ -214,14 +277,18 @@ class DigitalDecoder:
         self._numbers = [{} for _ in range(params.level)]
         self._tables = [[] for _ in range(params.level)]
         self._folds = [{} for _ in range(params.level)]
+        # per level above C4: the sub-table count k a dense lookup was built
+        # for, and its fold numbers by key (n0*k + n1)*k + n2, -1 if not yet folded
+        self._lookups = [(0, None) for _ in range(params.level)]
         # first bit of each top table, or _TIE; as a list and as an array
         self._first_bits: list[int] = []
         self._first_bit_array = np.empty(0, dtype=np.int8)
         leaves = [pair] * 4
-        self._c4 = np.array([
-            self._intern(0, codes.block_pair_likelihoods(c4_table(), bits, leaves))
-            for bits in itertools.product((0, 1), repeat=4)
-        ])
+        numbers = []
+        for bits, first in zip(_C4_PATTERNS, _C4_FIRST):
+            numbers.append(numbers[first] if first < len(numbers) else
+                           self._intern(0, codes.block_pair_likelihoods(c4_table(), bits, leaves)))
+        self._c4 = np.array(numbers)
 
     def decide(self, bits):
         """First-pair bits of decodes, and which of them tie exactly.
@@ -242,6 +309,8 @@ class DigitalDecoder:
         """Numbers of the level tables folded from sub-table numbers ``n0``, ``n1`` and ``n2``."""
         # tables are only added, so k bounds every number interned before this call
         k = len(self._tables[level - 1])
+        if k ** 3 <= _DENSE_KEYS:
+            return self._dense_fold(level, k, n0, n1, n2)
         if k < _KEYED_TABLES:
             keys = (n0 * k + n1) * k + n2
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -249,16 +318,48 @@ class DigitalDecoder:
         else:
             distinct, inverse = np.unique(np.stack((n0, n1, n2), axis=-1).reshape(-1, 3),
                                           axis=0, return_inverse=True)
-        folds, subs = self._folds[level], self._tables[level - 1]
-        numbers = []
         with self._lock:
-            for triple in map(tuple, distinct.tolist()):
-                number = folds.get(triple)
-                if number is None:
-                    table = codes.c6_level_up([subs[i] for i in triple])
-                    number = folds[triple] = self._intern(level, table)
-                numbers.append(number)
+            numbers = [self._fold_number(level, triple) for triple in map(tuple, distinct.tolist())]
         return np.array(numbers)[inverse.reshape(n0.shape)]
+
+    def _dense_fold(self, level: int, k: int, n0, n1, n2):
+        """:meth:`_fold` through the level's dense lookup, for sub-table numbers below ``k``."""
+        built, lookup = self._lookups[level]
+        if built < k:
+            with self._lock:
+                built, lookup = self._lookups[level]
+                if built < k:
+                    built, lookup = self._lookups[level] = k, self._dense_lookup(level, k)
+        # a lookup is read with the k it was built for
+        keys = (n0 * built + n1) * built + n2
+        numbers = lookup[keys]
+        new = numbers < 0
+        if new.any():
+            with self._lock:
+                # each new key once, in key order
+                for key in np.flatnonzero(np.bincount(keys[new])).tolist():
+                    triple = (key // (built * built), key // built % built, key % built)
+                    lookup[key] = self._fold_number(level, triple)
+            numbers = lookup[keys]
+        return numbers
+
+    def _dense_lookup(self, level: int, k: int):
+        """The level's fold numbers by key ``(n0*k + n1)*k + n2``, -1 where not folded; under the lock."""
+        lookup = np.full(k ** 3, -1, dtype=np.int64)
+        for (n0, n1, n2), number in self._folds[level].items():
+            # a fold of sub-tables interned since k was read has no key here
+            if max(n0, n1, n2) < k:
+                lookup[(n0 * k + n1) * k + n2] = number
+        return lookup
+
+    def _fold_number(self, level: int, triple) -> int:
+        """The number of the level table folded from sub-table numbers ``triple``; under the lock."""
+        folds = self._folds[level]
+        number = folds.get(triple)
+        if number is None:
+            table = codes.c6_level_up([self._tables[level - 1][i] for i in triple])
+            number = folds[triple] = self._intern(level, table)
+        return number
 
     def _intern(self, level: int, table) -> int:
         """The number of ``table`` among the distinct tables of ``level``."""
@@ -277,22 +378,28 @@ def _bin(x, record: bool):
     """Lattice indices of ``x`` as :func:`gkptrack.gkp.lattice_index`, as int64.
 
     With ``record``, ``x`` is overwritten with the binned deviations
-    ``x - s * SQRT_PI``.  The cast is exact below ``2**63``; beyond it the
-    scalar's own records lie far outside the bin range, and its bits are even.
+    ``x - s * SQRT_PI``; without, its values are not kept: it is divided in
+    place, and the indices overwrite the chunk's normals.  The cast is exact
+    below ``2**63``; beyond it the scalar's own records lie far outside the
+    bin range, and its bits are even.
     """
-    t = np.divide(x, SQRT_PI)
+    t = np.divide(x, SQRT_PI, out=_buffer("t", x.shape) if record else x)
     t -= 0.5
-    s = np.ceil(t, out=np.empty(t.shape, dtype=np.int64), casting="unsafe")
+    # a digital chunk replays no trial: its indices take its normals' buffer
+    s = np.ceil(t, out=_buffer("s" if record else "z", x.shape, np.int64), casting="unsafe")
     if record:
         x -= np.multiply(s, SQRT_PI, out=t)
     return s
 
 
 def _conventional_leaves(params: ProtocolConfig, z):
-    """Bits and, analog, scaled leaf likelihoods of every cycle's decode: ``(leaf, cycle * trial)``."""
+    """Bits and, analog, scaled leaf likelihoods of every cycle's decode: ``(leaf, cycle * trial)``.
+
+    ``z`` holds the chunk's normals, ``(draw, trial)``.
+    """
     n = block_size(params.level)
     trials = z.shape[1]
-    dev = np.empty((n, params.cycles, trials))
+    dev = _buffer("x", (n, params.cycles, trials))
     np.multiply(z.reshape(params.cycles, n, trials).transpose(1, 0, 2), params.sigma_cycle, out=dev)
     dev = dev.reshape(n, -1)
     bits = _bin(dev, params.analog)
@@ -307,8 +414,9 @@ def _tracking_leaves(params: ProtocolConfig, z):
     """Bits and, analog, scaled joint record likelihoods of tracking trials: ``(leaf, trial)``.
 
     As ``protocols._tracking``, with ``single_qec.sqec_step`` inline.
-    No bin feeds back into a deviation, so every cycle's measured value is
-    formed first and all are binned at once.
+    ``z`` holds the chunk's normals, ``(draw, trial)``.  No bin feeds back
+    into a deviation, so every cycle's measured value is formed first and
+    all are binned at once.
     """
     trials = z.shape[1]
     n = block_size(params.level)
@@ -316,7 +424,7 @@ def _tracking_leaves(params: ProtocolConfig, z):
     cycles = params.cycles
     quadrature, sigma_ancilla = params.quadrature, params.sigma_ancilla
     # the recorded cycles' measured values, then the final deviation
-    records = np.empty((cycles, n, trials))
+    records = _buffer("x", (cycles, n, trials))
     if sigma_ancilla == 0.0:
         # sqec_step with a1 = a2 = 0: the qubit reads its fresh channel
         # deviation, negated in p, and keeps none of it
@@ -325,13 +433,14 @@ def _tracking_leaves(params: ProtocolConfig, z):
         np.multiply(z.reshape(cycles, n, trials), factors, out=records)
     else:
         recorded = z[:-n].reshape(cycles - 1, n, 3, trials)
+        ancilla = _buffer("a", (2, n, trials))
         dev = None  # data deviation left by the last correction
         for cycle in range(cycles - 1):
             measured = np.multiply(recorded[cycle, :, 0], sigma, out=records[cycle])
             if dev is not None:
                 measured += dev
-            a1 = recorded[cycle, :, 1] * sigma_ancilla
-            a2 = recorded[cycle, :, 2] * sigma_ancilla
+            a1 = np.multiply(recorded[cycle, :, 1], sigma_ancilla, out=ancilla[0])
+            a2 = np.multiply(recorded[cycle, :, 2], sigma_ancilla, out=ancilla[1])
             if quadrature == "q":
                 measured += a1
                 measured += a2
@@ -342,7 +451,10 @@ def _tracking_leaves(params: ProtocolConfig, z):
         np.multiply(z[-n:], sigma, out=records[-1])
         records[-1] += dev
     # a qubit's bit: the parity of its lattice indices summed over the cycles
-    bits = _bin(records, params.analog).sum(axis=0)
+    indices = _bin(records, params.analog)
+    bits = indices[0]
+    for later in indices[1:]:
+        bits += later
     bits &= 1
     if not params.analog:
         return bits, None, None, None, None

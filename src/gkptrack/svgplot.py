@@ -2,7 +2,7 @@
 
 No plotting dependency: the output is a single hand-written ``<svg>`` with a
 log-scale y axis (failure probability), linear x axis (total noise standard
-deviation), one polyline per (protocol, analog, level) series with Wilson
+deviation), one polyline per (results file, level) series with Wilson
 interval whiskers, and optional vertical threshold markers.  Points whose
 failure count is zero have no point estimate on a log axis; they are drawn
 as one-sided markers (an open downward triangle at the interval's upper
@@ -12,6 +12,7 @@ bound) instead of being dropped.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 _PALETTE = [
@@ -30,9 +31,8 @@ class _Series:
     points: list  # of PointEstimate, sorted by sigma
 
 
-def _series_label(key) -> str:
-    protocol, analog, level = key
-    return f"{protocol}/{'analog' if analog else 'digital'} L{level}"
+def _series_label(est) -> str:
+    return f"{est.protocol}/{'analog' if est.analog else 'digital'} L{est.level}"
 
 
 def _nice_x_ticks(lo: float, hi: float, max_ticks: int = 8) -> list[float]:
@@ -53,17 +53,22 @@ def _nice_x_ticks(lo: float, hi: float, max_ticks: int = 8) -> list[float]:
     return ticks
 
 
-def render_curves(estimates, out_path, threshold=None, title: str = "") -> None:
-    """Write an SVG of the failure curves; ``threshold`` is a ThresholdEstimate."""
+def render_curves(sweeps, out_path, threshold=None, title: str = "") -> None:
+    """Write an SVG of the failure curves; ``threshold`` is a ThresholdEstimate.
+
+    ``sweeps`` maps each results file to its estimates.  A file holds one
+    sweep, so each of its levels is one series; with several files, a
+    series' label starts with its file's directory.
+    """
+    estimates = [e for rows in sweeps.values() for e in rows]
     if not estimates:
         raise ValueError("no data points to plot")
-    groups: dict[tuple, list] = {}
-    for e in estimates:
-        groups.setdefault((e.protocol, e.analog, e.level), []).append(e)
     series = []
-    for i, key in enumerate(sorted(groups)):
-        pts = sorted(groups[key], key=lambda e: e.sigma_total)
-        series.append(_Series(_series_label(key), _PALETTE[i % len(_PALETTE)], pts))
+    for path, rows in sweeps.items():
+        prefix = f"{os.path.basename(os.path.dirname(os.path.abspath(path)))}: " if len(sweeps) > 1 else ""
+        for level in sorted({e.level for e in rows}):
+            pts = sorted((e for e in rows if e.level == level), key=lambda e: e.sigma_total)
+            series.append(_Series(prefix + _series_label(pts[0]), _PALETTE[len(series) % len(_PALETTE)], pts))
 
     xs = [e.sigma_total for e in estimates]
     x_lo, x_hi = min(xs), max(xs)

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gkptrack import protocols
+from gkptrack import codes, protocols
 from gkptrack.kernels import ProtocolConfig, PureBackend, pure
 
 
@@ -242,13 +242,35 @@ CHUNK_CONFIGS = TIE_HEAVY + [
 ]
 
 
-# 4,096 normals also split CHUNK_CONFIGS' analog block (72 normals a trial) into two chunks
-@pytest.mark.parametrize("chunk_draws", [1, 7, 4096, pure.CHUNK_DRAWS])
+# analog and digital chunk normals; 4,096 also split CHUNK_CONFIGS' analog
+# block (72 normals a trial) into two chunks and its digital ones into 9, 6 and 2
+@pytest.mark.parametrize("chunk_draws", [
+    pytest.param((size, size), id=str(size)) for size in (1, 7, 4096)
+] + [pytest.param((pure.CHUNK_DRAWS, pure.DIGITAL_CHUNK_DRAWS), id=str(pure.CHUNK_DRAWS))])
 @pytest.mark.parametrize("params,trials", CHUNK_CONFIGS)
 def test_chunk_size_invariant(monkeypatch, chunk_draws, params, trials):
     """Counts and both generators' final states do not depend on the chunk size."""
-    monkeypatch.setattr(pure, "CHUNK_DRAWS", chunk_draws)
+    monkeypatch.setattr(pure, "CHUNK_DRAWS", chunk_draws[0])
+    monkeypatch.setattr(pure, "DIGITAL_CHUNK_DRAWS", chunk_draws[1])
     assert_stream_exact(params, trials, 11)
+
+
+def test_digital_block_in_equal_chunks(monkeypatch):
+    """A digital block runs in as few equal chunks as fit its normals, an analog one in full chunks."""
+    sizes = []
+    original = pure._run_chunk
+
+    def spy(params, draws, generator, coins, decoder, trials):
+        sizes.append(trials)
+        return original(params, draws, generator, coins, decoder, trials)
+
+    monkeypatch.setattr(pure, "_run_chunk", spy)
+    # 36 normals a trial: 3,640 trials fit the digital chunk, 227 the analog one
+    pure.run_block(ProtocolConfig("conventional", False, 2, 3, 0.5), make_gen(1), 8192)
+    assert sizes == [2731, 2731, 2730]
+    sizes.clear()
+    pure.run_block(ProtocolConfig("conventional", True, 2, 3, 0.5), make_gen(1), 500)
+    assert sizes == [227, 227, 46]
 
 
 def test_digital_decoder_interns_exact_tables():
@@ -267,6 +289,46 @@ def test_unkeyed_fold_matches(monkeypatch):
     params, trials = CHUNK_CONFIGS[2]
     monkeypatch.setattr(pure, "_KEYED_TABLES", 0)
     assert_stream_exact(params, trials, 11)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "keyed"])
+def test_dense_fold_matches_keyed(monkeypatch, dense):
+    """Folds through the dense lookup, rebuilt as the sub-table count grows, decide as keyed folds."""
+    params = CHUNK_CONFIGS[2][0]
+    built = []
+    dense_lookup = pure.DigitalDecoder._dense_lookup
+
+    def counted_lookup(decoder, level, k):
+        built.append((level, k))
+        return dense_lookup(decoder, level, k)
+
+    monkeypatch.setattr(pure.DigitalDecoder, "_dense_lookup", counted_lookup)
+    if not dense:
+        monkeypatch.setattr(pure, "_DENSE_KEYS", 0)
+    # 144 normals a trial: chunks of 8 trials, each of which may add L2 tables
+    monkeypatch.setattr(pure, "DIGITAL_CHUNK_DRAWS", 8 * 144)
+    assert_stream_exact(params, 120, 11)
+    if dense:
+        # C4 has 5 tables; the L2 table count k grows from chunk to chunk
+        assert [k for level, k in built if level == 1] == [5]
+        assert len([k for level, k in built if level == 2]) > 1
+    else:
+        assert built == []
+
+
+@pytest.mark.parametrize("protocol", ["conventional", "tracking"])
+@pytest.mark.parametrize("sigma", [0.02, 0.3, 0.5, 1.0, 3.0])
+def test_c4_tables_by_match_counts(protocol, sigma):
+    """Each of the 16 C4 patterns gets the scalar decoder's table, though only 5 are computed."""
+    params = ProtocolConfig(protocol, False, 1, 2, sigma)
+    pair = protocols.digital_pair(params)
+    if sigma == 0.02:
+        assert pair.l_flip == -np.inf
+    decoder = pure.DigitalDecoder(params)
+    for i, bits in enumerate(itertools.product((0, 1), repeat=4)):
+        expected = codes.block_pair_likelihoods(codes.c4_table(), bits, [pair] * 4)
+        assert decoder._tables[0][decoder._c4[i]].as_tuple() == expected.as_tuple()
+    assert len(set(pure._C4_FIRST)) == 5
 
 
 def test_floor_on_table_peaks():
@@ -334,26 +396,32 @@ def test_shared_decoder_under_threads():
                 assert len(numbers) == len(tables)
                 assert all(numbers[table.as_tuple()] == i for i, table in enumerate(tables))
             assert len(decoder._first_bits) == len(decoder._tables[-1])
+            # the L3 folds read a dense lookup rebuilt for the last L2 table count
+            assert decoder._lookups[2][0] == len(decoder._tables[1])
     finally:
         sys.setswitchinterval(interval)
 
 
 class FixedNormals:
-    """A generator whose first normals are given values and the rest zeros; counts scalar draws."""
+    """A generator whose first normals are given values and the rest zeros; counts scalar draws.
+
+    As a numpy ``Generator`` does, it fills a contiguous ``out`` array in place.
+    """
 
     def __init__(self, values):
         self.values = list(values)
         self.bit_generator = make_gen(0).bit_generator
         self.draws = 0
 
-    def standard_normal(self, size=None):
-        if size is None:
+    def standard_normal(self, out=None):
+        if out is None:
             self.draws += 1
             return self.values.pop(0) if self.values else 0.0
-        out = np.zeros(size)
-        head = self.values[:size]
-        out[: len(head)] = head
-        del self.values[:size]
+        flat = out.reshape(-1)
+        flat[:] = 0.0
+        head = self.values[: flat.size]
+        flat[: len(head)] = head
+        del self.values[: flat.size]
         return out
 
 

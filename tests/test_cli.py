@@ -292,6 +292,18 @@ class TestResume:
         assert f"results.csv: line {line}: row " in capsys.readouterr().err
         assert {name: (out / name).read_bytes() for name in before} == before
 
+    def test_blank_line_refused(self, tmp_path, capsys):
+        """A blank line, which the program never writes, exits 2 naming its own line, writing nothing."""
+        out = tmp_path / "r"
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 0
+        lines = (out / "results.csv").read_text().splitlines(keepends=True)
+        (out / "results.csv").write_text("".join([lines[0], "\n"] + lines[1:]))
+        before = {name: (out / name).read_bytes() for name in ("results.csv", "manifest.json")}
+        capsys.readouterr()
+        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 2
+        assert "results.csv: line 2: blank line" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in before} == before
+
     @pytest.mark.parametrize("manifest", ["[1, 2]", '{"config": 3}', "{}", "not json"],
                              ids=["list", "config-int", "empty", "not-json"])
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest):
@@ -442,6 +454,23 @@ class TestPlot:
                        str(tmp_path / "tracking" / "results.csv"), "--out", str(fig)) == 0
         svg = fig.read_text()
         assert svg.count(" L1<") + svg.count(" L2<") + svg.count(" L3<") == 6
+
+    def test_sweeps_differing_in_cycles_two_series_per_level(self, tmp_path):
+        """Each file's levels are its own series, labelled with its directory, though the sweeps share protocol and levels."""
+        for cycles in ("2", "3"):
+            assert run_cli(
+                "run", "--protocol", "tracking", "--analog", "on", "--cycles", cycles,
+                "--levels", "1,2", "--sigma-total", "1.0:1.2:0.1", "--trials", "300",
+                "--seed", "9", "--out", str(tmp_path / f"c{cycles}"),
+            ) == 0
+        fig = tmp_path / "fig.svg"
+        assert run_cli("plot", "--in", str(tmp_path / "c2" / "results.csv"),
+                       str(tmp_path / "c3" / "results.csv"), "--out", str(fig)) == 0
+        svg = fig.read_text()
+        assert svg.count("<polyline") == 4
+        for cycles in ("2", "3"):
+            for level in ("1", "2"):
+                assert svg.count(f">c{cycles}: tracking/analog L{level}<") == 1
 
     def test_zero_failure_points_get_one_sided_markers(self, tmp_path):
         out = tmp_path / "z"

@@ -376,6 +376,12 @@ class TestReadResults:
         with pytest.raises(ValueError, match="line 2"):
             read_results(p)
 
+    def test_blank_line_names_line(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text(CSV_HEADER + "\n\nconventional,on,2,1,1.0,100,5,0.05,0.02,0.1,7\n")
+        with pytest.raises(ValueError, match="line 2: blank line"):
+            read_results(p)
+
     @settings(max_examples=200, deadline=None)
     @given(st.builds(
         PointEstimate,
