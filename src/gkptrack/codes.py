@@ -31,10 +31,11 @@ rounding artifact.  All sums are therefore accumulated in a canonical order:
 per codeword, matched units are summed in index order separately from
 mismatched units; per class, word sums are combined by a sorted
 log-sum-exp.  Mathematically equal configurations then produce identical
-doubles.  The trial-batched kernel decodes digital configs with these very
-functions on interned tables (:mod:`gkptrack.kernels.pure`), so it meets
-the same exact ties, and each tie draws its coin from the block's coin
-generator (stream contract in :mod:`gkptrack.kernels`).
+doubles.  The trial-batched kernel (:mod:`gkptrack.kernels.pure`) folds
+digital tables with :func:`c6_level_up_rows`, the scalar reference
+:func:`c6_level_up`'s operations in its order on arrays, so it meets the same
+exact ties; each tie draws its coin from the block's coin generator (stream
+contract in :mod:`gkptrack.kernels`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .gkp import LikelihoodPair
 
@@ -205,6 +208,44 @@ def c6_level_up(sub_pairs: Sequence[PairLikelihoods]) -> PairLikelihoods:
         sums = [t1[i1] + t2[i2] + t3[i3] for i1, i2, i3 in C6_PAIR_TRIPLES[ci]]
         values.append(logsumexp_sorted(sums))
     return PairLikelihoods.from_tuple(values)
+
+
+#: the 16 C6 words, class by class, as sub-pair indices of sub-block 0, 1 and 2
+C6_SLOTS = np.array(C6_PAIR_TRIPLES).transpose(2, 0, 1).reshape(3, -1)
+
+
+def c6_level_up_rows(tables, i0, i1, i2):
+    """:func:`c6_level_up` of each triple of rows ``tables[i0]``, ``tables[i1]``, ``tables[i2]``, bit for bit.
+
+    ``tables`` is a ``(k, 4)`` array of pair tables.  The word sums, their
+    order and the accumulation are the scalar fold's IEEE operations, and
+    ``exp`` and ``log`` are :mod:`math`'s, once per distinct value: numpy's
+    vectorised ones need not round as the C library does on every CPU.
+    """
+    words = tables[i0][:, C6_SLOTS[0]] + tables[i1][:, C6_SLOTS[1]]
+    words += tables[i2][:, C6_SLOTS[2]]
+    # each class's four sums in descending order, by a sorting network
+    a, b, c, d = words.reshape(-1, 4, 4).transpose(2, 0, 1)
+    a, b = np.maximum(a, b), np.minimum(a, b)
+    c, d = np.maximum(c, d), np.minimum(c, d)
+    a, c = np.maximum(a, c), np.minimum(a, c)
+    b, d = np.maximum(b, d), np.minimum(b, d)
+    b, c = np.maximum(b, c), np.minimum(b, c)
+    with np.errstate(invalid="ignore"):
+        offsets = np.stack((b, c, d)) - a
+    # a class whose largest sum is -inf stays -inf: its offsets add nothing
+    offsets[:, a == -math.inf] = -math.inf
+    terms = _math_map(math.exp, offsets)
+    acc = 1.0 + terms[0]
+    acc += terms[1]
+    acc += terms[2]
+    return a + _math_map(math.log, acc)
+
+
+def _math_map(fn, values):
+    """``fn`` of each element of the array ``values``, called once per distinct value."""
+    distinct, inverse = np.unique(values.ravel(), return_inverse=True)
+    return np.fromiter(map(fn, distinct.tolist()), float, len(distinct))[inverse].reshape(values.shape)
 
 
 # --- decoding ----------------------------------------------------------------

@@ -122,8 +122,11 @@ class SweepConfig:
     sigma_ancilla: float = 0.0
 
     def __post_init__(self) -> None:
-        if list(self.sigma_total_grid) != sorted(self.sigma_total_grid):
-            raise ValueError("sigma_total_grid must be sorted ascending")
+        # each point is one (level, sigma_total): no two may be equal
+        if any(a >= b for a, b in zip(self.sigma_total_grid, self.sigma_total_grid[1:])):
+            raise ValueError("sigma_total_grid must be strictly increasing")
+        if len(set(self.levels)) != len(self.levels):
+            raise ValueError(f"levels must be distinct, got {self.levels}")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.max_failures_stop is not None and self.max_failures_stop < 1:

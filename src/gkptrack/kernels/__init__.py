@@ -74,7 +74,7 @@ class PureBackend:
     """The kernel's interface: blocks run by :func:`gkptrack.kernels.pure.run_block`.
 
     A backend keeps one :class:`gkptrack.kernels.pure.DigitalDecoder` per
-    digital config it runs, for its lifetime, so the blocks of a point intern
+    digital config it runs, for its lifetime, so the blocks of a point fold
     their decoding tables once.  ``gkptrack run`` builds one backend per run.
     """
 

@@ -29,9 +29,9 @@ first and bins them in one pass; with perfect ancillas the scalar adds of
 ``0.0`` are left out, as they change no bin and no ``|record|``.  A qubit's
 bit is the parity of its summed lattice indices.
 
-Chunks.  An analog block runs in chunks of :data:`CHUNK_DRAWS` normals, a
-digital block in as few equal chunks as fit :data:`DIGITAL_CHUNK_DRAWS`
-(one chunk for a 2,048-trial conventional L2 point).  A chunk's normals, its
+Chunks.  A block runs in as few equal chunks as fit its normals:
+:data:`CHUNK_DRAWS` analog, :data:`DIGITAL_CHUNK_DRAWS` digital (one chunk
+for a 2,048-trial conventional L2 point).  A chunk's normals, its
 deviations or records, their bins and its ancilla values live in buffers
 that each thread keeps and reuses (:func:`_buffer`), so a chunk takes no
 fresh pages; the normals are drawn into theirs by ``standard_normal(out=)``.
@@ -43,15 +43,14 @@ table depends only on how many of its four bits each word of each class
 matches, and a C6 fold only on its three sub-tables.
 :class:`DigitalDecoder` computes the 5 distinct C4 tables with the scalar
 :func:`gkptrack.codes.block_pair_likelihoods` (one per pattern of
-:data:`_C4_FIRST`) and each fold with :func:`gkptrack.codes.c6_level_up`,
-once per distinct triple of sub-tables; it numbers the distinct tables of
-each level and decides each top table once by :func:`gkptrack.codes.first_bit`.
-A decode is then a few array lookups, and it ties exactly where the scalar
-decoder does.  While a level's sub-table count ``k`` has ``k**3`` at most
-:data:`_DENSE_KEYS`, a triple's key ``(n0*k + n1)*k + n2`` indexes an array
-of fold numbers, rebuilt when ``k`` grows (every L2 and L3 fold seen); above
-it, triples are found by ``np.unique``.  One decoder serves every block of a
-config that the same backend runs.
+:data:`_C4_FIRST`) and folds triples in batches with
+:func:`gkptrack.codes.c6_level_up_rows`, the scalar fold bit for bit; it
+numbers the distinct tables of each level and decides each top table once by
+:func:`gkptrack.codes.first_bit`.  A decode is then a few array lookups, and
+it ties exactly where the scalar decoder does.  The levels whose triples fit
+:data:`_DENSE_KEYS` (L2 and L3) are folded whole when the decoder is made;
+above them each chunk's new triples are folded in one batch.  One decoder
+serves every block of a config that the same backend runs.
 
 Analog decodes compute the likelihoods, the parity convolution, the C4
 tables, the C6 folds and the first-bit decision over the whole chunk in the
@@ -109,21 +108,20 @@ import threading
 import numpy as np
 
 from .. import codes, protocols
-from ..codes import C6_PAIR_TRIPLES, PAIR_VALUE, block_size, c4_table
+from ..codes import C6_SLOTS, PAIR_VALUE, block_size, c4_table
 from ..gkp import HALF_SQRT_PI, SQRT_PI
 from ..protocols import run_trial
 from . import ProtocolConfig
 
-#: normals drawn per analog chunk.  On tracking analog L1-L3 blocks of 8,192
-#: trials (2-core VM, numpy 2.4.6, two runs), chunks of 4,096 normals ran at
-#: 0.69-0.79x the speed of this size, 16,384 at 0.79-0.92x and 32,768 at
+#: normals drawn per analog chunk at most.  On tracking analog L1-L3 blocks of
+#: 8,192 trials (2-core VM, numpy 2.4.6, two runs), chunks of 4,096 normals ran
+#: at 0.69-0.79x the speed of this size, 16,384 at 0.79-0.92x and 32,768 at
 #: 0.79-0.85x, before chunks reused their buffers.
 CHUNK_DRAWS = 8192
-#: normals drawn per digital chunk at most; a digital block runs in as few
-#: equal chunks as fit this number.  Each chunk's decode pays a fixed cost in
-#: numpy calls and fold lookups, and with reused buffers its 1 MB of normals
-#: takes no fresh pages.  Warm 8,192-trial blocks ran 1.3-2.5x faster at
-#: L2-L4 and 1.0-1.5x at tracking L1 than in chunks of CHUNK_DRAWS on fresh
+#: normals drawn per digital chunk at most.  Each chunk's decode pays a fixed
+#: cost in numpy calls and fold lookups, and with reused buffers its 1 MB of
+#: normals takes no fresh pages.  Warm 8,192-trial blocks ran 1.3-2.5x faster
+#: at L2-L4 and 1.0-1.5x at tracking L1 than in chunks of CHUNK_DRAWS on fresh
 #: arrays (2-core VM, numpy 2.4.6).
 DIGITAL_CHUNK_DRAWS = 1 << 17
 #: relative gap ``|l1 - l0| / (1 + |l0| + |l1|)`` at or below which the
@@ -139,35 +137,22 @@ _C4_LEFT, _C4_RIGHT = np.array([[2 * w[0] + w[1], 2 * w[2] + w[3]]
                                 for ci in range(4) for w in c4_table().codewords[PAIR_VALUE[ci]]]).T
 # a leaf's bit against a codeword bit of 0, then of 1
 _BIT_VALUES = np.arange(2).reshape(2, 1, 1)
-# C6 words by class, then word, as sub-pair indices of sub-block 0, 1 and 2
-_C6_SLOTS = np.array(C6_PAIR_TRIPLES).transpose(2, 0, 1).reshape(3, -1)
 #: :class:`DigitalDecoder`'s first-bit code of a top table that ties exactly
 _TIE = 2
-# sub-table counts k with k**3 up to this number fold through a dense lookup
-# of key (n0*k + n1)*k + n2, at most 512 KB: every L2 and L3 fold seen (k up to 26)
+# levels whose sub-table count k has k**3 up to this number are folded whole
+# when a decoder is made, their numbers kept by key (n0*k + n1)*k + n2 in at
+# most 512 KB: every L2 and L3 fold seen (k up to 27)
 _DENSE_KEYS = 1 << 16
-# sub-table counts below this number a triple by one int64 key (k**3 < 2**63);
-# at most 125**3 tables reach C6 level 3, so only folds at level 5 and above
-# can need np.unique(axis=0), which makes digital L2/L3 blocks 1.7-2.4x slower
-_KEYED_TABLES = 1 << 21
-
-
-def _c4_first_patterns() -> list[int]:
-    """For each C4 bit pattern, the index of the first pattern with its match counts.
-
-    A pattern's match counts are, per class, the sorted counts of its bits
-    that each of the class's two words matches.  A digital table depends on
-    these only (``codes._word_sum`` adds equal terms, ``logsumexp_sorted``
-    sorts the words), so the patterns of one index share a table.
-    """
-    counts = [[sorted(sum(b == w for b, w in zip(bits, word)) for word in c4_table().codewords[PAIR_VALUE[ci]])
-               for ci in range(4)] for bits in _C4_PATTERNS]
-    return [counts.index(c) for c in counts]
 
 
 _C4_PATTERNS = list(itertools.product((0, 1), repeat=4))
-# 5 distinct indices: the even patterns of each class, and the odd patterns
-_C4_FIRST = _c4_first_patterns()
+# for each C4 bit pattern, the first with the same per-class sorted counts of
+# its bits that each word matches, on which alone a digital table depends
+# (codes._word_sum adds equal terms, logsumexp_sorted sorts the words): 5
+# tables, the even patterns of each class and the odd patterns
+_C4_COUNTS = [[sorted(sum(b == w for b, w in zip(bits, word)) for word in c4_table().codewords[PAIR_VALUE[ci]])
+               for ci in range(4)] for bits in _C4_PATTERNS]
+_C4_FIRST = [_C4_COUNTS.index(counts) for counts in _C4_COUNTS]
 
 
 def coin_generator(generator) -> np.random.Generator:
@@ -189,14 +174,11 @@ def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> i
         draws = params.cycles * n
     else:
         draws = (params.cycles - 1) * n * (3 if params.sigma_ancilla > 0.0 else 1) + n
-    if params.analog:
-        chunk = max(1, CHUNK_DRAWS // draws)
-    else:
-        # as few equal chunks as fit DIGITAL_CHUNK_DRAWS normals
-        chunks = max(1, -(-trials // max(1, DIGITAL_CHUNK_DRAWS // draws)))
-        chunk = max(1, -(-trials // chunks))
-        if decoder is None:
-            decoder = DigitalDecoder(params)
+    if not params.analog and decoder is None:
+        decoder = DigitalDecoder(params)
+    # as few equal chunks as fit the chunk's normals
+    chunks = max(1, -(-trials // max(1, (CHUNK_DRAWS if params.analog else DIGITAL_CHUNK_DRAWS) // draws)))
+    chunk = max(1, -(-trials // chunks))
     return sum(_run_chunk(params, draws, generator, coins, decoder, min(chunk, trials - start))
                for start in range(0, trials, chunk))
 
@@ -261,34 +243,37 @@ class _Replay:
 
 
 class DigitalDecoder:
-    """Exact first-pair bits of a digital config's decodes, from interned tables.
+    """Exact first-pair bits of a digital config's decodes, from numbered tables.
 
-    Tables are numbered per level as they are interned; a C6 fold is computed
-    once per distinct triple of sub-table numbers.  One decoder may serve
-    several threads: a lock keeps them from interning at the same time.
+    A level whose sub-table count ``k`` has ``k**3`` at most :data:`_DENSE_KEYS`
+    is folded whole when the decoder is made, its numbers kept by key
+    ``(n0*k + n1)*k + n2``, and never changes.  Above, each chunk's new
+    triples are folded in one batch, under a lock, as threads may share it.
     """
 
     def __init__(self, params: ProtocolConfig) -> None:
         pair = protocols.digital_pair(params)
         self._lock = threading.Lock()
         self._top = params.level - 1
-        # per level (0 for C4): table values -> number, number -> table, and
-        # above C4 the fold's sub-table numbers -> number
+        # per level (0 for C4): table row -> number, and the distinct rows, (k, 4)
         self._numbers = [{} for _ in range(params.level)]
-        self._tables = [[] for _ in range(params.level)]
+        self._tables = [np.empty((0, 4)) for _ in range(params.level)]
+        # first bit of each top table, or _TIE
+        self._first_bits = np.empty(0, dtype=np.int8)
+        tables = {first: codes.block_pair_likelihoods(c4_table(), _C4_PATTERNS[first], [pair] * 4).as_tuple()
+                  for first in set(_C4_FIRST)}
+        self._c4 = self._number(0, np.array([tables[first] for first in _C4_FIRST]))
+        # per level above C4: the numbers of a whole level by key, None for a
+        # level folded lazily; and a lazy level's sub-table numbers -> number
+        self._by_key = [None] * params.level
         self._folds = [{} for _ in range(params.level)]
-        # per level above C4: the sub-table count k a dense lookup was built
-        # for, and its fold numbers by key (n0*k + n1)*k + n2, -1 if not yet folded
-        self._lookups = [(0, None) for _ in range(params.level)]
-        # first bit of each top table, or _TIE; as a list and as an array
-        self._first_bits: list[int] = []
-        self._first_bit_array = np.empty(0, dtype=np.int8)
-        leaves = [pair] * 4
-        numbers = []
-        for bits, first in zip(_C4_PATTERNS, _C4_FIRST):
-            numbers.append(numbers[first] if first < len(numbers) else
-                           self._intern(0, codes.block_pair_likelihoods(c4_table(), bits, leaves)))
-        self._c4 = np.array(numbers)
+        for level in range(1, params.level):
+            k = len(self._tables[level - 1])
+            if k ** 3 > _DENSE_KEYS:
+                break
+            keys = np.arange(k ** 3)
+            self._by_key[level] = self._number(level, codes.c6_level_up_rows(
+                self._tables[level - 1], keys // (k * k), keys // k % k, keys % k))
 
     def decide(self, bits):
         """First-pair bits of decodes, and which of them tie exactly.
@@ -299,79 +284,47 @@ class DigitalDecoder:
         numbers = self._c4[(bits[0::4] << 3) | (bits[1::4] << 2) | (bits[2::4] << 1) | bits[3::4]]
         for level in range(1, self._top + 1):
             numbers = self._fold(level, numbers[0::3], numbers[1::3], numbers[2::3])
-        with self._lock:
-            if len(self._first_bit_array) < len(self._first_bits):
-                self._first_bit_array = np.array(self._first_bits, dtype=np.int8)
-            first = self._first_bit_array[numbers[0]]
+        # the array is replaced, never changed, and holds every number folded so far
+        first = self._first_bits[numbers[0]]
         return first == 1, first == _TIE
 
     def _fold(self, level: int, n0, n1, n2):
         """Numbers of the level tables folded from sub-table numbers ``n0``, ``n1`` and ``n2``."""
-        # tables are only added, so k bounds every number interned before this call
-        k = len(self._tables[level - 1])
-        if k ** 3 <= _DENSE_KEYS:
-            return self._dense_fold(level, k, n0, n1, n2)
-        if k < _KEYED_TABLES:
-            keys = (n0 * k + n1) * k + n2
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            distinct = np.stack((n0.ravel()[first], n1.ravel()[first], n2.ravel()[first]), axis=1)
-        else:
-            distinct, inverse = np.unique(np.stack((n0, n1, n2), axis=-1).reshape(-1, 3),
-                                          axis=0, return_inverse=True)
+        by_key = self._by_key[level]
+        if by_key is not None:
+            k = len(self._tables[level - 1])
+            return by_key[(n0 * k + n1) * k + n2]
+        triples, inverse = np.unique(np.stack((n0, n1, n2), axis=-1).reshape(-1, 3), axis=0, return_inverse=True)
         with self._lock:
-            numbers = [self._fold_number(level, triple) for triple in map(tuple, distinct.tolist())]
+            folds = self._folds[level]
+            keys = list(map(tuple, triples.tolist()))
+            numbers = [folds.get(key, -1) for key in keys]
+            new = [i for i, number in enumerate(numbers) if number < 0]
+            if new:
+                rows = codes.c6_level_up_rows(self._tables[level - 1], *triples[new].T)
+                for i, number in zip(new, self._number(level, rows).tolist()):
+                    numbers[i] = folds[keys[i]] = number
         return np.array(numbers)[inverse.reshape(n0.shape)]
 
-    def _dense_fold(self, level: int, k: int, n0, n1, n2):
-        """:meth:`_fold` through the level's dense lookup, for sub-table numbers below ``k``."""
-        built, lookup = self._lookups[level]
-        if built < k:
-            with self._lock:
-                built, lookup = self._lookups[level]
-                if built < k:
-                    built, lookup = self._lookups[level] = k, self._dense_lookup(level, k)
-        # a lookup is read with the k it was built for
-        keys = (n0 * built + n1) * built + n2
-        numbers = lookup[keys]
-        new = numbers < 0
-        if new.any():
-            with self._lock:
-                # each new key once, in key order
-                for key in np.flatnonzero(np.bincount(keys[new])).tolist():
-                    triple = (key // (built * built), key // built % built, key % built)
-                    lookup[key] = self._fold_number(level, triple)
-            numbers = lookup[keys]
-        return numbers
-
-    def _dense_lookup(self, level: int, k: int):
-        """The level's fold numbers by key ``(n0*k + n1)*k + n2``, -1 where not folded; under the lock."""
-        lookup = np.full(k ** 3, -1, dtype=np.int64)
-        for (n0, n1, n2), number in self._folds[level].items():
-            # a fold of sub-tables interned since k was read has no key here
-            if max(n0, n1, n2) < k:
-                lookup[(n0 * k + n1) * k + n2] = number
-        return lookup
-
-    def _fold_number(self, level: int, triple) -> int:
-        """The number of the level table folded from sub-table numbers ``triple``; under the lock."""
-        folds = self._folds[level]
-        number = folds.get(triple)
-        if number is None:
-            table = codes.c6_level_up([self._tables[level - 1][i] for i in triple])
-            number = folds[triple] = self._intern(level, table)
-        return number
-
-    def _intern(self, level: int, table) -> int:
-        """The number of ``table`` among the distinct tables of ``level``."""
+    def _number(self, level: int, rows):
+        """Numbers of table ``rows`` among the level's tables, numbering new ones (lazy levels: under the lock)."""
+        # sorted, equal rows are neighbours: each distinct row is looked up once
+        order = np.lexsort(rows.T)
+        ordered = rows[order]
+        first = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
         numbers = self._numbers[level]
-        number = numbers.get(table.as_tuple())
-        if number is None:
-            number = numbers[table.as_tuple()] = len(self._tables[level])
-            self._tables[level].append(table)
+        distinct = list(map(tuple, ordered[first].tolist()))
+        new = [row for row in distinct if row not in numbers]
+        numbers.update({row: len(numbers) + i for i, row in enumerate(new)})
+        if new:
+            self._tables[level] = np.concatenate((self._tables[level], new))
             if level == self._top:
-                bit = codes.first_bit(table)
-                self._first_bits.append(_TIE if bit is None else bit)
-        return number
+                bits = [codes.first_bit(codes.PairLikelihoods.from_tuple(row)) for row in new]
+                bits = [_TIE if bit is None else bit for bit in bits]
+                self._first_bits = np.append(self._first_bits, np.array(bits, np.int8))
+        out = np.empty(len(rows), dtype=np.int64)
+        out[order] = np.array([numbers[row] for row in distinct])[np.cumsum(first) - 1]
+        return out
 
 
 def _bin(x, record: bool):
@@ -523,7 +476,7 @@ def _decide(bits, scale, match, flip):
         if tables.shape[1] == 1:
             break
         # C6 folds of the three sub-blocks' tables: (class, word, block, row)
-        words = tables[_C6_SLOTS[0], 0::3] * tables[_C6_SLOTS[1], 1::3] * tables[_C6_SLOTS[2], 2::3]
+        words = tables[C6_SLOTS[0], 0::3] * tables[C6_SLOTS[1], 1::3] * tables[C6_SLOTS[2], 2::3]
         tables = words.reshape(4, 4, -1, rows).sum(axis=1)
     # the first-bit sums t00 + t01 and t10 + t11
     sums = tables[:, 0].reshape(2, 2, rows).sum(axis=1)

@@ -256,7 +256,7 @@ def test_chunk_size_invariant(monkeypatch, chunk_draws, params, trials):
 
 
 def test_digital_block_in_equal_chunks(monkeypatch):
-    """A digital block runs in as few equal chunks as fit its normals, an analog one in full chunks."""
+    """A block runs in as few equal chunks as fit its normals, digital and analog alike."""
     sizes = []
     original = pure._run_chunk
 
@@ -270,13 +270,16 @@ def test_digital_block_in_equal_chunks(monkeypatch):
     assert sizes == [2731, 2731, 2730]
     sizes.clear()
     pure.run_block(ProtocolConfig("conventional", True, 2, 3, 0.5), make_gen(1), 500)
-    assert sizes == [227, 227, 46]
+    assert sizes == [167, 167, 166]
 
 
 def test_digital_decoder_interns_exact_tables():
     """A C4 table depends on its bits only: 16 patterns give the 5 distinct tables."""
     decoder = pure.DigitalDecoder(ProtocolConfig("conventional", False, 2, 2, 0.5))
     assert len(decoder._tables[0]) == 5
+    # L2 is folded whole: every key of its 5**3 triples has a number
+    assert decoder._by_key[1].shape == (125,)
+    assert len(decoder._first_bits) == len(decoder._tables[1])
     # one column of leaf bits per decode
     bits = np.array([[0, 0, 0, 0] * 3, [0, 0, 0, 1] * 3, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]).T
     first, tie = decoder.decide(bits)
@@ -284,36 +287,23 @@ def test_digital_decoder_interns_exact_tables():
     assert first.tolist()[0] is False and tie.tolist() == [False, True, False]
 
 
-def test_unkeyed_fold_matches(monkeypatch):
-    """Folds over too many sub-tables for an int64 key give the same decisions."""
-    params, trials = CHUNK_CONFIGS[2]
-    monkeypatch.setattr(pure, "_KEYED_TABLES", 0)
-    assert_stream_exact(params, trials, 11)
-
-
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "keyed"])
-def test_dense_fold_matches_keyed(monkeypatch, dense):
-    """Folds through the dense lookup, rebuilt as the sub-table count grows, decide as keyed folds."""
+def test_lazy_fold_matches(monkeypatch):
+    """With no level folded whole, the lazy path, chunk by chunk, decides as the scalar loop."""
     params = CHUNK_CONFIGS[2][0]
-    built = []
-    dense_lookup = pure.DigitalDecoder._dense_lookup
+    folded = []
+    rows = codes.c6_level_up_rows
 
-    def counted_lookup(decoder, level, k):
-        built.append((level, k))
-        return dense_lookup(decoder, level, k)
+    def counted_rows(tables, i0, i1, i2):
+        folded.append(len(tables))
+        return rows(tables, i0, i1, i2)
 
-    monkeypatch.setattr(pure.DigitalDecoder, "_dense_lookup", counted_lookup)
-    if not dense:
-        monkeypatch.setattr(pure, "_DENSE_KEYS", 0)
-    # 144 normals a trial: chunks of 8 trials, each of which may add L2 tables
+    monkeypatch.setattr(codes, "c6_level_up_rows", counted_rows)
+    monkeypatch.setattr(pure, "_DENSE_KEYS", 0)
+    # 144 normals a trial: chunks of 8 trials, each of which may add tables
     monkeypatch.setattr(pure, "DIGITAL_CHUNK_DRAWS", 8 * 144)
     assert_stream_exact(params, 120, 11)
-    if dense:
-        # C4 has 5 tables; the L2 table count k grows from chunk to chunk
-        assert [k for level, k in built if level == 1] == [5]
-        assert len([k for level, k in built if level == 2]) > 1
-    else:
-        assert built == []
+    # C4 has 5 tables; the L2 table count grows from chunk to chunk
+    assert folded[0] == 5 and len(set(folded) - {5}) > 1
 
 
 @pytest.mark.parametrize("protocol", ["conventional", "tracking"])
@@ -327,7 +317,7 @@ def test_c4_tables_by_match_counts(protocol, sigma):
     decoder = pure.DigitalDecoder(params)
     for i, bits in enumerate(itertools.product((0, 1), repeat=4)):
         expected = codes.block_pair_likelihoods(codes.c4_table(), bits, [pair] * 4)
-        assert decoder._tables[0][decoder._c4[i]].as_tuple() == expected.as_tuple()
+        assert tuple(decoder._tables[0][decoder._c4[i]].tolist()) == expected.as_tuple()
     assert len(set(pure._C4_FIRST)) == 5
 
 
@@ -378,26 +368,27 @@ def test_shared_decoder_matches_fresh(params):
 
 
 def test_shared_decoder_under_threads():
-    """Threads interning into one decoder at once lose no table and change no count."""
-    params = SHARED_DECODER_CONFIGS[1]
-    expected = [pure.run_block(params, make_gen(70 + b), 300) for b in range(6)]
+    """Threads folding an L4 config's lazy level into one decoder at once lose no table and change no count."""
+    params = ProtocolConfig("tracking", False, 4, 2, 0.47, 0.1, "q")
+    expected = [pure.run_block(params, make_gen(70 + b), 100) for b in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        # each round races six threads over the first tables of a new backend
+        # each round races six threads over the first L4 tables of a new backend
         for _ in range(4):
             backend = PureBackend()
             with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(backend.run_block, params, make_gen(70 + b), 300) for b in range(6)]
+                futures = [pool.submit(backend.run_block, params, make_gen(70 + b), 100) for b in range(6)]
                 assert [future.result(timeout=120) for future in futures] == expected
             (decoder,) = backend._decoders.values()
-            for numbers, tables in zip(decoder._numbers, decoder._tables):
-                # every table interned once, under the number the dictionary gives it
-                assert len(numbers) == len(tables)
-                assert all(numbers[table.as_tuple()] == i for i, table in enumerate(tables))
-            assert len(decoder._first_bits) == len(decoder._tables[-1])
-            # the L3 folds read a dense lookup rebuilt for the last L2 table count
-            assert decoder._lookups[2][0] == len(decoder._tables[1])
+            # L2 and L3 are folded whole, L4 lazily
+            assert [by_key is None for by_key in decoder._by_key] == [True, False, False, True]
+            numbers, tables, folds = decoder._numbers[3], decoder._tables[3], decoder._folds[3]
+            # every lazy table numbered once, under the number the dictionary gives it
+            assert len(numbers) == len(tables) > 0
+            assert all(numbers[row] == i for i, row in enumerate(map(tuple, tables.tolist())))
+            assert set(folds.values()) == set(range(len(tables)))
+            assert len(decoder._first_bits) == len(tables)
     finally:
         sys.setswitchinterval(interval)
 

@@ -189,6 +189,20 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("levels,grid,message", [
+        ("1,1", "0.5:0.5:1", "levels must be distinct"),
+        # a step below the grid's spacing of doubles gives 1.0 twice
+        ("1", "1:1.0000000000000002:1e-16", "sigma_total_grid must be strictly increasing"),
+    ], ids=["levels", "grid"])
+    def test_repeated_point_refused(self, tmp_path, capsys, levels, grid, message):
+        out = tmp_path / "r"
+        code = run_cli("run", "--protocol", "conventional", "--analog", "off", "--cycles", "1",
+                       "--levels", levels, f"--sigma-total={grid}", "--trials", "100",
+                       "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_channel_noise_refused(self, tmp_path, capsys):
         # the grid's first point has no channel noise, so no record likelihoods
         out = tmp_path / "r"

@@ -17,13 +17,15 @@ from gkptrack.codes import (
     block_size,
     c4_table,
     c6_level_up,
+    c6_level_up_rows,
     c6_table,
     decode,
     logaddexp2,
     logsumexp_sorted,
     PairLikelihoods,
 )
-from gkptrack.protocols import _analog_pair
+from gkptrack.kernels import ProtocolConfig
+from gkptrack.protocols import _analog_pair, digital_pair
 from oracle import concat_word_class, concat_word_first_bit, oracle_ml_decode, random_codeword
 
 
@@ -202,6 +204,45 @@ class TestC6LevelUp:
         u = PairLikelihoods(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             c6_level_up([u, u])
+
+
+def assert_rows_fold_every_triple(tables):
+    """``c6_level_up_rows`` equals ``c6_level_up`` bit for bit on every triple of rows of ``tables``; returns the rows."""
+    k = len(tables)
+    keys = np.arange(k ** 3)
+    rows = c6_level_up_rows(tables, keys // (k * k), keys // k % k, keys % k)
+    pairs = [PairLikelihoods.from_tuple(row) for row in tables.tolist()]
+    expected = np.array([c6_level_up(triple).as_tuple() for triple in itertools.product(pairs, repeat=3)])
+    assert rows.shape == expected.shape
+    # equal bits, so -0.0 against 0.0 and -inf count too
+    assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+    return rows
+
+
+class TestC6LevelUpRows:
+    @pytest.mark.parametrize("protocol", ["conventional", "tracking"])
+    @pytest.mark.parametrize("sigma", [0.02, 0.3, 0.5, 1.0, 3.0])
+    def test_digital_c4_and_l2_tables(self, protocol, sigma):
+        """Every triple of a digital config's C4 tables, then of its distinct L2 tables."""
+        lp = digital_pair(ProtocolConfig(protocol, False, 1, 2, sigma))
+        if sigma == 0.02:
+            assert lp.l_flip == -math.inf
+        c4 = np.array([block_pair_likelihoods(c4_table(), bits, [lp] * 4).as_tuple()
+                       for bits in itertools.product((0, 1), repeat=4)])
+        level2 = assert_rows_fold_every_triple(np.unique(c4, axis=0))
+        assert_rows_fold_every_triple(np.unique(level2, axis=0))
+
+    def test_infinite_and_tied_rows(self):
+        tables = np.array([
+            [-math.inf] * 4,
+            [-math.inf, -2.0, -math.inf, -2.0],
+            [-1.5, -1.5, -1.5, -1.5],
+            [0.0, -0.0, 0.0, -0.0],
+            [-0.25, -3.0, -0.25, -3.0],
+            [-700.0, -1.0, -1.0, -745.5],
+        ])
+        rows = assert_rows_fold_every_triple(tables)
+        assert rows[0].tolist() == [-math.inf] * 4
 
 
 class TestDecode:

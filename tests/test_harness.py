@@ -354,9 +354,14 @@ class TestSweep:
         (dict(sigma_total_grid=(0.0, 1.0)), "sigma_total must be > 0"),
         (dict(sigma_total_grid=()), "at least one sigma_total and one level"),
         (dict(protocol="nope", levels=()), "at least one sigma_total and one level"),
+        # two equal points of one sweep would write two rows for one point
+        (dict(levels=(1, 2, 1)), "levels must be distinct, got (1, 2, 1)"),
+        (dict(levels=(2, 2)), "levels must be distinct, got (2, 2)"),
+        (dict(sigma_total_grid=(0.5, 0.5)), "sigma_total_grid must be strictly increasing"),
+        (dict(sigma_total_grid=(0.5, 0.6, 0.6, 0.7)), "sigma_total_grid must be strictly increasing"),
     ])
     def test_every_point_validated(self, fields, message):
-        """A config any of whose points a kernel would refuse is refused when it is made."""
+        """A config any of whose points a kernel would refuse, or with two equal points, is refused when it is made."""
         base = dict(protocol="tracking", analog=True, cycles=2, sigma_total_grid=(1.0,),
                     levels=(1,), trials_per_point=10, master_seed=1)
         with pytest.raises(ValueError, match=re.escape(message)):
