@@ -287,9 +287,8 @@ def test_digital_decoder_interns_exact_tables():
     assert first.tolist()[0] is False and tie.tolist() == [False, True, False]
 
 
-def test_lazy_fold_matches(monkeypatch):
-    """With no level folded whole, the lazy path, chunk by chunk, decides as the scalar loop."""
-    params = CHUNK_CONFIGS[2][0]
+def _count_folds(monkeypatch):
+    """The sub-table count of each batch folded by ``codes.c6_level_up_rows``."""
     folded = []
     rows = codes.c6_level_up_rows
 
@@ -298,12 +297,36 @@ def test_lazy_fold_matches(monkeypatch):
         return rows(tables, i0, i1, i2)
 
     monkeypatch.setattr(codes, "c6_level_up_rows", counted_rows)
-    monkeypatch.setattr(pure, "_DENSE_KEYS", 0)
+    return folded
+
+
+def test_unkeyed_fold_matches(monkeypatch):
+    """A level too big to fold whole, over a level folded whole, gives the same decisions."""
+    params, trials = CHUNK_CONFIGS[2]
+    folded = _count_folds(monkeypatch)
+    # the 5**3 L2 triples fit, the L3 triples do not: L3 folds by unique rows
+    monkeypatch.setattr(pure, "_DENSE_KEYS", 5 ** 3)
+    assert_stream_exact(params, trials, 11)
+    k = folded[1]
+    assert folded[0] == 5 and k > 5 and set(folded[1:]) == {k}
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "keyed"])
+def test_dense_fold_matches_keyed(monkeypatch, dense):
+    """Levels folded whole and read by key decide as levels folded lazily, chunk by chunk."""
+    params = CHUNK_CONFIGS[2][0]
+    folded = _count_folds(monkeypatch)
+    if not dense:
+        monkeypatch.setattr(pure, "_DENSE_KEYS", 0)
     # 144 normals a trial: chunks of 8 trials, each of which may add tables
     monkeypatch.setattr(pure, "DIGITAL_CHUNK_DRAWS", 8 * 144)
     assert_stream_exact(params, 120, 11)
-    # C4 has 5 tables; the L2 table count grows from chunk to chunk
-    assert folded[0] == 5 and len(set(folded) - {5}) > 1
+    if dense:
+        # L2 and L3 folded once each, when the decoder is made
+        assert len(folded) == 2 and folded[0] == 5 and folded[1] > 5
+    else:
+        # C4 has 5 tables; the L2 table count grows from chunk to chunk
+        assert folded[0] == 5 and len(set(folded) - {5}) > 1
 
 
 @pytest.mark.parametrize("protocol", ["conventional", "tracking"])
