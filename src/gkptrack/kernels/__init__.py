@@ -74,8 +74,9 @@ class PureBackend:
     """The kernel's interface: blocks run by :func:`gkptrack.kernels.pure.run_block`.
 
     A backend keeps one :class:`gkptrack.kernels.pure.DigitalDecoder` per
-    digital config it runs, for its lifetime, so the blocks of a point fold
-    their decoding tables once.  ``gkptrack run`` builds one backend per run.
+    digital config it runs, for its lifetime, so the blocks of a point share
+    the tables it folds whole when made (C4, L2 and L3).  ``gkptrack run``
+    builds one backend per run.
     """
 
     name = "pure"

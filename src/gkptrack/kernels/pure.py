@@ -49,8 +49,9 @@ numbers the distinct tables of each level and decides each top table once by
 :func:`gkptrack.codes.first_bit`.  A decode is then a few array lookups, and
 it ties exactly where the scalar decoder does.  The levels whose triples fit
 :data:`_DENSE_KEYS` (L2 and L3) are folded whole when the decoder is made;
-above them each chunk's new triples are folded in one batch.  One decoder
-serves every block of a config that the same backend runs.
+above them each chunk folds its own distinct triples in one batch, and drops
+those tables with the chunk.  A decoder never changes once made, so one
+serves every block of a config that the same backend runs, on any thread.
 
 Analog decodes compute the likelihoods, the parity convolution, the C4
 tables, the C6 folds and the first-bit decision over the whole chunk in the
@@ -141,7 +142,8 @@ _BIT_VALUES = np.arange(2).reshape(2, 1, 1)
 _TIE = 2
 # levels whose sub-table count k has k**3 up to this number are folded whole
 # when a decoder is made, their numbers kept by key (n0*k + n1)*k + n2 in at
-# most 512 KB: every L2 and L3 fold seen (k up to 27)
+# most 512 KB: every L2 and L3 fold seen (k up to 27); each chunk folds the
+# levels above from its own triples
 _DENSE_KEYS = 1 << 16
 
 
@@ -243,37 +245,34 @@ class _Replay:
 
 
 class DigitalDecoder:
-    """Exact first-pair bits of a digital config's decodes, from numbered tables.
+    """Exact first-pair bits of a digital config's decodes, from numbered tables; it never changes once made.
 
-    A level whose sub-table count ``k`` has ``k**3`` at most :data:`_DENSE_KEYS`
-    is folded whole when the decoder is made, its numbers kept by key
-    ``(n0*k + n1)*k + n2``, and never changes.  Above, each chunk's new
-    triples are folded in one batch, under a lock, as threads may share it.
+    C4 and each level whose sub-table count ``k`` has ``k**3`` at most
+    :data:`_DENSE_KEYS` are folded whole when the decoder is made, their
+    numbers kept by key ``(n0*k + n1)*k + n2``.  Each level above is folded
+    in :meth:`decide` from the chunk's distinct triples, and its tables are
+    numbered for that chunk alone.  So threads may share a decoder.
     """
 
     def __init__(self, params: ProtocolConfig) -> None:
         pair = protocols.digital_pair(params)
-        self._lock = threading.Lock()
-        self._top = params.level - 1
-        # per level (0 for C4): table row -> number, and the distinct rows, (k, 4)
-        self._numbers = [{} for _ in range(params.level)]
-        self._tables = [np.empty((0, 4)) for _ in range(params.level)]
-        # first bit of each top table, or _TIE
-        self._first_bits = np.empty(0, dtype=np.int8)
         tables = {first: codes.block_pair_likelihoods(c4_table(), _C4_PATTERNS[first], [pair] * 4).as_tuple()
                   for first in set(_C4_FIRST)}
-        self._c4 = self._number(0, np.array([tables[first] for first in _C4_FIRST]))
-        # per level above C4: the numbers of a whole level by key, None for a
-        # level folded lazily; and a lazy level's sub-table numbers -> number
-        self._by_key = [None] * params.level
-        self._folds = [{} for _ in range(params.level)]
-        for level in range(1, params.level):
-            k = len(self._tables[level - 1])
-            if k ** 3 > _DENSE_KEYS:
-                break
+        c4, self._c4 = _distinct(np.array([tables[first] for first in _C4_FIRST]))
+        # the distinct tables of C4 and of each whole level, (k, 4), and the
+        # numbers by key of each whole level above C4
+        self._tables, self._by_key = [c4], []
+        while len(self._tables) < params.level and len(self._tables[-1]) ** 3 <= _DENSE_KEYS:
+            k = len(self._tables[-1])
             keys = np.arange(k ** 3)
-            self._by_key[level] = self._number(level, codes.c6_level_up_rows(
-                self._tables[level - 1], keys // (k * k), keys // k % k, keys % k))
+            tables, by_key = _distinct(codes.c6_level_up_rows(
+                self._tables[-1], keys // (k * k), keys // k % k, keys % k))
+            self._tables.append(tables)
+            self._by_key.append(by_key)
+        # the levels folded chunk by chunk, above the whole ones
+        self._chunk_levels = params.level - len(self._tables)
+        # first bit of each top table, or _TIE, when the top level is whole
+        self._first_bits = None if self._chunk_levels else _first_bits(self._tables[-1])
 
     def decide(self, bits):
         """First-pair bits of decodes, and which of them tie exactly.
@@ -282,49 +281,34 @@ class DigitalDecoder:
         :func:`gkptrack.codes.decode` order: ``(leaf, row)``.
         """
         numbers = self._c4[(bits[0::4] << 3) | (bits[1::4] << 2) | (bits[2::4] << 1) | bits[3::4]]
-        for level in range(1, self._top + 1):
-            numbers = self._fold(level, numbers[0::3], numbers[1::3], numbers[2::3])
-        # the array is replaced, never changed, and holds every number folded so far
-        first = self._first_bits[numbers[0]]
+        for tables, by_key in zip(self._tables, self._by_key):
+            k = len(tables)
+            numbers = by_key[(numbers[0::3] * k + numbers[1::3]) * k + numbers[2::3]]
+        tables = self._tables[-1]
+        for _ in range(self._chunk_levels):
+            triples = np.stack((numbers[0::3], numbers[1::3], numbers[2::3]), axis=-1)
+            distinct, inverse = _distinct(triples.reshape(-1, 3))
+            tables, folded = _distinct(codes.c6_level_up_rows(tables, *distinct.T))
+            numbers = folded[inverse].reshape(triples.shape[:-1])
+        first = (_first_bits(tables) if self._chunk_levels else self._first_bits)[numbers[0]]
         return first == 1, first == _TIE
 
-    def _fold(self, level: int, n0, n1, n2):
-        """Numbers of the level tables folded from sub-table numbers ``n0``, ``n1`` and ``n2``."""
-        by_key = self._by_key[level]
-        if by_key is not None:
-            k = len(self._tables[level - 1])
-            return by_key[(n0 * k + n1) * k + n2]
-        triples, inverse = np.unique(np.stack((n0, n1, n2), axis=-1).reshape(-1, 3), axis=0, return_inverse=True)
-        with self._lock:
-            folds = self._folds[level]
-            keys = list(map(tuple, triples.tolist()))
-            numbers = [folds.get(key, -1) for key in keys]
-            new = [i for i, number in enumerate(numbers) if number < 0]
-            if new:
-                rows = codes.c6_level_up_rows(self._tables[level - 1], *triples[new].T)
-                for i, number in zip(new, self._number(level, rows).tolist()):
-                    numbers[i] = folds[keys[i]] = number
-        return np.array(numbers)[inverse.reshape(n0.shape)]
 
-    def _number(self, level: int, rows):
-        """Numbers of table ``rows`` among the level's tables, numbering new ones (lazy levels: under the lock)."""
-        # sorted, equal rows are neighbours: each distinct row is looked up once
-        order = np.lexsort(rows.T)
-        ordered = rows[order]
-        first = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
-        numbers = self._numbers[level]
-        distinct = list(map(tuple, ordered[first].tolist()))
-        new = [row for row in distinct if row not in numbers]
-        numbers.update({row: len(numbers) + i for i, row in enumerate(new)})
-        if new:
-            self._tables[level] = np.concatenate((self._tables[level], new))
-            if level == self._top:
-                bits = [codes.first_bit(codes.PairLikelihoods.from_tuple(row)) for row in new]
-                bits = [_TIE if bit is None else bit for bit in bits]
-                self._first_bits = np.append(self._first_bits, np.array(bits, np.int8))
-        out = np.empty(len(rows), dtype=np.int64)
-        out[order] = np.array([numbers[row] for row in distinct])[np.cumsum(first) - 1]
-        return out
+def _distinct(rows):
+    """The distinct rows of the 2-d array ``rows``, and each row's index among them."""
+    # sorted, equal rows are neighbours
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    first = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    index = np.empty(len(rows), dtype=np.int64)
+    index[order] = np.cumsum(first) - 1
+    return ordered[first], index
+
+
+def _first_bits(tables):
+    """:func:`gkptrack.codes.first_bit` of each top table row, :data:`_TIE` for a tie, as int8."""
+    bits = [codes.first_bit(codes.PairLikelihoods.from_tuple(row)) for row in tables.tolist()]
+    return np.array([_TIE if bit is None else bit for bit in bits], np.int8)
 
 
 def _bin(x, record: bool):

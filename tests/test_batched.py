@@ -8,6 +8,7 @@ The loop below spells out the stream contract of :mod:`gkptrack.kernels`:
 one coin generator per block, ``Generator(bit_generator.jumped())``.
 """
 
+import copy
 import itertools
 import subprocess
 import sys
@@ -278,7 +279,7 @@ def test_digital_decoder_interns_exact_tables():
     decoder = pure.DigitalDecoder(ProtocolConfig("conventional", False, 2, 2, 0.5))
     assert len(decoder._tables[0]) == 5
     # L2 is folded whole: every key of its 5**3 triples has a number
-    assert decoder._by_key[1].shape == (125,)
+    assert decoder._by_key[0].shape == (125,)
     assert len(decoder._first_bits) == len(decoder._tables[1])
     # one column of leaf bits per decode
     bits = np.array([[0, 0, 0, 0] * 3, [0, 0, 0, 1] * 3, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]).T
@@ -304,7 +305,7 @@ def test_unkeyed_fold_matches(monkeypatch):
     """A level too big to fold whole, over a level folded whole, gives the same decisions."""
     params, trials = CHUNK_CONFIGS[2]
     folded = _count_folds(monkeypatch)
-    # the 5**3 L2 triples fit, the L3 triples do not: L3 folds by unique rows
+    # the 5**3 L2 triples fit, the L3 triples do not: each chunk folds its L3
     monkeypatch.setattr(pure, "_DENSE_KEYS", 5 ** 3)
     assert_stream_exact(params, trials, 11)
     k = folded[1]
@@ -313,7 +314,7 @@ def test_unkeyed_fold_matches(monkeypatch):
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "keyed"])
 def test_dense_fold_matches_keyed(monkeypatch, dense):
-    """Levels folded whole and read by key decide as levels folded lazily, chunk by chunk."""
+    """Levels folded whole and read by key decide as levels folded per chunk."""
     params = CHUNK_CONFIGS[2][0]
     folded = _count_folds(monkeypatch)
     if not dense:
@@ -325,7 +326,7 @@ def test_dense_fold_matches_keyed(monkeypatch, dense):
         # L2 and L3 folded once each, when the decoder is made
         assert len(folded) == 2 and folded[0] == 5 and folded[1] > 5
     else:
-        # C4 has 5 tables; the L2 table count grows from chunk to chunk
+        # C4 has 5 tables; each chunk folds its own L2 tables
         assert folded[0] == 5 and len(set(folded) - {5}) > 1
 
 
@@ -391,29 +392,52 @@ def test_shared_decoder_matches_fresh(params):
 
 
 def test_shared_decoder_under_threads():
-    """Threads folding an L4 config's lazy level into one decoder at once lose no table and change no count."""
+    """Threads decoding L4 chunks on one shared decoder at once change no count and no generator state."""
     params = ProtocolConfig("tracking", False, 4, 2, 0.47, 0.1, "q")
-    expected = [pure.run_block(params, make_gen(70 + b), 100) for b in range(6)]
+    made = {}
+    coin_generator = pure.coin_generator
+
+    def kept_coin_generator(generator):
+        made[generator] = coin_generator(generator)
+        return made[generator]
+
+    def block(run_block, b):
+        gen = make_gen(70 + b)
+        counts = run_block(params, gen, 100)
+        return counts, plain(gen.bit_generator.state), plain(made[gen].bit_generator.state)
+
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # each round races six threads over the first L4 tables of a new backend
-        for _ in range(4):
-            backend = PureBackend()
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(backend.run_block, params, make_gen(70 + b), 100) for b in range(6)]
-                assert [future.result(timeout=120) for future in futures] == expected
-            (decoder,) = backend._decoders.values()
-            # L2 and L3 are folded whole, L4 lazily
-            assert [by_key is None for by_key in decoder._by_key] == [True, False, False, True]
-            numbers, tables, folds = decoder._numbers[3], decoder._tables[3], decoder._folds[3]
-            # every lazy table numbered once, under the number the dictionary gives it
-            assert len(numbers) == len(tables) > 0
-            assert all(numbers[row] == i for i, row in enumerate(map(tuple, tables.tolist())))
-            assert set(folds.values()) == set(range(len(tables)))
-            assert len(decoder._first_bits) == len(tables)
-    finally:
-        sys.setswitchinterval(interval)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pure, "coin_generator", kept_coin_generator)
+        expected = [block(pure.run_block, b) for b in range(6)]
+        sys.setswitchinterval(1e-6)
+        try:
+            # each round races six threads over the L4 chunks of a new backend
+            for _ in range(4):
+                backend = PureBackend()
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futures = [pool.submit(block, backend.run_block, b) for b in range(6)]
+                    assert [future.result(timeout=120) for future in futures] == expected
+                (decoder,) = backend._decoders.values()
+                # L2 and L3 are folded whole, L4 chunk by chunk
+                assert len(decoder._tables) == 3 and decoder._first_bits is None
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_decoder_never_changes():
+    """L4 blocks on one backend leave every array of its decoder as it was made."""
+    params = ProtocolConfig("conventional", False, 4, 1, 0.55)
+    backend = PureBackend()
+    decoder = backend._decoder(params)
+
+    def arrays():
+        return copy.deepcopy((decoder._c4, decoder._tables, decoder._by_key, decoder._first_bits))
+
+    made = arrays()
+    for b in range(4):
+        backend.run_block(params, make_gen(80 + b), 300)
+    np.testing.assert_equal(arrays(), made)
 
 
 class FixedNormals:
