@@ -244,8 +244,13 @@ def c6_level_up_rows(tables, i0, i1, i2):
 
 def _math_map(fn, values):
     """``fn`` of each element of the array ``values``, called once per distinct value."""
-    distinct, inverse = np.unique(values.ravel(), return_inverse=True)
-    return np.fromiter(map(fn, distinct.tolist()), float, len(distinct))[inverse].reshape(values.shape)
+    # numbered by sort and search: np.unique's inverse is slower, and its
+    # hashing without one takes a megabyte more
+    ordered = np.sort(values, axis=None)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    return np.fromiter(map(fn, distinct.tolist()), float, len(distinct))[np.searchsorted(distinct, values)]
 
 
 # --- decoding ----------------------------------------------------------------

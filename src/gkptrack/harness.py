@@ -56,9 +56,11 @@ def philox_key(master_seed: int, point_index: int, block_index: int) -> np.ndarr
         raise ValueError(f"block index out of range: {block_index}")
     if not (0 <= point_index < _MAX_POINTS):
         raise ValueError(f"point index out of range: {point_index}")
-    w0 = master_seed & 0xFFFFFFFFFFFFFFFF
+    # a seed outside the key's 64-bit word would alias another seed's stream
+    if not (0 <= master_seed < 1 << 64):
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
     w1 = (point_index << 24) | block_index
-    return np.array([w0, w1], dtype=np.uint64)
+    return np.array([master_seed, w1], dtype=np.uint64)
 
 
 def block_generator(master_seed: int, point_index: int, block_index: int) -> np.random.Generator:
@@ -129,6 +131,8 @@ class SweepConfig:
             raise ValueError(f"levels must be distinct, got {self.levels}")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        # the seed the blocks' Philox keys would refuse
+        philox_key(self.master_seed, 0, 0)
         if self.max_failures_stop is not None and self.max_failures_stop < 1:
             raise ValueError(f"max_failures_stop must be >= 1, got {self.max_failures_stop}")
         if not self.sigma_total_grid or not self.levels:
@@ -384,8 +388,9 @@ class ThresholdEstimate:
 def find_threshold(estimates) -> ThresholdEstimate:
     """Locate the common crossing of consecutive level curves.
 
-    For each consecutive level pair the crossing of ``log p_fail`` is found
-    by piecewise-linear interpolation over sigma; points with zero failures
+    For each consecutive level pair the crossing of ``log p_fail`` is its
+    first exact meeting at a shared sigma or first change of sign, found by
+    piecewise-linear interpolation over sigma; points with zero failures
     are skipped (no log).  The threshold is the mean crossing, with the
     max-min spread quantifying how concentrated the crossings are.  Result is
     invariant under reordering of the input list.
@@ -408,11 +413,12 @@ def find_threshold(estimates) -> ThresholdEstimate:
             if ea.failures == 0 or eb.failures == 0:
                 continue
             diffs.append((s, math.log(ea.p_fail) - math.log(eb.p_fail)))
-        for (s0, d0), (s1, d1) in zip(diffs, diffs[1:]):
+        # the last point has no neighbour to interpolate towards
+        for (s0, d0), (s1, d1) in zip(diffs, diffs[1:] + [(None, 0.0)]):
             if d0 == 0.0:
                 crossings.append(CrossingPair(la, lb, s0))
                 break
-            if (d0 < 0.0) != (d1 < 0.0):
+            if d1 != 0.0 and (d0 < 0.0) != (d1 < 0.0):
                 crossings.append(CrossingPair(la, lb, s0 + (s1 - s0) * (-d0) / (d1 - d0)))
                 break
     if not crossings:

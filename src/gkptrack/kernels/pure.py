@@ -14,28 +14,30 @@ documented draw order (:mod:`gkptrack.protocols`): per trial, per cycle, per
 qubit the channel normal followed, in recorded tracking cycles, by the
 ancilla normals ``a1`` and ``a2`` when the ancilla sigma is above zero.
 
-Layout.  The leaves read the chunk's ``(trial, draw)`` normals through a
-transposed view in their first multiply, so every later array is
-leaf-major: a per-qubit quantity is a contiguous
-``(leaf, trial)`` block, a tracking trial's records one preallocated
-``(cycle, leaf, trial)`` array, and a conventional config decodes
-``(leaf, cycle, trial)`` arrays whose rows are its ``(cycle, trial)`` decodes.
-Every pass runs over the trial axis; the decode gathers and reduces on the
+Layout.  One pipeline, :func:`_leaves`, forms the records, bits and
+likelihoods of every decode.  A tracking trial is one decode of ``cycles``
+records per qubit; a conventional cycle is a decode of one record per qubit,
+so a conventional chunk decodes ``cycles * trials`` columns in ``(cycle,
+trial)`` order.  The leaves read the chunk's ``(trial, draw)`` normals
+through a transposed view in their first multiply, so every later array is
+leaf-major: the records are one preallocated ``(record, leaf, decode)``
+array, and a per-qubit quantity a contiguous ``(leaf, decode)`` block.
+Every pass runs over the decode axis; the decode gathers and reduces on the
 leading axes only.  Binning and the recorded deviations use the scalar
 code's IEEE operations in its order (:func:`_bin`), so the measured bits and
 the records are bitwise the scalar values.  No bin feeds back into a
-deviation, so a tracking chunk forms every cycle's measured values
-first and bins them in one pass; with perfect ancillas the scalar adds of
-``0.0`` are left out, as they change no bin and no ``|record|``.  A qubit's
-bit is the parity of its summed lattice indices.
+deviation, so a chunk forms every record first and bins them in one pass;
+with perfect ancillas the scalar adds of ``0.0`` are left out, as they
+change no bin and no ``|record|``.  A qubit's bit is the parity of its
+summed lattice indices.
 
 Chunks.  A block runs in as few equal chunks as fit its normals:
 :data:`CHUNK_DRAWS` analog, :data:`DIGITAL_CHUNK_DRAWS` digital (one chunk
 for a 2,048-trial conventional L2 point).  A chunk's normals, its
-deviations or records, their bins and its ancilla values live in buffers
+records, their bins and its ancilla values live in buffers
 that each thread keeps and reuses (:func:`_buffer`), so a chunk takes no
 fresh pages; the normals are drawn into theirs by ``standard_normal(out=)``.
-A digital chunk keeps no deviation, so it bins its deviations in place.
+A digital chunk keeps no record, so it bins its records in place.
 
 Digital decodes are exact.  Every leaf of a digital decode carries the same
 likelihood pair, :func:`gkptrack.protocols.digital_pair`, so a C4 block's
@@ -62,8 +64,10 @@ multiplies in numpy.  A leaf carries scaled match and flip likelihoods: 1 and
 lies in ``[0, 1]`` on the bin range, up to rounding.  A decode's log scale is
 the sum of its leaves' match log densities, taken from the sum of squares:
 ``-(sum a^2) / (2 sigma^2) - K log(sigma sqrt(2 pi))`` over its ``K``
-records (:func:`_flip_ratios`).  The tracking parity convolution is
-``even, odd = even + odd * rho, even * rho + odd``.  C4 classes are sums of
+records (:func:`_flip_ratios`).  The parity convolution starts from the
+first record's ``(1, rho)`` and takes each later record as ``even, odd =
+even + odd * rho, even * rho + odd``, so a one-record decode's leaf is its
+record's pair.  C4 classes are sums of
 products of the leaf factors' pair products, C6 folds sums of products.  Each
 level's tables are divided by their peaks, whose logs join the decode's
 scale, so ``l0 = log(t00 + t01) + scale`` and ``l1 = log(t10 + t11) + scale``
@@ -189,26 +193,22 @@ def _run_chunk(params, draws, generator, coins, decoder, trials) -> int:
     """Failure count of the next ``trials`` trials."""
     # one row of normals per trial, read by the leaves through its transpose
     z = generator.standard_normal(out=_buffer("z", (trials, draws)))
-    decodes = params.cycles if params.protocol == "conventional" else 1
     unsure = np.zeros(trials, dtype=bool)
     # underflowed or non-finite values make an analog decode unsure, not an error
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if params.protocol == "conventional":
-            bits, scale, match, flip, outside = _conventional_leaves(params, z.T)
-        else:
-            bits, scale, match, flip, outside = _tracking_leaves(params, z.T)
+        bits, scale, match, flip, outside = _leaves(params, z.T)
         if decoder is None:
             bit, unsure_rows = _decide(bits, scale, match, flip)
-            unsure = (unsure_rows | outside).reshape(decodes, trials).any(axis=0)
+            unsure = (unsure_rows | outside).reshape(-1, trials).any(axis=0)
         else:
             bit, tie = decoder.decide(bits)
     # axes: decode (conventional: one per cycle), trial
-    decided = bit.reshape(decodes, trials)
+    decided = bit.reshape(-1, trials)
     if decoder is not None:
         n_ties = np.count_nonzero(tie)
         if n_ties:
             # codes._coin: 0 below one half; coins in (trial, cycle) order
-            decided.T[tie.reshape(decodes, trials).T] = coins.random(n_ties) >= 0.5
+            decided.T[tie.reshape(-1, trials).T] = coins.random(n_ties) >= 0.5
     # truth is 0 in every cycle: a trial fails on an odd count of wrong decodes
     failures = int(np.count_nonzero(np.bitwise_xor.reduce(decided, axis=0) & ~unsure))
     for j in np.flatnonzero(unsure).tolist():
@@ -329,40 +329,30 @@ def _bin(x, record: bool):
     return s
 
 
-def _conventional_leaves(params: ProtocolConfig, z):
-    """Bits and, analog, scaled leaf likelihoods of every cycle's decode: ``(leaf, cycle * trial)``.
+def _leaves(params: ProtocolConfig, z):
+    """Bits and, analog, scaled joint record likelihoods of every decode: ``(leaf, decode)``.
 
-    ``z`` holds the chunk's normals, ``(draw, trial)``.
-    """
-    n = block_size(params.level)
-    trials = z.shape[1]
-    dev = _buffer("x", (n, params.cycles, trials))
-    np.multiply(z.reshape(params.cycles, n, trials).transpose(1, 0, 2), params.sigma_cycle, out=dev)
-    dev = dev.reshape(n, -1)
-    bits = _bin(dev, params.analog)
-    bits &= 1
-    if not params.analog:
-        return bits, None, None, None, None
-    scale, outside, flip = _flip_ratios(dev, params.sigma_cycle)
-    return bits, scale, 1.0, flip, outside
-
-
-def _tracking_leaves(params: ProtocolConfig, z):
-    """Bits and, analog, scaled joint record likelihoods of tracking trials: ``(leaf, trial)``.
-
-    As ``protocols._tracking``, with ``single_qec.sqec_step`` inline.
-    ``z`` holds the chunk's normals, ``(draw, trial)``.  No bin feeds back
-    into a deviation, so every cycle's measured value is formed first and
-    all are binned at once.
+    As ``protocols._conventional`` and ``protocols._tracking``, with
+    ``single_qec.sqec_step`` inline.  ``z`` holds the chunk's normals,
+    ``(draw, trial)``.  A conventional cycle is a decode of one record per
+    qubit, so a conventional chunk decodes ``cycles * trials`` columns, in
+    ``(cycle, trial)`` order; a tracking trial is one decode of ``cycles``
+    records per qubit.  No bin feeds back into a deviation, so every
+    record is formed first and all are binned at once.
     """
     trials = z.shape[1]
     n = block_size(params.level)
     sigma = params.sigma_cycle
     cycles = params.cycles
     quadrature, sigma_ancilla = params.quadrature, params.sigma_ancilla
-    # the recorded cycles' measured values, then the final deviation
-    records = _buffer("x", (cycles, n, trials))
-    if sigma_ancilla == 0.0:
+    # (record, leaf, decode): a conventional cycle's deviations, a tracking
+    # trial's recorded cycles' measured values and then its final deviation
+    conventional = params.protocol == "conventional"
+    records = _buffer("x", (1, n, cycles * trials) if conventional else (cycles, n, trials))
+    if conventional:
+        # teleportation leaves no deviation behind
+        np.multiply(z.reshape(cycles, n, trials).transpose(1, 0, 2), sigma, out=records.reshape(n, cycles, trials))
+    elif sigma_ancilla == 0.0:
         # sqec_step with a1 = a2 = 0: the qubit reads its fresh channel
         # deviation, negated in p, and keeps none of it
         factors = np.full((cycles, 1, 1), sigma if quadrature == "q" else -sigma)
@@ -387,21 +377,22 @@ def _tracking_leaves(params: ProtocolConfig, z):
                 dev = np.subtract(a1, a2, out=a1)
         np.multiply(z[-n:], sigma, out=records[-1])
         records[-1] += dev
-    # a qubit's bit: the parity of its lattice indices summed over the cycles
+    # a qubit's bit: the parity of its lattice indices summed over its records
     indices = _bin(records, params.analog)
     bits = indices[0]
-    for later in indices[1:]:
-        bits += later
+    # indexed: starting an ndarray iterator costs more than a one-record decode's loop
+    for record in range(1, len(indices)):
+        bits += indices[record]
     bits &= 1
     if not params.analog:
         return bits, None, None, None, None
-    scale, outside, rho = _flip_ratios(records.reshape(cycles * n, trials), sigma)
-    rho = rho.reshape(cycles, n, trials)
+    scale, outside, rho = _flip_ratios(records.reshape(-1, records.shape[-1]), sigma)
+    rho = rho.reshape(records.shape)
     # parity convolution of the records' scaled (match, flip) pairs (1, rho):
     # the scaled probabilities of an even and an odd count of flips
-    even, odd = 1.0 + rho[0] * rho[1], rho[0] + rho[1]
-    for r in rho[2:]:
-        even, odd = even + odd * r, even * r + odd
+    even, odd = 1.0, rho[0]
+    for record in range(1, len(rho)):
+        even, odd = even + odd * rho[record], even * rho[record] + odd
     return bits, scale, even, odd, outside
 
 

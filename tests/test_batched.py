@@ -240,11 +240,13 @@ def test_tie_heavy_digital(params, trials):
 CHUNK_CONFIGS = TIE_HEAVY + [
     (ProtocolConfig("tracking", False, 3, 2, 0.47, 0.1, "q"), 30),
     (ProtocolConfig("conventional", True, 2, 6, 0.5, quadrature="p"), 100),
+    # tie coins across the five cycles of each trial
+    (ProtocolConfig("conventional", False, 1, 5, 0.55), 600),
 ]
 
 
 # analog and digital chunk normals; 4,096 also split CHUNK_CONFIGS' analog
-# block (72 normals a trial) into two chunks and its digital ones into 9, 6 and 2
+# block (72 normals a trial) into two chunks and its digital ones into 9, 6, 2 and 3
 @pytest.mark.parametrize("chunk_draws", [
     pytest.param((size, size), id=str(size)) for size in (1, 7, 4096)
 ] + [pytest.param((pure.CHUNK_DRAWS, pure.DIGITAL_CHUNK_DRAWS), id=str(pure.CHUNK_DRAWS))])

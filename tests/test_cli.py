@@ -93,8 +93,10 @@ class TestRun:
         (("--max-failures-stop", "0"), "max_failures_stop must be >= 1, got 0"),
         (("--max-failures-stop=-5",), "max_failures_stop must be >= 1, got -5"),
         (("--protocol", "conventional", "--sigma-ancilla", "0.1"), "sigma_ancilla must be 0, got 0.1"),
+        (("--seed=-1",), "master_seed must lie in [0, 2**64), got -1"),
+        (("--seed", "18446744073709551616"), "master_seed must lie in [0, 2**64), got 18446744073709551616"),
     ], ids=["cycles-1", "cycles-0", "trials-0", "levels-0", "stop-0", "stop-negative",
-            "conventional-ancilla"])
+            "conventional-ancilla", "seed-negative", "seed-2**64"])
     def test_refused_config_exits_2(self, tmp_path, capsys, flags, message):
         """A value the config refuses exits 2 with the config's message, before anything is written."""
         out = tmp_path / "r"

@@ -159,10 +159,15 @@ class TestEstimatePoint:
 
     def test_philox_key_limits(self):
         philox_key(2**63, 2**39, 2**23)
+        philox_key(2**64 - 1, 0, 0)
         with pytest.raises(ValueError):
             philox_key(1, 1, 2**24)
         with pytest.raises(ValueError):
             philox_key(1, 2**40, 0)
+        # seeds outside the key's 64-bit word would alias 2**64 - 1 and 0
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=re.escape(f"master_seed must lie in [0, 2**64), got {seed}")):
+                philox_key(seed, 0, 0)
 
 
 class TestBlockScheduling:
@@ -359,6 +364,9 @@ class TestSweep:
         (dict(levels=(2, 2)), "levels must be distinct, got (2, 2)"),
         (dict(sigma_total_grid=(0.5, 0.5)), "sigma_total_grid must be strictly increasing"),
         (dict(sigma_total_grid=(0.5, 0.6, 0.6, 0.7)), "sigma_total_grid must be strictly increasing"),
+        # every block's Philox key would refuse the seed
+        (dict(master_seed=-1), "master_seed must lie in [0, 2**64), got -1"),
+        (dict(master_seed=2**64), "master_seed must lie in [0, 2**64), got 18446744073709551616"),
     ])
     def test_every_point_validated(self, fields, message):
         """A config any of whose points a kernel would refuse, or with two equal points, is refused when it is made."""
@@ -441,6 +449,15 @@ class TestFindThreshold:
         ests += [synthetic_estimate(2, s, 0.1) for s in (0.9, 1.0)]
         with pytest.raises(NoCrossingError, match="no crossing in grid"):
             find_threshold(ests)
+
+    @pytest.mark.parametrize("p1", [0.08, 0.02, None], ids=["from-above", "from-below", "only-point"])
+    def test_meeting_at_last_grid_point(self, p1):
+        """Curves that meet exactly at their last shared point cross there, from either side or alone."""
+        # L1 at p1 and L2 at 0.04 when sigma is 1.0, both at 0.1 when it is 1.1
+        ests = [synthetic_estimate(level, 1.1, 0.1, trials=1000) for level in (1, 2)]
+        if p1 is not None:
+            ests += [synthetic_estimate(1, 1.0, p1, trials=1000), synthetic_estimate(2, 1.0, 0.04, trials=1000)]
+        assert find_threshold(ests).crossing_pairs == (CrossingPair(1, 2, 1.1),)
 
     def test_single_level_raises(self):
         ests = [synthetic_estimate(1, s, 0.2) for s in (0.9, 1.0)]
