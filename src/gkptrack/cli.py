@@ -98,7 +98,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", default=None,
                      help="output directory (default: $GKPTRACK_OUT or '.')")
     run.add_argument("--quadrature", choices=["q", "p"], default="q",
-                     help="the quadrature a trial simulates (default: q)")
+                     help="the quadrature a trial simulates (default: q); p differs from q only "
+                          "through ancilla noise, so it needs --protocol tracking and --sigma-ancilla > 0")
     run.add_argument("--sigma-ancilla", type=float, default=0.0,
                      help="ancilla noise of the tracking correction step (default: 0)")
     run.add_argument("--workers", type=int, default=1,

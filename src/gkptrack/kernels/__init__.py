@@ -25,6 +25,12 @@ _QUADRATURES = ("q", "p")
 
 #: version of the stream contract in the module docstring
 STREAM_VERSION = 2
+#: largest ``sigma_cycle`` and ``sigma_ancilla``: at 100 a bit is a coin flip
+#: and ``gkp.p_corr`` is 0.0071; far above, doubles lose the bit (lattice
+#: indices above 2**53 are even) and binned values leave their bin
+MAX_SIGMA = 100.0
+#: highest level; a level-10 block holds 78,732 qubits
+MAX_LEVEL = 10
 
 
 @dataclass(frozen=True)
@@ -35,9 +41,11 @@ class ProtocolConfig:
     channel displacement noise added per cycle, above zero because the record
     likelihoods divide by its square; ``sigma_ancilla`` models imperfect
     ancilla preparation in the tracking protocol's single-qubit correction
-    step (zero means perfect ancillas).  Both are standard deviations.  The
-    conventional protocol's teleportation consumes fresh perfect ancillas, so
-    it refuses ancilla noise.
+    step (zero means perfect ancillas).  Both are standard deviations, at most
+    :data:`MAX_SIGMA`.  The conventional protocol's teleportation consumes
+    fresh perfect ancillas, so it refuses ancilla noise.  The p quadrature
+    differs from q only through that noise (:mod:`gkptrack.single_qec`), so
+    it is refused without it.
 
     Every invalid config is refused here, when it is made, so no trial or
     block checks its parameters.
@@ -56,6 +64,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown protocol kind {self.protocol!r}")
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
+        if self.level > MAX_LEVEL:
+            raise ValueError(f"level must be <= {MAX_LEVEL}, got {self.level}")
         min_cycles = 2 if self.protocol == "tracking" else 1
         if self.cycles < min_cycles:
             raise ValueError(f"{self.protocol} requires cycles >= {min_cycles}, got {self.cycles}")
@@ -65,9 +75,15 @@ class ProtocolConfig:
             raise ValueError(f"sigma_cycle must be finite and > 0, got {self.sigma_cycle!r}")
         if not (math.isfinite(self.sigma_ancilla) and self.sigma_ancilla >= 0.0):
             raise ValueError(f"sigma_ancilla must be finite and >= 0, got {self.sigma_ancilla!r}")
+        for name in ("sigma_cycle", "sigma_ancilla"):
+            if getattr(self, name) > MAX_SIGMA:
+                raise ValueError(f"{name} must be <= {MAX_SIGMA}, got {getattr(self, name)!r}")
         if self.sigma_ancilla > 0.0 and self.protocol == "conventional":
             raise ValueError("the conventional protocol uses perfect ancillas, "
                              f"so sigma_ancilla must be 0, got {self.sigma_ancilla!r}")
+        if self.quadrature == "p" and self.sigma_ancilla == 0.0:
+            raise ValueError("quadrature 'p' differs from 'q' only through ancilla noise, "
+                             "so it needs the tracking protocol and sigma_ancilla > 0")
 
 
 class PureBackend:

@@ -1,11 +1,11 @@
 """The kernel: blocks of trials, trial-batched on numpy, stream-exact with the scalar loop.
 
-A block (conventional or tracking, analog or digital, either quadrature, any
-ancilla noise and level) runs in chunks of trials, and a chunk always runs
-all its trials.  It draws the same normals and tie coins as a loop over the
-scalar reference :func:`gkptrack.protocols.run_trial`, and reaches the same
-decisions, count and final generator states.  Tie coins come from
-:func:`coin_generator`, one per block (stream contract in
+A block (conventional or tracking, analog or digital, any quadrature,
+ancilla noise and level its config accepts) runs in chunks of trials, and a
+chunk always runs all its trials.  It draws the same normals and tie coins
+as a loop over the scalar reference :func:`gkptrack.protocols.run_trial`,
+and reaches the same decisions, count and final generator states.  Tie
+coins come from :func:`coin_generator`, one per block (stream contract in
 :mod:`gkptrack.kernels`).
 
 Each chunk takes all its normals in one ``standard_normal`` call, which
@@ -26,10 +26,11 @@ Every pass runs over the decode axis; the decode gathers and reduces on the
 leading axes only.  Binning and the recorded deviations use the scalar
 code's IEEE operations in its order (:func:`_bin`), so the measured bits and
 the records are bitwise the scalar values.  No bin feeds back into a
-deviation, so a chunk forms every record first and bins them in one pass;
-with perfect ancillas the scalar adds of ``0.0`` are left out, as they
-change no bin and no ``|record|``.  A qubit's bit is the parity of its
-summed lattice indices.
+deviation, so a chunk forms every record first and bins them in one pass.
+With perfect ancillas (in q: the config refuses p there) a record is its
+normal times ``sigma_cycle``, one multiply per chunk; the scalar adds of
+``0.0`` are left out, as they change no bin and no ``|record|``.  A qubit's
+bit is the parity of its summed lattice indices.
 
 Chunks.  A block runs in as few equal chunks as fit its normals:
 :data:`CHUNK_DRAWS` analog, :data:`DIGITAL_CHUNK_DRAWS` digital (one chunk
@@ -316,9 +317,7 @@ def _bin(x, record: bool):
 
     With ``record``, ``x`` is overwritten with the binned deviations
     ``x - s * SQRT_PI``; without, its values are not kept: it is divided in
-    place, and the indices overwrite the chunk's normals.  The cast is exact
-    below ``2**63``; beyond it the scalar's own records lie far outside the
-    bin range, and its bits are even.
+    place, and the indices overwrite the chunk's normals.
     """
     t = np.divide(x, SQRT_PI, out=_buffer("t", x.shape) if record else x)
     t -= 0.5
@@ -344,20 +343,16 @@ def _leaves(params: ProtocolConfig, z):
     n = block_size(params.level)
     sigma = params.sigma_cycle
     cycles = params.cycles
-    quadrature, sigma_ancilla = params.quadrature, params.sigma_ancilla
+    sigma_ancilla = params.sigma_ancilla
     # (record, leaf, decode): a conventional cycle's deviations, a tracking
     # trial's recorded cycles' measured values and then its final deviation
     conventional = params.protocol == "conventional"
     records = _buffer("x", (1, n, cycles * trials) if conventional else (cycles, n, trials))
-    if conventional:
-        # teleportation leaves no deviation behind
-        np.multiply(z.reshape(cycles, n, trials).transpose(1, 0, 2), sigma, out=records.reshape(n, cycles, trials))
-    elif sigma_ancilla == 0.0:
-        # sqec_step with a1 = a2 = 0: the qubit reads its fresh channel
-        # deviation, negated in p, and keeps none of it
-        factors = np.full((cycles, 1, 1), sigma if quadrature == "q" else -sigma)
-        factors[-1] = sigma
-        np.multiply(z.reshape(cycles, n, trials), factors, out=records)
+    if sigma_ancilla == 0.0:
+        # q: a record is its fresh channel deviation, and teleportation or
+        # sqec_step with a1 = a2 = 0 leaves the qubit none of it
+        out = records.reshape(n, cycles, trials).transpose(1, 0, 2) if conventional else records
+        np.multiply(z.reshape(cycles, n, trials), sigma, out=out)
     else:
         recorded = z[:-n].reshape(cycles - 1, n, 3, trials)
         ancilla = _buffer("a", (2, n, trials))
@@ -368,7 +363,7 @@ def _leaves(params: ProtocolConfig, z):
                 measured += dev
             a1 = np.multiply(recorded[cycle, :, 1], sigma_ancilla, out=ancilla[0])
             a2 = np.multiply(recorded[cycle, :, 2], sigma_ancilla, out=ancilla[1])
-            if quadrature == "q":
+            if params.quadrature == "q":
                 measured += a1
                 measured += a2
                 dev = np.negative(a2, out=a2)

@@ -16,7 +16,8 @@ decode.
 Both protocols simulate one quadrature per trial, ``cfg.quadrature``.  Under
 the independent Gaussian channel the q and p failure processes are
 identically distributed; they differ only in how the tracking protocol's
-single-qubit correction propagates ancilla noise (:mod:`gkptrack.single_qec`).
+single-qubit correction propagates ancilla noise (:mod:`gkptrack.single_qec`),
+so :class:`~gkptrack.kernels.ProtocolConfig` allows p only there.
 The transmitted codeword is fixed to all-zeros; linearity of the code makes
 failure statistics identical for any codeword.
 
@@ -105,7 +106,7 @@ def run_trial(cfg: ProtocolConfig, rng, coins) -> int:
 
 
 def _conventional(cfg: ProtocolConfig, rng, coins) -> int:
-    """Failure indicator of one conventional trial, either quadrature: its decoded parity."""
+    """Failure indicator of one conventional trial, in q: its decoded parity."""
     n = block_size(cfg.level)
     sigma = cfg.sigma_cycle
     digital_lp = None if cfg.analog else digital_pair(cfg)

@@ -60,6 +60,10 @@ def render_curves(sweeps, out_path, threshold=None, title: str = "") -> None:
     sweep, so each of its levels is one series; with several files, a
     series' label starts with its file's directory.
     """
+    # imported here, not at the top: xml.sax.saxutils loads urllib.request,
+    # which added megabytes and tens of milliseconds to every `gkptrack` start
+    from xml.sax.saxutils import escape
+
     estimates = [e for rows in sweeps.values() for e in rows]
     if not estimates:
         raise ValueError("no data points to plot")
@@ -99,7 +103,7 @@ def render_curves(sweeps, out_path, threshold=None, title: str = "") -> None:
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
-        parts.append(f'<text x="{_MARGIN_L}" y="16" font-size="13">{title}</text>')
+        parts.append(f'<text x="{_MARGIN_L}" y="16" font-size="13">{escape(title)}</text>')
 
     # y decades
     for d in range(math.ceil(ly_lo), math.floor(ly_hi) + 1):
@@ -177,7 +181,7 @@ def render_curves(sweeps, out_path, threshold=None, title: str = "") -> None:
             f'<line x1="{lx}" y1="{y - 4}" x2="{lx + 22}" y2="{y - 4}" '
             f'stroke="{s.color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 28}" y="{y}">{s.label}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{y}">{escape(s.label)}</text>')
 
     parts.append("</svg>")
     with open(out_path, "w") as fh:

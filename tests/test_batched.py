@@ -10,6 +10,7 @@ one coin generator per block, ``Generator(bit_generator.jumped())``.
 
 import copy
 import itertools
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from gkptrack import codes, protocols
-from gkptrack.kernels import ProtocolConfig, PureBackend, pure
+from gkptrack.kernels import MAX_SIGMA, ProtocolConfig, PureBackend, pure
 
 
 def make_gen(seed):
@@ -89,10 +90,18 @@ ANCILLAS = {"perfect": 0.0, "noisy": 0.12}
 
 
 def checked_config(protocol, analog, level, cycles, sigma, ancilla, quadrature):
-    """The config of a grid case, or None for the conventional protocol with ancilla noise, whose refusal is checked here."""
+    """The config of a grid case, or None for a refused one, whose refusal is checked here.
+
+    The conventional protocol refuses ancilla noise, and p, which differs from
+    q only through ancilla noise, is refused without it.
+    """
     fields = (protocol, analog, level, cycles, sigma, ANCILLAS[ancilla], quadrature)
     if protocol == "conventional" and ancilla == "noisy":
         with pytest.raises(ValueError, match="the conventional protocol uses perfect ancillas"):
+            ProtocolConfig(*fields)
+        return None
+    if quadrature == "p" and ancilla == "perfect":
+        with pytest.raises(ValueError, match="quadrature 'p' differs from 'q' only through ancilla noise"):
             ProtocolConfig(*fields)
         return None
     return ProtocolConfig(*fields)
@@ -189,7 +198,7 @@ def test_routing(monkeypatch):
 
 
 def test_loaded_lazily():
-    """Importing the CLI and resolving the kernel does not load the kernel module."""
+    """Importing the CLI and resolving the kernel loads neither the kernel module nor the plot's XML escape."""
     code = ("import sys, gkptrack.cli\n"
             "from gkptrack.kernels import get_backend\n"
             "get_backend()\n"
@@ -198,13 +207,15 @@ def test_loaded_lazily():
                             check=True, timeout=60).stdout.split()
     assert "gkptrack.cli" in loaded
     assert "gkptrack.kernels.pure" not in loaded
+    # xml.sax.saxutils would load urllib.request at every start
+    assert "urllib.request" not in loaded
 
 
 @pytest.mark.parametrize(
     "params,trials",
     [
         (ProtocolConfig("tracking", True, 2, 3, 0.45, 0.15, "q"), 120),
-        (ProtocolConfig("conventional", True, 1, 3, 0.55, 0.0, "p"), 400),
+        (ProtocolConfig("conventional", True, 1, 3, 0.55), 400),
         (ProtocolConfig("tracking", True, 1, 2, 0.5, 0.08, "p"), 600),
     ],
 )
@@ -239,7 +250,7 @@ def test_tie_heavy_digital(params, trials):
 
 CHUNK_CONFIGS = TIE_HEAVY + [
     (ProtocolConfig("tracking", False, 3, 2, 0.47, 0.1, "q"), 30),
-    (ProtocolConfig("conventional", True, 2, 6, 0.5, quadrature="p"), 100),
+    (ProtocolConfig("conventional", True, 2, 6, 0.5), 100),
     # tie coins across the five cycles of each trial
     (ProtocolConfig("conventional", False, 1, 5, 0.55), 600),
 ]
@@ -359,7 +370,7 @@ def test_floor_on_table_peaks():
 
 
 SHARED_DECODER_CONFIGS = [
-    ProtocolConfig("conventional", False, 2, 3, 0.55, quadrature="p"),
+    ProtocolConfig("conventional", False, 2, 3, 0.55),
     ProtocolConfig("tracking", False, 3, 2, 0.47, 0.1, "q"),
 ]
 
@@ -484,10 +495,7 @@ def test_record_outside_bin_range(protocol, position):
 
 @pytest.mark.parametrize("protocol", ["conventional", "tracking"])
 def test_huge_sigma_raises_scalar_error(protocol):
-    """At sigma 1e200 binning leaves records far outside the bin range: both paths raise the same error."""
-    params = ProtocolConfig(protocol, True, 1, 2, 1e200)
-    with pytest.raises(ValueError, match="outside the bin range") as scalar:
-        scalar_loop(params, make_gen(3), coins_of(make_gen(3)), 5)
-    with pytest.raises(ValueError) as batched_error:
-        pure.run_block(params, make_gen(3), 5)
-    assert str(batched_error.value) == str(scalar.value)
+    """Sigma 1e200, at which binning would leave records far outside the bin range, is refused; the bound itself runs."""
+    with pytest.raises(ValueError, match=re.escape(f"sigma_cycle must be <= {MAX_SIGMA}, got 1e+200")):
+        ProtocolConfig(protocol, True, 1, 2, 1e200)
+    assert_stream_exact(ProtocolConfig(protocol, True, 1, 2, MAX_SIGMA), 50, 3)

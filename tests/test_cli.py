@@ -2,6 +2,7 @@
 
 import json
 import os
+from xml.etree import ElementTree
 
 import pytest
 
@@ -95,8 +96,16 @@ class TestRun:
         (("--protocol", "conventional", "--sigma-ancilla", "0.1"), "sigma_ancilla must be 0, got 0.1"),
         (("--seed=-1",), "master_seed must lie in [0, 2**64), got -1"),
         (("--seed", "18446744073709551616"), "master_seed must lie in [0, 2**64), got 18446744073709551616"),
+        (("--protocol", "conventional", "--quadrature", "p"),
+         "quadrature 'p' differs from 'q' only through ancilla noise"),
+        (("--quadrature", "p"), "quadrature 'p' differs from 'q' only through ancilla noise"),
+        (("--sigma-ancilla", "1e300"), "sigma_ancilla must be <= 100.0, got 1e+300"),
+        # doubles lose the bit at this sigma, and analog records leave their bin
+        (("--protocol", "conventional", "--analog", "on", "--cycles", "1", "--sigma-total", "1e300:1e300:1"),
+         "sigma_cycle must be <= 100.0, got 1e+300"),
     ], ids=["cycles-1", "cycles-0", "trials-0", "levels-0", "stop-0", "stop-negative",
-            "conventional-ancilla", "seed-negative", "seed-2**64"])
+            "conventional-ancilla", "seed-negative", "seed-2**64", "conventional-p", "p-perfect-ancillas",
+            "ancilla-huge", "sigma-huge"])
     def test_refused_config_exits_2(self, tmp_path, capsys, flags, message):
         """A value the config refuses exits 2 with the config's message, before anything is written."""
         out = tmp_path / "r"
@@ -138,7 +147,8 @@ class TestRun:
                 "--seed", "4", "--quadrature", "p"]
         noisy, perfect = tmp_path / "noisy", tmp_path / "perfect"
         assert run_cli(*base, "--sigma-ancilla", "0.15", "--out", str(noisy)) == 0
-        assert run_cli(*base, "--out", str(perfect)) == 0
+        # p without ancilla noise is refused: the perfect-ancilla run is in q
+        assert run_cli(*base, "--quadrature", "q", "--out", str(perfect)) == 0
         config = json.loads((noisy / "manifest.json").read_text())["config"]
         assert config["sigma_ancilla"] == 0.15
         config = json.loads((perfect / "manifest.json").read_text())["config"]
@@ -248,6 +258,8 @@ class TestRun:
 class TestResume:
     BASE = ("run", "--protocol", "conventional", "--analog", "off", "--cycles", "2",
             "--levels", "1,2", "--sigma-total", "1.0:1.1:0.1", "--trials", "600")
+    # a base on which p runs: it differs from q only through ancilla noise
+    NOISY = ("--protocol", "tracking", "--sigma-ancilla", "0.1")
 
     def test_matching_resume_completes_file(self, tmp_path):
         out = tmp_path / "r"
@@ -279,11 +291,12 @@ class TestResume:
     )
     def test_different_config_refused(self, tmp_path, capsys, extra, fields):
         out = tmp_path / "r"
-        assert run_cli(*self.BASE, "--seed", "5", "--out", str(out)) == 0
+        base = (*self.BASE, *self.NOISY) if "--quadrature" in extra else self.BASE
+        assert run_cli(*base, "--seed", "5", "--out", str(out)) == 0
         before = {name: (out / name).read_bytes() for name in ("results.csv", "manifest.json")}
         capsys.readouterr()
         # a repeated flag overrides the earlier one
-        assert run_cli(*self.BASE, *extra, "--out", str(out)) == 2
+        assert run_cli(*base, *extra, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "another configuration" in err
         for field in fields:
@@ -499,6 +512,22 @@ class TestPlot:
         assert run_cli("plot", "--in", str(out / "results.csv"), "--out", str(fig)) == 0
         svg = fig.read_text()
         assert "<path d=" in svg  # one-sided marker triangles present
+
+    def test_markup_in_title_and_labels_escaped(self, tmp_path):
+        """A title, and a label's directory, holding ``<`` or ``&`` give well-formed SVG."""
+        paths = []
+        for name in ("plain", "r&d"):
+            out = tmp_path / name
+            assert run_cli("run", "--protocol", "conventional", "--analog", "off", "--cycles", "1",
+                           "--levels", "1", "--sigma-total", "1.0:1.1:0.1", "--trials", "200",
+                           "--seed", "3", "--out", str(out)) == 0
+            paths.append(str(out / "results.csv"))
+        figures = {"title": ([paths[0]], "p_fail < 1% & L2"), "label": (paths, "")}
+        for kind, (infiles, title) in figures.items():
+            fig = tmp_path / f"{kind}.svg"
+            assert run_cli("plot", "--in", *infiles, "--out", str(fig), "--title", title) == 0
+            texts = [element.text for element in ElementTree.parse(fig).iter("{http://www.w3.org/2000/svg}text")]
+            assert (title if title else "r&d: conventional/digital L1") in texts
 
     def test_empty_input_is_error(self, tmp_path):
         from gkptrack.harness import CSV_HEADER

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from gkptrack.kernels import ProtocolConfig, get_backend
+from gkptrack.kernels import MAX_LEVEL, ProtocolConfig, get_backend
 
 
 def make_gen(seed=42):
@@ -44,6 +44,16 @@ INVALID_INPUTS = [
     (dict(protocol="conventional", sigma_ancilla=0.1),
      "the conventional protocol uses perfect ancillas, so sigma_ancilla must be 0, got 0.1"),
     (dict(quadrature="both"), "quadrature must be one of ('q', 'p'), got 'both'"),
+    # p differs from q only through ancilla noise, which these configs lack
+    (dict(quadrature="p"), "quadrature 'p' differs from 'q' only through ancilla noise, "
+     "so it needs the tracking protocol and sigma_ancilla > 0"),
+    (dict(protocol="conventional", analog=False, cycles=1, quadrature="p"),
+     "quadrature 'p' differs from 'q' only through ancilla noise, "
+     "so it needs the tracking protocol and sigma_ancilla > 0"),
+    # sigmas at which a bit is a coin flip and doubles lose it: never run
+    (dict(sigma_cycle=1e300), "sigma_cycle must be <= 100.0, got 1e+300"),
+    (dict(protocol="conventional", analog=False, sigma_cycle=100.5), "sigma_cycle must be <= 100.0, got 100.5"),
+    (dict(sigma_ancilla=1e17), "sigma_ancilla must be <= 100.0, got 1e+17"),
 ]
 
 
@@ -58,6 +68,17 @@ def test_invalid_inputs_rejected_alike(backend, fields, message):
         kernel.run_block(ProtocolConfig(**{**VALID, **fields}), make_gen(), 10)
 
 
+@pytest.mark.parametrize("level", [MAX_LEVEL + 1, 18])
+def test_level_no_run_can_hold_refused(level):
+    """A level above MAX_LEVEL is refused when its config is made, so no block of it is ever run.
+
+    One trial of a conventional L18 cycle would draw 516,560,652 normals, 4.1 GB.
+    """
+    with pytest.raises(ValueError, match=re.escape(f"level must be <= {MAX_LEVEL}, got {level}")):
+        ProtocolConfig("conventional", False, level, 1, 0.5)
+    assert ProtocolConfig("conventional", False, MAX_LEVEL, 1, 0.5).level == MAX_LEVEL
+
+
 # (protocol, analog, level, cycles, sigma_cycle, sigma_ancilla, quadrature),
 # trials -> run_block's failure count off make_gen(100 + index).  The analog
 # entries are those recorded under stream version 1: their decodes
@@ -66,10 +87,12 @@ def test_invalid_inputs_rejected_alike(backend, fields, message):
 # (version 1: 128, 175, 122 and 47, in order, for entries 1, 6, 7 and 11).
 # Entries 2, 3, 8, 9 and 10 pinned configs that simulated q then p in every
 # trial; their single-quadrature successors were counted by that kernel.
+# Entries 1 and 2 run q: p, which the config refuses without ancilla noise,
+# gave the same counts.
 PINNED_STREAM = [
     (("conventional", True, 1, 2, 0.5), 600, 84),
-    (("conventional", False, 1, 3, 0.45, 0.0, "p"), 600, 132),
-    (("conventional", True, 2, 2, 0.55, 0.0, "p"), 200, 36),
+    (("conventional", False, 1, 3, 0.45, 0.0, "q"), 600, 132),
+    (("conventional", True, 2, 2, 0.55, 0.0, "q"), 200, 36),
     (("conventional", False, 2, 2, 0.5, 0.0, "q"), 200, 40),
     (("tracking", True, 1, 2, 0.5, 0.1, "q"), 600, 103),
     (("tracking", True, 1, 3, 0.45, 0.15, "p"), 600, 147),

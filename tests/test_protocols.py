@@ -17,6 +17,7 @@ from gkptrack.gkp import (
     p_corr,
 )
 from gkptrack.protocols import ProtocolConfig, joint_likelihood, run_trial
+from gkptrack.single_qec import sqec_step
 from oracle import concat_word_first_bit, random_codeword
 
 
@@ -219,21 +220,21 @@ class TestTracking:
             assert bit == failed
 
     def test_quadrature_p_runs(self):
-        failed = run_trial(track_cfg(0.5, quadrature="p"), np.random.default_rng(0), np.random.default_rng(1))
+        cfg = track_cfg(0.5, quadrature="p", ancilla=0.1)
+        failed = run_trial(cfg, np.random.default_rng(0), np.random.default_rng(1))
         assert failed in (0, 1)
 
     def test_both_quadratures_agree_statistically(self):
-        # with perfect ancillas the q and p failure processes are identically
-        # distributed; independent streams make this a two-sample test
-        n = 30_000
-        rates = []
-        for quadrature, seed in (("q", 3), ("p", 5)):
-            rng, coins = np.random.default_rng(seed), np.random.default_rng(seed + 1)
-            cfg = track_cfg(0.55, quadrature=quadrature)
-            rates.append(sum(run_trial(cfg, rng, coins) for _ in range(n)) / n)
-        pq, pp = rates
-        se = math.sqrt(pq * (1 - pq) / n + pp * (1 - pp) / n)
-        assert abs(pq - pp) < 4 * se
+        """With perfect ancillas a p step records q's record negated, with its flip: the two fail alike."""
+        rng = np.random.default_rng(3)
+        for dev in rng.normal(0.0, 0.8, 2000).tolist():
+            residual_q, record_q, flip_q = sqec_step(dev, "q", 0.0, rng)
+            residual_p, record_p, flip_p = sqec_step(dev, "p", 0.0, rng)
+            assert (record_p, flip_p) == (-record_q, flip_q)
+            assert residual_q == residual_p == 0.0
+        # so the config that would simulate p refuses, naming the ancilla noise
+        with pytest.raises(ValueError, match="only through ancilla noise"):
+            track_cfg(0.55, quadrature="p")
 
     def test_ancilla_noise_accepted(self):
         cfg = track_cfg(0.4, ancilla=0.1)
