@@ -206,9 +206,11 @@ def estimate_point(
     an index outside the sweep; its trials, seed and early stop are
     ``cfg``'s.  Deterministic for a fixed ``(cfg.master_seed, point_index)``
     regardless of ``workers``, which defaults to one thread.  The kernel's
-    batched path releases the GIL only inside numpy calls on small chunks: on
-    a 2-core VM two threads ran a point's 8,192-trial blocks at 0.63-0.68x
-    the speed of one (tracking analog L2 and L3, conventional digital L2).
+    batched path releases the GIL only inside numpy calls on small chunks,
+    and a block of more than one chunk runs a helper thread of its own: on a
+    2-core VM two workers ran a point's 8,192-trial blocks at 0.63-0.83x the
+    speed of one on tracking analog L2 and L3, and at 1.2x on conventional
+    digital L2 (3 cycles).
     ``cfg.max_failures_stop`` ends the run after the first block, in block
     order, at which the cumulative failure count reaches the threshold; that
     block is scheduling-independent, so the estimate is too.

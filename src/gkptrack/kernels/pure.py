@@ -38,7 +38,15 @@ for a 2,048-trial conventional L2 point).  A chunk's normals, its
 records, their bins and its ancilla values live in buffers
 that each thread keeps and reuses (:func:`_buffer`), so a chunk takes no
 fresh pages; the normals are drawn into theirs by ``standard_normal(out=)``.
-A digital chunk keeps no record, so it bins its records in place.
+A digital chunk keeps no record, so it bins its records in place, and its
+lattice indices go into its own normals' memory.  A block of more than one
+chunk (a tracking analog block of 8,192 trials runs 8 at L1 and 25 at L2)
+is a two-stage pipeline (:func:`_pipelined`): a helper thread, started and
+joined by the block, draws the next chunk's normals while this one
+decodes.  It fills the other of two normals buffers of the block's thread,
+and only a buffer the decoder has released; ``standard_normal`` fills
+without holding the GIL, so the two overlap.  A one-chunk block draws
+inline and starts no thread.
 
 Digital decodes are exact.  Every leaf of a digital decode carries the same
 likelihood pair, :func:`gkptrack.protocols.digital_pair`, so a C4 block's
@@ -100,15 +108,19 @@ replays 23-93% of its trials from L1 to L3).
 Tie coins come from the block's coin generator in trial order (stream
 contract in :mod:`gkptrack.kernels`).  A chunk's digital ties take one
 ``random`` call, in (trial, cycle) order; an analog decode that ties exactly
-is one the scalar replay decides, and replays run in trial order.  So the
-count and the final states of both generators equal the scalar loop's,
-whatever the chunk size.
+is one the scalar replay decides, and replays run in trial order.  During
+a block one thread alone reads the noise generator, in chunk order: the
+block's thread, or in a pipelined block its helper; only the block's
+thread reads the coin generator.  So the count and the final states of both
+generators equal the scalar loop's, whatever the chunk size and whether the
+block is pipelined.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import queue
 import threading
 
 import numpy as np
@@ -122,7 +134,13 @@ from . import ProtocolConfig
 #: normals drawn per analog chunk at most.  On tracking analog L1-L3 blocks of
 #: 8,192 trials (2-core VM, numpy 2.4.6, two runs), chunks of 4,096 normals ran
 #: at 0.69-0.79x the speed of this size, 16,384 at 0.79-0.92x and 32,768 at
-#: 0.79-0.85x, before chunks reused their buffers.
+#: 0.79-0.85x, before chunks reused their buffers.  With reused buffers and
+#: before the pipeline, the ``tracking-analog`` benchmark sweep (in process,
+#: same VM) ran 16,384 no faster, with some 2,500 minor page faults per sweep
+#: against 1 here, and 32,768 took 2.2 MB more peak RSS for no gain.  With
+#: the pipeline, 16,384 read 0.035-0.043 s a sweep against 0.037-0.053 s here
+#: (five alternated processes each), and this size 7 or 3,020 faults by heap
+#: layout: retune only on alternated perfbench runs.
 CHUNK_DRAWS = 8192
 #: normals drawn per digital chunk at most.  Each chunk's decode pays a fixed
 #: cost in numpy calls and fold lookups, and with reused buffers its 1 MB of
@@ -172,7 +190,8 @@ def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> i
 
     Tie coins come from the block's :func:`coin_generator`.  A digital
     config decodes on ``decoder``, a :class:`DigitalDecoder` of ``params``,
-    or on a new one when it is ``None``.
+    or on a new one when it is ``None``.  A block of more than one chunk
+    draws its normals on a helper thread (:func:`_pipelined`).
     """
     coins = coin_generator(generator)
     n = block_size(params.level)
@@ -186,32 +205,85 @@ def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> i
     # as few equal chunks as fit the chunk's normals
     chunks = max(1, -(-trials // max(1, (CHUNK_DRAWS if params.analog else DIGITAL_CHUNK_DRAWS) // draws)))
     chunk = max(1, -(-trials // chunks))
-    return sum(_run_chunk(params, draws, generator, coins, decoder, min(chunk, trials - start))
-               for start in range(0, trials, chunk))
-
-
-def _run_chunk(params, draws, generator, coins, decoder, trials) -> int:
-    """Failure count of the next ``trials`` trials."""
-    # one row of normals per trial, read by the leaves through its transpose
-    z = generator.standard_normal(out=_buffer("z", (trials, draws)))
-    unsure = np.zeros(trials, dtype=bool)
+    sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
     # underflowed or non-finite values make an analog decode unsure, not an error
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bits, scale, match, flip, outside = _leaves(params, z.T)
-        if decoder is None:
-            bit, unsure_rows = _decide(bits, scale, match, flip)
-            unsure = (unsure_rows | outside).reshape(-1, trials).any(axis=0)
-        else:
-            bit, tie = decoder.decide(bits)
-    # axes: decode (conventional: one per cycle), trial
-    decided = bit.reshape(-1, trials)
-    if decoder is not None:
+        if len(sizes) == 1:
+            z = generator.standard_normal(out=_buffer("z", (trials, draws)))
+            return _run_chunk(params, z, coins, decoder)
+        return _pipelined(params, generator, coins, decoder, draws, sizes)
+
+
+def _pipelined(params, generator, coins, decoder, draws, sizes) -> int:
+    """Failure count of a block's chunks of ``sizes`` trials, each chunk's normals drawn while the one before decodes.
+
+    A helper thread, started and joined here, draws every chunk's normals in
+    chunk order, alternating between two buffers of this thread; it fills a
+    buffer only once the decoder has released it.  ``standard_normal`` fills
+    without holding the GIL, so the draws overlap the decode.  During the
+    block only the helper reads ``generator``, so the stream is the one a
+    single thread draws.
+    """
+    # buffers the decoder has released, and None when the block ends
+    free = queue.SimpleQueue()
+    for name in ("z", "z_next"):
+        free.put(_buffer(name, (sizes[0], draws)))
+    # each chunk's normals in chunk order, or the exception that stopped the helper
+    drawn = queue.SimpleQueue()
+
+    def draw():
+        try:
+            for size in sizes:
+                buffer = free.get()
+                if buffer is None:
+                    return
+                drawn.put(generator.standard_normal(out=buffer[:size]))
+        except Exception as error:  # raised on the decoding thread
+            drawn.put(error)
+
+    # joined below; a daemon, so no fault could keep the interpreter from exiting
+    helper = threading.Thread(target=draw, name="gkptrack-normals", daemon=True)
+    helper.start()
+    try:
+        failures = 0
+        for _ in sizes:
+            z = drawn.get()
+            if isinstance(z, Exception):
+                raise z
+            failures += _run_chunk(params, z, coins, decoder)
+            free.put(z)
+        return failures
+    finally:
+        free.put(None)
+        helper.join()
+
+
+def _run_chunk(params, z, coins, decoder) -> int:
+    """Failure count of the trials whose normals are ``z``, one row per trial.
+
+    A digital decode overwrites ``z`` with its lattice indices.
+    """
+    trials = len(z)
+    bits, scale, match, flip, outside = _leaves(params, z)
+    if decoder is None:
+        bit, unsure = _decide(bits, scale, match, flip)
+        unsure |= outside
+    else:
+        bit, tie = decoder.decide(bits)
         n_ties = np.count_nonzero(tie)
         if n_ties:
             # codes._coin: 0 below one half; coins in (trial, cycle) order
-            decided.T[tie.reshape(-1, trials).T] = coins.random(n_ties) >= 0.5
-    # truth is 0 in every cycle: a trial fails on an odd count of wrong decodes
-    failures = int(np.count_nonzero(np.bitwise_xor.reduce(decided, axis=0) & ~unsure))
+            bit.reshape(-1, trials).T[tie.reshape(-1, trials).T] = coins.random(n_ties) >= 0.5
+        unsure = None
+    # truth is 0 in every cycle: a trial fails on an odd count of wrong
+    # decodes, one per conventional cycle and one per tracking trial
+    if len(bit) > trials:
+        bit = np.bitwise_xor.reduce(bit.reshape(-1, trials), axis=0)
+        if unsure is not None:
+            unsure = np.logical_or.reduce(unsure.reshape(-1, trials), axis=0)
+    if unsure is None or not np.count_nonzero(unsure):
+        return int(np.count_nonzero(bit))
+    failures = int(np.count_nonzero(bit & ~unsure))
     for j in np.flatnonzero(unsure).tolist():
         failures += run_trial(params, _Replay(z[j].tolist()), coins)
     return failures
@@ -227,10 +299,11 @@ def _buffer(name: str, shape, dtype=np.float64):
     A chunk's arrays live in these buffers, so chunks take no fresh pages,
     and each ``--workers`` thread has its own.
     """
+    size = math.prod(shape)
     buffer = getattr(_buffers, name, None)
-    if buffer is None or buffer.size < math.prod(shape):
+    if buffer is None or buffer.size < size:
         # float64 and int64 elements take 8 bytes alike
-        buffer = np.empty(math.prod(shape))
+        buffer = np.empty(size)
         setattr(_buffers, name, buffer)
     return np.ndarray(shape, dtype, buffer)
 
@@ -312,33 +385,36 @@ def _first_bits(tables):
     return np.array([_TIE if bit is None else bit for bit in bits], np.int8)
 
 
-def _bin(x, record: bool):
+def _bin(x, indices=None):
     """Lattice indices of ``x`` as :func:`gkptrack.gkp.lattice_index`, as int64.
 
-    With ``record``, ``x`` is overwritten with the binned deviations
-    ``x - s * SQRT_PI``; without, its values are not kept: it is divided in
-    place, and the indices overwrite the chunk's normals.
+    Without ``indices``, ``x`` is overwritten with the binned deviations
+    ``x - s * SQRT_PI``; with, its values are not kept: it is divided in
+    place, and the indices go into the memory of ``indices``.
     """
+    record = indices is None
     t = np.divide(x, SQRT_PI, out=_buffer("t", x.shape) if record else x)
     t -= 0.5
-    # a digital chunk replays no trial: its indices take its normals' buffer
-    s = np.ceil(t, out=_buffer("s" if record else "z", x.shape, np.int64), casting="unsafe")
+    s = np.ceil(t, out=_buffer("s", x.shape, np.int64) if record else np.ndarray(x.shape, np.int64, indices),
+                casting="unsafe")
     if record:
         x -= np.multiply(s, SQRT_PI, out=t)
     return s
 
 
-def _leaves(params: ProtocolConfig, z):
+def _leaves(params: ProtocolConfig, normals):
     """Bits and, analog, scaled joint record likelihoods of every decode: ``(leaf, decode)``.
 
     As ``protocols._conventional`` and ``protocols._tracking``, with
-    ``single_qec.sqec_step`` inline.  ``z`` holds the chunk's normals,
-    ``(draw, trial)``.  A conventional cycle is a decode of one record per
-    qubit, so a conventional chunk decodes ``cycles * trials`` columns, in
-    ``(cycle, trial)`` order; a tracking trial is one decode of ``cycles``
-    records per qubit.  No bin feeds back into a deviation, so every
-    record is formed first and all are binned at once.
+    ``single_qec.sqec_step`` inline.  ``normals`` holds the chunk's normals,
+    ``(trial, draw)``, read through their transpose; a digital chunk
+    overwrites them with its lattice indices.  A conventional cycle is a
+    decode of one record per qubit, so a conventional chunk decodes ``cycles
+    * trials`` columns, in ``(cycle, trial)`` order; a tracking trial is one
+    decode of ``cycles`` records per qubit.  No bin feeds back into a
+    deviation, so every record is formed first and all are binned at once.
     """
+    z = normals.T
     trials = z.shape[1]
     n = block_size(params.level)
     sigma = params.sigma_cycle
@@ -372,8 +448,10 @@ def _leaves(params: ProtocolConfig, z):
                 dev = np.subtract(a1, a2, out=a1)
         np.multiply(z[-n:], sigma, out=records[-1])
         records[-1] += dev
-    # a qubit's bit: the parity of its lattice indices summed over its records
-    indices = _bin(records, params.analog)
+    # a digital chunk replays no trial: its indices take its own normals' memory
+    # (the other normals buffer may be filling); a qubit's bit is the parity
+    # of its lattice indices summed over its records
+    indices = _bin(records, None if params.analog else normals)
     bits = indices[0]
     # indexed: starting an ndarray iterator costs more than a one-record decode's loop
     for record in range(1, len(indices)):
@@ -407,7 +485,7 @@ def _flip_ratios(record, sigma: float):
     # any sigma the range flag sends a refused record to the scalar's error
     variance = sigma * sigma
     a = np.abs(record, out=record)
-    outside = ~(a.max(axis=0) <= HALF_SQRT_PI)
+    outside = ~(np.maximum.reduce(a, axis=0) <= HALF_SQRT_PI)
     scale = np.einsum("ij,ij->j", a, a)
     scale *= -0.5 / variance
     scale -= a.shape[0] * math.log(sigma * math.sqrt(2.0 * math.pi))
@@ -434,22 +512,22 @@ def _decide(bits, scale, match, flip):
     p34 = (x[:, None, 2::4] * x[None, :, 3::4]).reshape(4, -1, rows)
     del x
     # C4 class sums of the products of their two words: (class, block, row)
-    tables = (p12[_C4_LEFT] * p34[_C4_RIGHT]).reshape(4, 2, -1, rows).sum(axis=1)
+    tables = np.add.reduce((p12[_C4_LEFT] * p34[_C4_RIGHT]).reshape(4, 2, -1, rows), axis=1)
     least = 0.0  # log of the product of every level's smallest peak
     while True:
         # each table divided by its largest entry; the logs go into the scale
-        peak = tables.max(axis=0)
+        peak = np.maximum.reduce(tables, axis=0)
         log_peak = np.log(peak)
-        scale = scale + log_peak.sum(axis=0)
-        least = least + log_peak.min(axis=0)
+        scale = scale + np.add.reduce(log_peak, axis=0)
+        least = least + np.minimum.reduce(log_peak, axis=0)
         tables /= peak
         if tables.shape[1] == 1:
             break
         # C6 folds of the three sub-blocks' tables: (class, word, block, row)
         words = tables[C6_SLOTS[0], 0::3] * tables[C6_SLOTS[1], 1::3] * tables[C6_SLOTS[2], 2::3]
-        tables = words.reshape(4, 4, -1, rows).sum(axis=1)
+        tables = np.add.reduce(words.reshape(4, 4, -1, rows), axis=1)
     # the first-bit sums t00 + t01 and t10 + t11
-    sums = tables[:, 0].reshape(2, 2, rows).sum(axis=1)
+    sums = np.add.reduce(tables[:, 0].reshape(2, 2, rows), axis=1)
     l0, l1 = np.log(sums) + scale
     # a sum that underflowed to zero lies below the other, at least 1, by far
     # more than any rounding: a sure decision though its log is -inf

@@ -13,12 +13,18 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#17becf", "#e377c2", "#7f7f7f", "#bcbd22",
 ]
+
+# a character XML 1.0 cannot hold, escaped or not: a control character other
+# than tab, newline and carriage return, a lone surrogate (an undecodable byte
+# of a path), U+FFFE or U+FFFF
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 _WIDTH, _HEIGHT = 840, 560
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 190, 24, 52
@@ -64,6 +70,10 @@ def render_curves(sweeps, out_path, threshold=None, title: str = "") -> None:
     # which added megabytes and tens of milliseconds to every `gkptrack` start
     from xml.sax.saxutils import escape
 
+    def text(value: str) -> str:
+        """``value`` as SVG text: markup escaped, and U+FFFD for each character XML cannot hold."""
+        return escape(_NOT_XML.sub("\ufffd", value))
+
     estimates = [e for rows in sweeps.values() for e in rows]
     if not estimates:
         raise ValueError("no data points to plot")
@@ -103,7 +113,7 @@ def render_curves(sweeps, out_path, threshold=None, title: str = "") -> None:
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
-        parts.append(f'<text x="{_MARGIN_L}" y="16" font-size="13">{escape(title)}</text>')
+        parts.append(f'<text x="{_MARGIN_L}" y="16" font-size="13">{text(title)}</text>')
 
     # y decades
     for d in range(math.ceil(ly_lo), math.floor(ly_hi) + 1):
@@ -181,8 +191,9 @@ def render_curves(sweeps, out_path, threshold=None, title: str = "") -> None:
             f'<line x1="{lx}" y1="{y - 4}" x2="{lx + 22}" y2="{y - 4}" '
             f'stroke="{s.color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 28}" y="{y}">{escape(s.label)}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{y}">{text(s.label)}</text>')
 
     parts.append("</svg>")
-    with open(out_path, "w") as fh:
+    # an SVG without an XML declaration is read as UTF-8
+    with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -13,6 +13,7 @@ import itertools
 import re
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -274,9 +275,9 @@ def test_digital_block_in_equal_chunks(monkeypatch):
     sizes = []
     original = pure._run_chunk
 
-    def spy(params, draws, generator, coins, decoder, trials):
-        sizes.append(trials)
-        return original(params, draws, generator, coins, decoder, trials)
+    def spy(params, z, coins, decoder):
+        sizes.append(len(z))
+        return original(params, z, coins, decoder)
 
     monkeypatch.setattr(pure, "_run_chunk", spy)
     # 36 normals a trial: 3,640 trials fit the digital chunk, 227 the analog one
@@ -491,6 +492,95 @@ def test_record_outside_bin_range(protocol, position):
     with pytest.raises(ValueError) as batched_error:
         pure.run_block(params, FixedNormals(values), 2)
     assert str(batched_error.value) == str(scalar.value)
+
+
+class FailingNormals(FixedNormals):
+    """Zero normals whose second chunk's fill raises."""
+
+    def standard_normal(self, out=None):
+        if self.draws:
+            raise RuntimeError("normals unavailable")
+        self.draws += 1
+        return super().standard_normal(out)
+
+
+def test_pipelined_blocks(monkeypatch):
+    """Multi-chunk blocks draw their normals on a helper thread that lives only while the block runs.
+
+    The helper is alive while the first of three or more chunks decodes, and
+    gone when the block returns or raises; counts and both generators' final
+    states are the scalar loop's, and an error the scalar loop raises in the
+    second chunk, or one the helper meets, is raised.
+    """
+    monkeypatch.setattr(pure, "DIGITAL_CHUNK_DRAWS", 4096)
+    threads = []
+    original = pure._run_chunk
+
+    def spy(params, z, coins, decoder):
+        threads.append(threading.active_count())
+        return original(params, z, coins, decoder)
+
+    monkeypatch.setattr(pure, "_run_chunk", spy)
+    before = threading.active_count()
+    # 24 normals a trial: 341 trials a chunk, 3 chunks
+    analog = ProtocolConfig("tracking", True, 2, 2, 0.5)
+    assert_stream_exact(analog, 1000, 21)
+    assert len(threads) == 3 and threads[0] == before + 1
+    assert threading.active_count() == before
+    # 36 normals a trial: 113 trials a chunk, 3 chunks
+    threads.clear()
+    digital = ProtocolConfig("conventional", False, 2, 3, 0.55)
+    assert_stream_exact(digital, 300, 22)
+    assert len(threads) == 3 and threads[0] == before + 1
+    assert threading.active_count() == before
+    # 8 normals a trial: 1,024 trials a chunk, 4 chunks, so the helper waits
+    # for a buffer when the block stops; the record outside the bin range
+    # lies in the second chunk's seventh trial
+    params = ProtocolConfig("tracking", True, 1, 2, 1.0)
+    values = [0.0] * (8 * (1024 + 6)) + [OUTSIDE_BIN]
+    with pytest.raises(ValueError, match="outside the bin range") as scalar:
+        scalar_loop(params, FixedNormals(values), coins_of(make_gen(0)), 4096)
+    threads.clear()
+    with pytest.raises(ValueError) as batched_error:
+        pure.run_block(params, FixedNormals(values), 4096)
+    assert str(batched_error.value) == str(scalar.value)
+    assert threads == [before + 1] * 2
+    assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match="normals unavailable"):
+        pure.run_block(params, FailingNormals([]), 4096)
+    assert threading.active_count() == before
+
+
+def test_pipelined_blocks_under_threads(monkeypatch):
+    """Six threads running multi-chunk blocks at once, each with its helper, change no count and no generator state."""
+    monkeypatch.setattr(pure, "DIGITAL_CHUNK_DRAWS", 4096)
+    # 3 chunks a block each (test_pipelined_blocks)
+    configs = [ProtocolConfig("tracking", True, 2, 2, 0.5), ProtocolConfig("conventional", False, 2, 3, 0.55)]
+    made = {}
+    coin_generator = pure.coin_generator
+
+    def kept_coin_generator(generator):
+        made[generator] = coin_generator(generator)
+        return made[generator]
+
+    def block(b):
+        gen = make_gen(90 + b)
+        counts = pure.run_block(configs[b % 2], gen, 1000 if b % 2 == 0 else 300)
+        return counts, plain(gen.bit_generator.state), plain(made[gen].bit_generator.state)
+
+    monkeypatch.setattr(pure, "coin_generator", kept_coin_generator)
+    expected = [block(b) for b in range(6)]
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(block, b) for b in range(6)]
+                assert [future.result(timeout=120) for future in futures] == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("protocol", ["conventional", "tracking"])

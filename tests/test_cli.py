@@ -514,20 +514,29 @@ class TestPlot:
         assert "<path d=" in svg  # one-sided marker triangles present
 
     def test_markup_in_title_and_labels_escaped(self, tmp_path):
-        """A title, and a label's directory, holding ``<`` or ``&`` give well-formed SVG."""
+        """A title, and a label's directory, holding ``<``, ``&`` or a character XML cannot hold give well-formed SVG.
+
+        XML 1.0 holds no control character but tab, newline and carriage
+        return, escaped or not: each is drawn as U+FFFD.
+        """
         paths = []
-        for name in ("plain", "r&d"):
+        for name in ("plain", "r&d", "x\x02y"):
             out = tmp_path / name
             assert run_cli("run", "--protocol", "conventional", "--analog", "off", "--cycles", "1",
                            "--levels", "1", "--sigma-total", "1.0:1.1:0.1", "--trials", "200",
                            "--seed", "3", "--out", str(out)) == 0
             paths.append(str(out / "results.csv"))
-        figures = {"title": ([paths[0]], "p_fail < 1% & L2"), "label": (paths, "")}
-        for kind, (infiles, title) in figures.items():
+        figures = {
+            "title": ([paths[0]], "p_fail < 1% & L2", "p_fail < 1% & L2"),
+            "control-title": ([paths[0]], "a\x01b", "a\ufffdb"),
+            "label": (paths[:2], "", "r&d: conventional/digital L1"),
+            "control-label": ([paths[0], paths[2]], "", "x\ufffdy: conventional/digital L1"),
+        }
+        for kind, (infiles, title, shown) in figures.items():
             fig = tmp_path / f"{kind}.svg"
             assert run_cli("plot", "--in", *infiles, "--out", str(fig), "--title", title) == 0
             texts = [element.text for element in ElementTree.parse(fig).iter("{http://www.w3.org/2000/svg}text")]
-            assert (title if title else "r&d: conventional/digital L1") in texts
+            assert shown in texts
 
     def test_empty_input_is_error(self, tmp_path):
         from gkptrack.harness import CSV_HEADER
