@@ -2,14 +2,15 @@
 
 Subpackages and modules:
 
-* :mod:`gkptrack.gkp` - GKP measurement binning, channel sampling, likelihoods
-* :mod:`gkptrack.single_qec` - the single-qubit-level correction step of tracking
+* :mod:`gkptrack.gkp` - GKP lattice constants, binning convention, likelihoods
 * :mod:`gkptrack.codes` - concatenated C4/C6 maximum-likelihood decoding
-* :mod:`gkptrack.protocols` - conventional and tracking protocol trials
+* :mod:`gkptrack.protocols` - record likelihoods and the scalar decision of
+  one conventional or tracking decode
 * :mod:`gkptrack.resources` - physical-qubit budgets and reduction rates
 * :mod:`gkptrack.harness` - failure-probability estimation, sweeps, thresholds
 * :mod:`gkptrack.kernels` - ``ProtocolConfig``, the one trial config type, the
-  stream contract, and the Monte Carlo kernel
+  stream contract and its draw order, and the Monte Carlo kernel, which
+  simulates the protocols' trials
 * :mod:`gkptrack.cli` - the ``gkptrack`` command line tool
 """
 

@@ -11,10 +11,11 @@ Subcommands::
 hands it to :func:`gkptrack.harness.sweep`.  The config is the one place a
 setting is refused: an invalid value exits 2 with its message before anything
 is written.  The parser refuses only what it cannot read, or ``--workers``
-below 1.  One output directory holds one sweep: ``run`` into a directory
-whose manifest records another configuration, or whose rows are not the
-sweep's first points, exits 2 and changes nothing there.  ``plot`` draws
-several sweeps from their files, one series per file and level.
+below 1 or above :data:`gkptrack.harness.MAX_WORKERS`.  One output
+directory holds one sweep: ``run`` into a directory whose manifest records
+another configuration, or whose rows are not the sweep's first points,
+exits 2 and changes nothing there.  ``plot`` draws several sweeps from
+their files, one series per file and level.
 
 Exit codes: 0 success, 1 usage error, 2 refused config value or runtime/IO error.
 """
@@ -82,6 +83,19 @@ def _parse_levels(text: str) -> tuple[int, ...]:
     return levels
 
 
+def _parse_workers(text: str) -> int:
+    """``--workers``, refused outside 1 to :data:`gkptrack.harness.MAX_WORKERS` before any thread starts."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise _UsageError(f"--workers expects an integer, got {text!r}")
+    if workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {workers}")
+    if workers > harness.MAX_WORKERS:
+        raise _UsageError(f"--workers must be <= {harness.MAX_WORKERS}, got {workers}")
+    return workers
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gkptrack", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -102,8 +116,8 @@ def _build_parser() -> _Parser:
                           "through ancilla noise, so it needs --protocol tracking and --sigma-ancilla > 0")
     run.add_argument("--sigma-ancilla", type=float, default=0.0,
                      help="ancilla noise of the tracking correction step (default: 0)")
-    run.add_argument("--workers", type=int, default=1,
-                     help="threads running a point's blocks (default: 1)")
+    run.add_argument("--workers", type=_parse_workers, default=1,
+                     help=f"threads running a point's blocks, at most {harness.MAX_WORKERS} (default: 1)")
     run.add_argument("--max-failures-stop", type=int, default=None)
 
     thr = sub.add_parser("threshold", help="locate the level-curve crossing")
@@ -126,8 +140,6 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     # the config refuses every invalid setting, before anything is written
     cfg = harness.SweepConfig(
         protocol=args.protocol,

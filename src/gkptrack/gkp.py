@@ -1,4 +1,4 @@
-"""GKP qubit primitives: channel sampling, measurement binning, likelihoods.
+"""GKP qubit primitives: the lattice constants and the likelihoods of a measured value.
 
 A GKP qubit stores a bit in the position of Gaussian peaks spaced sqrt(pi)
 apart; even multiples of sqrt(pi) encode 0, odd multiples encode 1.  A
@@ -7,12 +7,13 @@ point: the point's parity is the measured bit and the residue is the analog
 deviation.  Decoders consume either the full deviation (analog likelihoods)
 or only the bit value (digital likelihoods).
 
-Numerical conventions used throughout the package (the trial-batched
-kernel, :mod:`gkptrack.kernels.pure`, bins with the same operations):
+Numerical conventions used throughout the package (the kernel,
+:mod:`gkptrack.kernels.pure`, samples and bins):
 
 * lattice index of x is ``ceil(x / sqrt(pi) - 0.5)`` - round half *down*, so
   an exact half-bin deviation stays with the lower lattice point and the
-  binned deviation lives in ``(-sqrt(pi)/2, +sqrt(pi)/2]``;
+  binned deviation ``x - index * sqrt(pi)`` lives in ``(-sqrt(pi)/2,
+  +sqrt(pi)/2]``;
 * log densities are computed as ``-0.5*t*t - log(sigma) - 0.5*log(2*pi)``
   with ``t = x / sigma``.
 """
@@ -33,36 +34,6 @@ class LikelihoodPair:
 
     l_match: float
     l_flip: float
-
-
-def lattice_index(x: float) -> int:
-    """Index of the sqrt(pi) lattice point nearest to ``x``, half ties down."""
-    return math.ceil(x / SQRT_PI - 0.5)
-
-
-def sample_channel(sigma: float, rng) -> float:
-    """Draw one Gaussian displacement with standard deviation ``sigma``.
-
-    ``sigma = 0``, a perfect ancilla's, returns exactly 0.0 without consuming
-    a draw, a rule of the documented draw order (:mod:`gkptrack.protocols`).
-    ``sigma`` is not checked here: :class:`gkptrack.kernels.ProtocolConfig`
-    refuses a negative or non-finite one, and a zero channel sigma.
-    """
-    if sigma == 0.0:
-        return 0.0
-    return sigma * rng.standard_normal()
-
-
-def bin_measurement(x: float) -> tuple[int, float]:
-    """Bin a raw quadrature value: ``(bit, deviation)``.
-
-    The bit is the parity of the nearest lattice multiple of sqrt(pi),
-    :func:`lattice_index`; the deviation is the signed residue
-    ``x - s * sqrt(pi)`` in ``(-sqrt(pi)/2, +sqrt(pi)/2]``.  With a reference
-    bit of 0, the bit of a displacement is its hidden flip.
-    """
-    s = lattice_index(x)
-    return s & 1, x - s * SQRT_PI
 
 
 def p_corr(sigma: float) -> float:

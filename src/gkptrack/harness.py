@@ -44,6 +44,9 @@ from .kernels import STREAM_VERSION, ProtocolConfig, get_backend
 
 #: trials per block, part of the stream contract: a block's counts depend on its size
 BLOCK_SIZE = 8192
+#: most ``workers`` a run takes, ``ThreadPoolExecutor``'s own default cap; each
+#: worker's block of more than one chunk adds a helper thread
+MAX_WORKERS = 32
 _Z95 = 1.959963984540054
 
 _MAX_BLOCKS = 1 << 24

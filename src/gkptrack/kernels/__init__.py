@@ -2,12 +2,17 @@
 
 One kernel remains, :mod:`gkptrack.kernels.pure`, loaded on the first block.
 It runs every config trial-batched on numpy and reaches the decisions of
-the scalar trial loop over
-:func:`gkptrack.protocols.run_trial`; that loop stays the test oracle.
+the scalar decoder, :func:`gkptrack.codes.decode`; an analog decode it is
+not sure of is decided again by :func:`gkptrack.protocols.decide`.  A scalar
+loop of one trial at a time stays the test oracle (``tests/oracle.py``).
 
 Stream contract, version :data:`STREAM_VERSION` (recorded in every
-``manifest.json``): a block's noise normals come from the block's generator
-in the draw order documented in :mod:`gkptrack.protocols`.  Its tie coins
+``manifest.json``).  A block's noise normals come from the block's generator
+in this draw order: per trial, per cycle, one channel normal per qubit in
+qubit order, each followed, in a tracking trial's recorded cycles 1..n-1, by
+that qubit's ancilla normals ``a1`` then ``a2``.  An exactly zero ancilla
+sigma draws no ancilla normal, and the conventional protocol's
+teleportation uses fresh perfect ancillas, so it draws none.  Its tie coins
 come from one coin generator per block,
 ``Generator(generator.bit_generator.jumped())``, one uniform per exact
 likelihood tie, in trial order (cycles in order within a trial).  So where a
@@ -35,7 +40,7 @@ MAX_LEVEL = 10
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Trial parameters, the one config type of the kernel and of the scalar trial loop.
+    """Trial parameters, the one config type of the kernel and of the scalar decision.
 
     A trial simulates one quadrature, ``quadrature``.  ``sigma_cycle`` is the
     channel displacement noise added per cycle, above zero because the record
@@ -44,8 +49,8 @@ class ProtocolConfig:
     step (zero means perfect ancillas).  Both are standard deviations, at most
     :data:`MAX_SIGMA`.  The conventional protocol's teleportation consumes
     fresh perfect ancillas, so it refuses ancilla noise.  The p quadrature
-    differs from q only through that noise (:mod:`gkptrack.single_qec`), so
-    it is refused without it.
+    differs from q only through that noise (the correction step of
+    :func:`gkptrack.kernels.pure._records`), so it is refused without it.
 
     Every invalid config is refused here, when it is made, so no trial or
     block checks its parameters.

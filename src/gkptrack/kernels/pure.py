@@ -1,32 +1,33 @@
-"""The kernel: blocks of trials, trial-batched on numpy, stream-exact with the scalar loop.
+"""The kernel: blocks of trials, trial-batched on numpy, stream-exact with the scalar trial loop.
 
 A block (conventional or tracking, analog or digital, any quadrature,
 ancilla noise and level its config accepts) runs in chunks of trials, and a
-chunk always runs all its trials.  It draws the same normals and tie coins
-as a loop over the scalar reference :func:`gkptrack.protocols.run_trial`,
-and reaches the same decisions, count and final generator states.  Tie
-coins come from :func:`coin_generator`, one per block (stream contract in
-:mod:`gkptrack.kernels`).
+chunk always runs all its trials.  It draws the normals and tie coins of
+the stream contract (:mod:`gkptrack.kernels`), and reaches the decisions,
+count and final generator states of a scalar loop that simulates one trial
+at a time and decides each decode by :func:`gkptrack.protocols.decide` (the
+tests keep that loop in ``tests/oracle.py``).  Tie coins come from
+:func:`coin_generator`, one per block.
 
 Each chunk takes all its normals in one ``standard_normal`` call, which
-yields the values the scalar loop's one-at-a-time calls would, in the
-documented draw order (:mod:`gkptrack.protocols`): per trial, per cycle, per
-qubit the channel normal followed, in recorded tracking cycles, by the
-ancilla normals ``a1`` and ``a2`` when the ancilla sigma is above zero.
+yields the values one-at-a-time calls would, in the contract's draw order:
+per trial, per cycle, per qubit the channel normal followed, in recorded
+tracking cycles, by the ancilla normals ``a1`` and ``a2`` when the ancilla
+sigma is above zero.
 
-Layout.  One pipeline, :func:`_leaves`, forms the records, bits and
-likelihoods of every decode.  A tracking trial is one decode of ``cycles``
-records per qubit; a conventional cycle is a decode of one record per qubit,
-so a conventional chunk decodes ``cycles * trials`` columns in ``(cycle,
-trial)`` order.  The leaves read the chunk's ``(trial, draw)`` normals
-through a transposed view in their first multiply, so every later array is
-leaf-major: the records are one preallocated ``(record, leaf, decode)``
-array, and a per-qubit quantity a contiguous ``(leaf, decode)`` block.
-Every pass runs over the decode axis; the decode gathers and reduces on the
-leading axes only.  Binning and the recorded deviations use the scalar
-code's IEEE operations in its order (:func:`_bin`), so the measured bits and
-the records are bitwise the scalar values.  No bin feeds back into a
-deviation, so a chunk forms every record first and bins them in one pass.
+Layout.  :func:`_records` forms the bits and binned records of every decode,
+and :func:`_leaf_likelihoods` their scaled likelihoods.  A tracking trial is
+one decode of ``cycles`` records per qubit; a conventional cycle is a decode
+of one record per qubit, so a conventional chunk decodes ``cycles * trials``
+columns in ``(cycle, trial)`` order.  The records read the chunk's ``(trial,
+draw)`` normals through a transposed view in their first multiply, so every
+later array is leaf-major: the records are one preallocated ``(record, leaf,
+decode)`` array, and a per-qubit quantity a contiguous ``(leaf, decode)``
+block.  Every pass runs over the decode axis; the decode gathers and reduces
+on the leading axes only.  Binning and the recorded deviations take a scalar
+trial's IEEE operations in its order (:func:`_bin`), so the measured bits
+and the records are bitwise a scalar trial's values.  No bin feeds back into
+a deviation, so a chunk forms every record first and bins them in one pass.
 With perfect ancillas (in q: the config refuses p there) a record is its
 normal times ``sigma_cycle``, one multiply per chunk; the scalar adds of
 ``0.0`` are left out, as they change no bin and no ``|record|``.  A qubit's
@@ -95,11 +96,13 @@ While the product of every level's smallest peak stays above 1e-250
 (``_LOG_FLOOR``), that moves a top entry by less than some 1e-73 times 12
 per level; a decode below the floor is not sure.  A decode that is not
 sure, or that holds a record outside the bin range (``|a| > sqrt(pi)/2``
-after rounding, which the scalar code refuses, flagged per decode), makes
-its trial run again by the scalar reference
-(:func:`gkptrack.protocols.run_trial`) on a :class:`_Replay` that serves
-the trial's pre-drawn normals.  So every decision equals the scalar
-loop's, and every error the scalar loop raises is raised.  Replays are rare
+after rounding, which the scalar decision refuses, flagged per decode),
+makes its trial replay: the chunk re-forms the records of all its replayed
+trials from their normals in one more :func:`_records` pass (the first
+pass's records hold their flip ratios by then), and :func:`run_trial`
+decides each such trial's decodes again, in cycle order, by the scalar
+:func:`gkptrack.protocols.decide`.  So every decision equals the scalar
+decoder's, and every error it raises is raised.  Replays are rare
 except at the extremes: near-ties at very high noise (tracking L3 at
 ``sigma_cycle`` 1.5 replays every trial), and flip ratios that underflow in
 odd-parity blocks (tracking at ``sigma_cycle`` 0.005 with ancilla sigma 0.3
@@ -108,7 +111,8 @@ replays 23-93% of its trials from L1 to L3).
 Tie coins come from the block's coin generator in trial order (stream
 contract in :mod:`gkptrack.kernels`).  A chunk's digital ties take one
 ``random`` call, in (trial, cycle) order; an analog decode that ties exactly
-is one the scalar replay decides, and replays run in trial order.  During
+is one the scalar replay decides, and replays run in (trial, cycle) order,
+re-forming records in the buffers of the block's thread.  During
 a block one thread alone reads the noise generator, in chunk order: the
 block's thread, or in a pipelined block its helper; only the block's
 thread reads the coin generator.  So the count and the final states of both
@@ -128,7 +132,6 @@ import numpy as np
 from .. import codes, protocols
 from ..codes import C6_SLOTS, PAIR_VALUE, block_size, c4_table
 from ..gkp import HALF_SQRT_PI, SQRT_PI
-from ..protocols import run_trial
 from . import ProtocolConfig
 
 #: normals drawn per analog chunk at most.  On tracking analog L1-L3 blocks of
@@ -264,8 +267,9 @@ def _run_chunk(params, z, coins, decoder) -> int:
     A digital decode overwrites ``z`` with its lattice indices.
     """
     trials = len(z)
-    bits, scale, match, flip, outside = _leaves(params, z)
+    bits, records = _records(params, z)
     if decoder is None:
+        scale, match, flip, outside = _leaf_likelihoods(records, params.sigma_cycle)
         bit, unsure = _decide(bits, scale, match, flip)
         unsure |= outside
     else:
@@ -284,9 +288,30 @@ def _run_chunk(params, z, coins, decoder) -> int:
     if unsure is None or not np.count_nonzero(unsure):
         return int(np.count_nonzero(bit))
     failures = int(np.count_nonzero(bit & ~unsure))
-    for j in np.flatnonzero(unsure).tolist():
-        failures += run_trial(params, _Replay(z[j].tolist()), coins)
+    # the first pass overwrote its records with flip ratios: re-form the
+    # unsure trials' records, bitwise the same, in one pass, and give each
+    # trial its decodes, (cycle, trial) columns or one per trial
+    rows = np.flatnonzero(unsure)
+    bits, records = _records(params, z[rows])
+    bits = bits.reshape(len(bits), -1, len(rows))
+    records = records.reshape(*records.shape[:2], -1, len(rows))
+    for j in range(len(rows)):
+        failures += run_trial(params, bits[..., j], records[..., j], coins)
     return failures
+
+
+def run_trial(params: ProtocolConfig, bits, records, coins) -> int:
+    """Failure indicator of one replayed trial: :func:`gkptrack.protocols.decide` of each decode, XORed in cycle order.
+
+    ``bits`` holds the trial's leaf bits, ``(leaf, decode)``, and ``records``
+    its binned records, ``(record, leaf, decode)``: a decode per conventional
+    cycle, one per tracking trial.  The truth is 0, so the XOR of the decoded
+    bits is the failure indicator.
+    """
+    failed = 0
+    for leaf_bits, leaf_records in zip(bits.T.tolist(), records.transpose(2, 1, 0).tolist()):
+        failed ^= protocols.decide(params, leaf_bits, leaf_records, coins)
+    return failed
 
 
 # each thread's chunk buffers, by name
@@ -306,16 +331,6 @@ def _buffer(name: str, shape, dtype=np.float64):
         buffer = np.empty(size)
         setattr(_buffers, name, buffer)
     return np.ndarray(shape, dtype, buffer)
-
-
-class _Replay:
-    """Generator stand-in that serves one trial's pre-drawn normals to the scalar reference."""
-
-    def __init__(self, normals: list[float]) -> None:
-        self._normals = iter(normals)
-
-    def standard_normal(self) -> float:
-        return next(self._normals)
 
 
 class DigitalDecoder:
@@ -386,11 +401,14 @@ def _first_bits(tables):
 
 
 def _bin(x, indices=None):
-    """Lattice indices of ``x`` as :func:`gkptrack.gkp.lattice_index`, as int64.
+    """Lattice indices ``s = ceil(x / sqrt(pi) - 0.5)`` of ``x``, as int64.
 
+    ``s`` is the nearest multiple of sqrt(pi), half ties down (the
+    convention of :mod:`gkptrack.gkp`), and its parity the measured bit.
     Without ``indices``, ``x`` is overwritten with the binned deviations
-    ``x - s * SQRT_PI``; with, its values are not kept: it is divided in
-    place, and the indices go into the memory of ``indices``.
+    ``x - s * SQRT_PI``, in ``(-sqrt(pi)/2, sqrt(pi)/2]`` up to rounding;
+    with, its values are not kept: it is divided in place, and the indices
+    go into the memory of ``indices``.
     """
     record = indices is None
     t = np.divide(x, SQRT_PI, out=_buffer("t", x.shape) if record else x)
@@ -402,17 +420,22 @@ def _bin(x, indices=None):
     return s
 
 
-def _leaves(params: ProtocolConfig, normals):
-    """Bits and, analog, scaled joint record likelihoods of every decode: ``(leaf, decode)``.
+def _records(params: ProtocolConfig, normals):
+    """Bits of every decode, ``(leaf, decode)``, and, analog, its binned records, ``(record, leaf, decode)``.
 
-    As ``protocols._conventional`` and ``protocols._tracking``, with
-    ``single_qec.sqec_step`` inline.  ``normals`` holds the chunk's normals,
-    ``(trial, draw)``, read through their transpose; a digital chunk
-    overwrites them with its lattice indices.  A conventional cycle is a
-    decode of one record per qubit, so a conventional chunk decodes ``cycles
-    * trials`` columns, in ``(cycle, trial)`` order; a tracking trial is one
-    decode of ``cycles`` records per qubit.  No bin feeds back into a
-    deviation, so every record is formed first and all are binned at once.
+    ``normals`` holds the trials' normals, ``(trial, draw)``, read through
+    their transpose; a digital chunk overwrites them with its lattice
+    indices, and gets no records.  A conventional cycle is a decode of one
+    record per qubit, so conventional trials give ``cycles * trials``
+    decodes, in ``(cycle, trial)`` order; a tracking trial is one decode of
+    ``cycles`` records per qubit.  A recorded tracking cycle is one
+    single-qubit correction: with ``d`` a qubit's deviation after the
+    channel and ``a1``, ``a2`` its two ancillas' deviations, it records ``a2
+    + (d + a1)`` and leaves ``-a2`` in q, and records ``a1 - d`` and leaves
+    ``a1 - a2`` in p.  No bin feeds back into a deviation, so every record
+    is formed first and all are binned at once.  A qubit's bit is the parity
+    of its lattice indices summed over its records: its measured bit XOR the
+    flips its corrections made.
     """
     z = normals.T
     trials = z.shape[1]
@@ -425,8 +448,8 @@ def _leaves(params: ProtocolConfig, normals):
     conventional = params.protocol == "conventional"
     records = _buffer("x", (1, n, cycles * trials) if conventional else (cycles, n, trials))
     if sigma_ancilla == 0.0:
-        # q: a record is its fresh channel deviation, and teleportation or
-        # sqec_step with a1 = a2 = 0 leaves the qubit none of it
+        # q: a record is its fresh channel deviation, and teleportation or a
+        # correction with a1 = a2 = 0 leaves the qubit none of it
         out = records.reshape(n, cycles, trials).transpose(1, 0, 2) if conventional else records
         np.multiply(z.reshape(cycles, n, trials), sigma, out=out)
     else:
@@ -449,24 +472,30 @@ def _leaves(params: ProtocolConfig, normals):
         np.multiply(z[-n:], sigma, out=records[-1])
         records[-1] += dev
     # a digital chunk replays no trial: its indices take its own normals' memory
-    # (the other normals buffer may be filling); a qubit's bit is the parity
-    # of its lattice indices summed over its records
+    # (the other normals buffer may be filling)
     indices = _bin(records, None if params.analog else normals)
     bits = indices[0]
     # indexed: starting an ndarray iterator costs more than a one-record decode's loop
     for record in range(1, len(indices)):
         bits += indices[record]
     bits &= 1
-    if not params.analog:
-        return bits, None, None, None, None
+    return bits, records if params.analog else None
+
+
+def _leaf_likelihoods(records, sigma: float):
+    """Per-decode log scale, scaled match and flip likelihoods of every leaf, and the range flag of :func:`_flip_ratios`.
+
+    ``records`` holds binned records, ``(record, leaf, decode)``; it is
+    overwritten with their flip ratios.  A leaf's likelihoods are the parity
+    convolution of its records' scaled ``(match, flip)`` pairs ``(1, rho)``:
+    the scaled probabilities of an even and an odd count of flips.
+    """
     scale, outside, rho = _flip_ratios(records.reshape(-1, records.shape[-1]), sigma)
     rho = rho.reshape(records.shape)
-    # parity convolution of the records' scaled (match, flip) pairs (1, rho):
-    # the scaled probabilities of an even and an odd count of flips
     even, odd = 1.0, rho[0]
     for record in range(1, len(rho)):
         even, odd = even + odd * rho[record], even * rho[record] + odd
-    return bits, scale, even, odd, outside
+    return scale, even, odd, outside
 
 
 def _flip_ratios(record, sigma: float):

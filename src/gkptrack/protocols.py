@@ -1,50 +1,31 @@
-"""Full error-correction experiments: conventional and tracking protocols.
+"""Record likelihoods and the scalar decision of one decode, for the conventional and tracking protocols.
 
 Conventional protocol (``cycles`` rounds): every round adds channel noise to
 each physical qubit of the block, measures the block transversally
 (teleportation consumes a fresh perfect ancilla block, so deviations reset
 each round), decodes, and the round's logical error toggles a running
-parity.  The run fails when the final parity disagrees with the truth.
+parity.  A conventional decode has one record per qubit.
 
 Tracking protocol: rounds 1..n-1 replace the block-level correction with
-per-qubit single-qubit corrections (:func:`gkptrack.single_qec.sqec_step`)
-whose measured deviations are only *recorded*; round n performs the one
-block-level correction.  Each qubit then carries n recorded deviations whose
-joint flip-parity likelihood (:func:`joint_likelihood`) feeds a single
-decode.
+per-qubit single-qubit corrections whose measured deviations are only
+*recorded*; round n performs the one block-level correction.  Each qubit
+then carries n recorded deviations whose joint flip-parity likelihood
+(:func:`joint_likelihood`) feeds a single decode.
 
-Both protocols simulate one quadrature per trial, ``cfg.quadrature``.  Under
-the independent Gaussian channel the q and p failure processes are
-identically distributed; they differ only in how the tracking protocol's
-single-qubit correction propagates ancilla noise (:mod:`gkptrack.single_qec`),
-so :class:`~gkptrack.kernels.ProtocolConfig` allows p only there.
-The transmitted codeword is fixed to all-zeros; linearity of the code makes
-failure statistics identical for any codeword.
-
-:func:`run_trial` is the scalar reference of the Monte Carlo kernel, which
-the trial-batched kernel (:mod:`gkptrack.kernels.pure`) reproduces.  It
-takes two generators: ``rng`` for the noise normals and ``coins`` for tie
-coins (stream contract in :mod:`gkptrack.kernels`).
-Normal draw order per trial: per cycle, one channel draw per qubit in qubit
-order, followed (tracking, cycles 1..n-1) by that qubit's ancilla draws; an
-exactly zero ancilla sigma consumes no draw.  A decode draws one uniform from
-``coins`` only on an exact likelihood tie, so the normals' positions in
-``rng`` never depend on ties.
+The kernel (:mod:`gkptrack.kernels.pure`) simulates both, one quadrature per
+trial, and decides every decode trial-batched.  :func:`decide` is the
+scalar decision of one analog decode from its bits and binned records.  The
+kernel decides again by it every decode whose batched decision could differ
+from it in the last bits, so :func:`decide` defines the stream's analog
+decisions; it draws one uniform from ``coins`` only on an exact likelihood
+tie (stream contract in :mod:`gkptrack.kernels`).
 """
 
 from __future__ import annotations
 
-from .codes import block_size, decode, logaddexp2
-from .gkp import (
-    SQRT_PI,
-    LikelihoodPair,
-    bin_measurement,
-    digital_likelihoods,
-    log_gauss,
-    sample_channel,
-)
+from .codes import decode, logaddexp2
+from .gkp import SQRT_PI, LikelihoodPair, digital_likelihoods, log_gauss
 from .kernels import ProtocolConfig
-from .single_qec import sqec_step
 
 
 def joint_likelihood(records, sigma: float, analog: bool) -> LikelihoodPair:
@@ -100,49 +81,13 @@ def digital_pair(cfg: ProtocolConfig) -> LikelihoodPair:
     return joint_likelihood([None] * cfg.cycles, cfg.sigma_cycle, False)
 
 
-def run_trial(cfg: ProtocolConfig, rng, coins) -> int:
-    """One trial's failure indicator, 1 if it failed."""
-    return (_conventional if cfg.protocol == "conventional" else _tracking)(cfg, rng, coins)
+def decide(cfg: ProtocolConfig, bits, records, coins) -> int:
+    """First-pair bit of one analog decode: :func:`gkptrack.codes.decode` on each qubit's :func:`joint_likelihood`.
 
-
-def _conventional(cfg: ProtocolConfig, rng, coins) -> int:
-    """Failure indicator of one conventional trial, in q: its decoded parity."""
-    n = block_size(cfg.level)
-    sigma = cfg.sigma_cycle
-    digital_lp = None if cfg.analog else digital_pair(cfg)
-    decoded = 0
-    for _ in range(cfg.cycles):
-        bits = []
-        lps = []
-        for _i in range(n):
-            bit, deviation = bin_measurement(sample_channel(sigma, rng))
-            bits.append(bit)
-            lps.append(LikelihoodPair(*_analog_pair(deviation, sigma)) if cfg.analog else digital_lp)
-        bit, _table = decode(cfg.level, bits, lps, coins)
-        decoded ^= bit
-    return decoded
-
-
-def _tracking(cfg: ProtocolConfig, rng, coins) -> int:
-    """Failure indicator of one tracking trial: n-1 recorded single-qubit corrections + one decode."""
-    n = block_size(cfg.level)
-    sigma = cfg.sigma_cycle
-    dev = [0.0] * n
-    flip = [0] * n
-    records: list[list[float]] = [[] for _ in range(n)]
-    digital_lp = None if cfg.analog else digital_pair(cfg)
-    for _cycle in range(cfg.cycles - 1):
-        for i in range(n):
-            dev[i], record, flipped = sqec_step(dev[i] + sample_channel(sigma, rng), cfg.quadrature,
-                                                cfg.sigma_ancilla, rng)
-            records[i].append(record)
-            flip[i] ^= flipped
-    bits = []
-    lps = []
-    for i in range(n):
-        bit, record = bin_measurement(dev[i] + sample_channel(sigma, rng))
-        bits.append(flip[i] ^ bit)
-        records[i].append(record)
-        lps.append(joint_likelihood(records[i], sigma, True) if cfg.analog else digital_lp)
-    bit, _table = decode(cfg.level, bits, lps, coins)
-    return bit
+    ``bits`` holds a bit per qubit, and ``records`` each qubit's binned
+    records in cycle order.  A conventional decode has one record per qubit,
+    whose joint likelihood is its :func:`_analog_pair`.  An exact tie draws
+    one coin from ``coins``.
+    """
+    lps = [joint_likelihood(qubit, cfg.sigma_cycle, True) for qubit in records]
+    return decode(cfg.level, bits, lps, coins)[0]

@@ -1,5 +1,10 @@
-"""Reference code of the tests: codeword classification and generation, and an exhaustive ML decoder.
+"""Reference code of the tests: the scalar trial loop, codeword classification and generation, and an exhaustive ML decoder.
 
+:func:`run_trial` is the scalar conventional and tracking trial, one normal
+at a time, whose loop the kernel's stream tests compare with: counts and the
+final states of the noise and coin generators.  It simulates with its own
+:func:`sample_channel`, :func:`bin_measurement` and :func:`sqec_step`, and
+decodes with the package's likelihoods and :func:`gkptrack.codes.decode`.
 :func:`oracle_ml_decode` is the brute-force decoder that
 :func:`gkptrack.codes.decode` must agree with; the codeword helpers classify
 and draw codewords of the concatenated C4/C6 code.
@@ -7,6 +12,7 @@ and draw codewords of the concatenated C4/C6 code.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from gkptrack.codes import (
@@ -17,9 +23,12 @@ from gkptrack.codes import (
     block_size,
     c4_table,
     c6_table,
+    decode,
     logsumexp_sorted,
 )
-from gkptrack.gkp import LikelihoodPair
+from gkptrack.gkp import SQRT_PI, LikelihoodPair
+from gkptrack.kernels import ProtocolConfig
+from gkptrack.protocols import _analog_pair, digital_pair, joint_likelihood
 
 _C4 = c4_table()
 _C6 = c6_table()
@@ -96,3 +105,143 @@ def oracle_ml_decode(
         [logsumexp_sorted(terms[PAIR_VALUE[ci]]) for ci in range(4)]
     )
     return _decide_first_bit(table, rng)
+
+
+# --- the scalar trial loop ---
+# The package simulates and bins trials only in its kernel
+# (gkptrack.kernels.pure); this loop is the scalar reference of it.  Normals
+# come one at a time from ``rng`` in the draw order of the stream contract
+# (gkptrack.kernels), tie coins from ``coins``.  The
+# transmitted codeword is fixed to all-zeros; linearity of the code makes
+# failure statistics identical for any codeword.
+
+
+def lattice_index(x: float) -> int:
+    """Index of the sqrt(pi) lattice point nearest to ``x``, half ties down."""
+    return math.ceil(x / SQRT_PI - 0.5)
+
+
+def sample_channel(sigma: float, rng) -> float:
+    """Draw one Gaussian displacement with standard deviation ``sigma``.
+
+    ``sigma = 0``, a perfect ancilla's, returns exactly 0.0 without consuming
+    a draw, a rule of the documented draw order (:mod:`gkptrack.kernels`).
+    ``sigma`` is not checked here: :class:`gkptrack.kernels.ProtocolConfig`
+    refuses a negative or non-finite one, and a zero channel sigma.
+    """
+    if sigma == 0.0:
+        return 0.0
+    return sigma * rng.standard_normal()
+
+
+def bin_measurement(x: float) -> tuple[int, float]:
+    """Bin a raw quadrature value: ``(bit, deviation)``.
+
+    The bit is the parity of the nearest lattice multiple of sqrt(pi),
+    :func:`lattice_index`; the deviation is the signed residue
+    ``x - s * sqrt(pi)`` in ``(-sqrt(pi)/2, +sqrt(pi)/2]``.  With a reference
+    bit of 0, the bit of a displacement is its hidden flip.
+    """
+    s = lattice_index(x)
+    return s & 1, x - s * SQRT_PI
+
+
+# Single-qubit-level error correction on one GKP qubit, one quadrature.
+#
+# One correction cycle measures the qubit's deviation in each quadrature
+# through a fresh ancilla, then displaces the qubit back toward the lattice:
+# first a |0>-type ancilla, the CNOT target of the data qubit, reads the p
+# quadrature; then a |+>-type ancilla, the CNOT control of the data qubit, reads
+# q.  Displacements cannot undo a bit flip: if the accumulated deviation had
+# already crossed a half-bin boundary, shifting back lands on the wrong lattice
+# point and the hidden flip parity toggles.
+#
+# State convention: a qubit's position is represented as
+# ``flip * sqrt(pi) + deviation`` modulo the 2*sqrt(pi) stabilizer shift, so
+# even lattice shifts are silently dropped and odd shifts toggle the flip bit.
+# Measured deviations are stored signed; decoders only consume magnitudes.
+#
+# Deviation propagation through a CNOT: the target's q deviation gains the
+# control's q deviation, the control's p deviation loses the target's p
+# deviation, and flip parities are untouched.  With ``d`` the data qubit's
+# accumulated deviation in the simulated quadrature, ``a1`` the first (|0>)
+# ancilla's and ``a2`` the second (|+>) ancilla's deviation in that quadrature:
+#
+# * q: the first CNOT adds ``a1`` to the data q deviation; the second ancilla
+#   reads ``a2 + (d + a1)``, and after the shift the data q deviation is
+#   ``-a2``;
+# * p: the first ancilla reads ``a1 - d``, and after the shift the data p
+#   deviation is ``a1``; the second CNOT then subtracts ``a2`` from it, leaving
+#   ``a1 - a2``.
+#
+# So after one cycle Var_q = sigma_a^2 and Var_p = 2 sigma_a^2 for ancilla
+# noise sigma_a.  Draw order (the kernel, gkptrack.kernels.pure, replicates
+# it): ``a1`` then ``a2``; a zero ancilla sigma consumes no draw.
+
+
+def sqec_step(dev: float, quadrature: str, sigma_ancilla: float, rng) -> tuple[float, float, int]:
+    """One correction cycle of one quadrature (``"q"`` or ``"p"``).
+
+    Returns ``(residual, record, flip)``: the data qubit's deviation after
+    the correction, the measured deviation binned into
+    ``(-sqrt(pi)/2, +sqrt(pi)/2]``, and 1 iff the correction toggled the
+    hidden flip parity.
+    """
+    a1 = sample_channel(sigma_ancilla, rng)
+    a2 = sample_channel(sigma_ancilla, rng)
+    if quadrature == "q":
+        measured = a2 + (dev + a1)
+        residual = -a2
+    else:
+        measured = a1 - dev
+        residual = a1 - a2
+    flip, record = bin_measurement(measured)
+    return residual, record, flip
+
+
+def run_trial(cfg: ProtocolConfig, rng, coins) -> int:
+    """One trial's failure indicator, 1 if it failed."""
+    return (_conventional if cfg.protocol == "conventional" else _tracking)(cfg, rng, coins)
+
+
+def _conventional(cfg: ProtocolConfig, rng, coins) -> int:
+    """Failure indicator of one conventional trial, in q: its decoded parity."""
+    n = block_size(cfg.level)
+    sigma = cfg.sigma_cycle
+    digital_lp = None if cfg.analog else digital_pair(cfg)
+    decoded = 0
+    for _ in range(cfg.cycles):
+        bits = []
+        lps = []
+        for _i in range(n):
+            bit, deviation = bin_measurement(sample_channel(sigma, rng))
+            bits.append(bit)
+            lps.append(LikelihoodPair(*_analog_pair(deviation, sigma)) if cfg.analog else digital_lp)
+        bit, _table = decode(cfg.level, bits, lps, coins)
+        decoded ^= bit
+    return decoded
+
+
+def _tracking(cfg: ProtocolConfig, rng, coins) -> int:
+    """Failure indicator of one tracking trial: n-1 recorded single-qubit corrections + one decode."""
+    n = block_size(cfg.level)
+    sigma = cfg.sigma_cycle
+    dev = [0.0] * n
+    flip = [0] * n
+    records: list[list[float]] = [[] for _ in range(n)]
+    digital_lp = None if cfg.analog else digital_pair(cfg)
+    for _cycle in range(cfg.cycles - 1):
+        for i in range(n):
+            dev[i], record, flipped = sqec_step(dev[i] + sample_channel(sigma, rng), cfg.quadrature,
+                                                cfg.sigma_ancilla, rng)
+            records[i].append(record)
+            flip[i] ^= flipped
+    bits = []
+    lps = []
+    for i in range(n):
+        bit, record = bin_measurement(dev[i] + sample_channel(sigma, rng))
+        bits.append(flip[i] ^ bit)
+        records[i].append(record)
+        lps.append(joint_likelihood(records[i], sigma, True) if cfg.analog else digital_lp)
+    bit, _table = decode(cfg.level, bits, lps, coins)
+    return bit

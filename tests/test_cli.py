@@ -2,10 +2,12 @@
 
 import json
 import os
+import threading
 from xml.etree import ElementTree
 
 import pytest
 
+from gkptrack import cli, harness
 from gkptrack.cli import MAX_GRID_POINTS, main
 
 
@@ -128,6 +130,24 @@ class TestRun:
                        "--seed", "1", "--out", str(out), *flag) == 1
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["33", "1000000"])
+    def test_workers_above_bound_is_usage_error(self, tmp_path, capsys, monkeypatch, workers):
+        """A worker count above harness.MAX_WORKERS is refused while parsing: no command runs, no thread starts."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("refused --workers reached the run")
+
+        monkeypatch.setattr(cli, "_cmd_run", refuse)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", refuse)
+        out = tmp_path / "r"
+        out.mkdir()
+        threads = threading.active_count()
+        assert run_cli("run", "--protocol", "conventional", "--analog", "on", "--cycles", "2",
+                       "--levels", "1", "--sigma-total", "1.0:1.0:1", "--trials", "1000000000",
+                       "--seed", "1", "--out", str(out), "--workers", workers) == 1
+        assert f"--workers must be <= {harness.MAX_WORKERS}, got {workers}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert threading.active_count() == threads
 
     def test_determinism_across_worker_counts(self, tmp_path):
         base = [

@@ -1,4 +1,4 @@
-"""Tests for GKP primitives: binning, channel sampling, likelihoods."""
+"""Tests for GKP primitives: the oracle's binning and channel sampling, and the likelihoods."""
 
 import math
 
@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from gkptrack.gkp import (
     HALF_SQRT_PI,
     SQRT_PI,
-    bin_measurement,
     digital_likelihoods,
-    lattice_index,
     log_gauss,
     p_corr,
-    sample_channel,
 )
 from gkptrack.protocols import _analog_pair
+from oracle import bin_measurement, lattice_index, sample_channel
 
 
 def gaussian_mass_simpson(sigma: float, lo: float, hi: float, n: int = 200_001) -> float:

@@ -1,4 +1,4 @@
-"""Tests for the conventional and tracking protocol trials."""
+"""Tests for the record likelihoods and the oracle's conventional and tracking protocol trials."""
 
 import math
 
@@ -10,15 +10,19 @@ from gkptrack.codes import decode
 from gkptrack.gkp import (
     HALF_SQRT_PI,
     SQRT_PI,
-    bin_measurement,
     digital_likelihoods,
-    lattice_index,
     log_gauss,
     p_corr,
 )
-from gkptrack.protocols import ProtocolConfig, joint_likelihood, run_trial
-from gkptrack.single_qec import sqec_step
-from oracle import concat_word_first_bit, random_codeword
+from gkptrack.protocols import ProtocolConfig, joint_likelihood
+from oracle import (
+    bin_measurement,
+    concat_word_first_bit,
+    lattice_index,
+    random_codeword,
+    run_trial,
+    sqec_step,
+)
 
 
 def conv_cfg(sigma, level=1, cycles=2, analog=True, quadrature="q"):

@@ -1,12 +1,12 @@
-"""Tests for the single-qubit-level error correction step."""
+"""Tests for the oracle's single-qubit-level error correction step."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gkptrack.gkp import HALF_SQRT_PI, SQRT_PI, lattice_index
-from gkptrack.single_qec import sqec_step
+from gkptrack.gkp import HALF_SQRT_PI, SQRT_PI
+from oracle import lattice_index, sqec_step
 
 
 class CountingRng:
