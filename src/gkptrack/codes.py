@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,22 +52,13 @@ PAIR_INDEX = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
 PAIR_VALUE = {v: k for k, v in PAIR_INDEX.items()}
 
 
-@dataclass(frozen=True)
-class PairLikelihoods:
-    """Four-entry log-likelihood table over a logical qubit pair."""
+class PairLikelihoods(NamedTuple):
+    """Four-entry log-likelihood table over a logical qubit pair, a tuple in :data:`PAIR_INDEX` order."""
 
     f00: float
     f01: float
     f10: float
     f11: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.f00, self.f01, self.f10, self.f11)
-
-    @staticmethod
-    def from_tuple(values: Sequence[float]) -> "PairLikelihoods":
-        f00, f01, f10, f11 = values
-        return PairLikelihoods(f00, f01, f10, f11)
 
 
 @dataclass(frozen=True)
@@ -195,19 +186,19 @@ def block_pair_likelihoods(
     for ci in range(4):
         words = table.codewords[PAIR_VALUE[ci]]
         values.append(logsumexp_sorted([_word_sum(w, leaf_bits, lm, lf) for w in words]))
-    return PairLikelihoods.from_tuple(values)
+    return PairLikelihoods(*values)
 
 
 def c6_level_up(sub_pairs: Sequence[PairLikelihoods]) -> PairLikelihoods:
     """Fold three sub-pair tables into the next level's pair table."""
     if len(sub_pairs) != 3:
         raise ValueError(f"c6_level_up expects exactly 3 sub-pair tables, got {len(sub_pairs)}")
-    t1, t2, t3 = (sp.as_tuple() for sp in sub_pairs)
+    t1, t2, t3 = sub_pairs
     values = []
     for ci in range(4):
         sums = [t1[i1] + t2[i2] + t3[i3] for i1, i2, i3 in C6_PAIR_TRIPLES[ci]]
         values.append(logsumexp_sorted(sums))
-    return PairLikelihoods.from_tuple(values)
+    return PairLikelihoods(*values)
 
 
 #: the 16 C6 words, class by class, as sub-pair indices of sub-block 0, 1 and 2
@@ -260,10 +251,11 @@ def _coin(rng) -> int:
     return 0 if rng.random() < 0.5 else 1
 
 
-def first_bit(table: PairLikelihoods) -> int | None:
-    """The more likely first-pair bit of a top table; ``None`` on an exact tie."""
-    l0 = logaddexp2(table.f00, table.f01)
-    l1 = logaddexp2(table.f10, table.f11)
+def first_bit(table: Sequence[float]) -> int | None:
+    """The more likely first-pair bit of a top table (in :data:`PAIR_INDEX` order); ``None`` on an exact tie."""
+    f00, f01, f10, f11 = table
+    l0 = logaddexp2(f00, f01)
+    l1 = logaddexp2(f10, f11)
     if l0 > l1:
         return 0
     if l1 > l0:

@@ -21,16 +21,15 @@ Numerical conventions used throughout the package (the kernel,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SQRT_PI = math.sqrt(math.pi)
 HALF_SQRT_PI = SQRT_PI / 2.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class LikelihoodPair:
-    """Log-domain likelihoods of "bit correct as decided" vs "bit flipped"."""
+class LikelihoodPair(NamedTuple):
+    """Log-domain likelihoods of "bit correct as decided" vs "bit flipped", a tuple ``(l_match, l_flip)``."""
 
     l_match: float
     l_flip: float

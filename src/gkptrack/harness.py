@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .kernels import STREAM_VERSION, ProtocolConfig, get_backend
+from .kernels import STREAM_VERSION, ProtocolConfig, as_index, get_backend
 
 #: trials per block, part of the stream contract: a block's counts depend on its size
 BLOCK_SIZE = 8192
@@ -55,6 +55,9 @@ _MAX_POINTS = 1 << 40
 
 def philox_key(master_seed: int, point_index: int, block_index: int) -> np.ndarray:
     """128-bit Philox key for one block of one point."""
+    master_seed = as_index("master_seed", master_seed)
+    point_index = as_index("point_index", point_index)
+    block_index = as_index("block_index", block_index)
     if not (0 <= block_index < _MAX_BLOCKS):
         raise ValueError(f"block index out of range: {block_index}")
     if not (0 <= point_index < _MAX_POINTS):
@@ -132,11 +135,11 @@ class SweepConfig:
             raise ValueError("sigma_total_grid must be strictly increasing")
         if len(set(self.levels)) != len(self.levels):
             raise ValueError(f"levels must be distinct, got {self.levels}")
-        if self.trials_per_point < 1:
+        if as_index("trials_per_point", self.trials_per_point) < 1:
             raise ValueError("trials_per_point must be >= 1")
         # the seed the blocks' Philox keys would refuse
         philox_key(self.master_seed, 0, 0)
-        if self.max_failures_stop is not None and self.max_failures_stop < 1:
+        if self.max_failures_stop is not None and as_index("max_failures_stop", self.max_failures_stop) < 1:
             raise ValueError(f"max_failures_stop must be >= 1, got {self.max_failures_stop}")
         if not self.sigma_total_grid or not self.levels:
             raise ValueError("a sweep needs at least one sigma_total and one level")
@@ -208,7 +211,8 @@ def estimate_point(
     The point's level and sigma are ``cfg.point(point_index)``, which refuses
     an index outside the sweep; its trials, seed and early stop are
     ``cfg``'s.  Deterministic for a fixed ``(cfg.master_seed, point_index)``
-    regardless of ``workers``, which defaults to one thread.  The kernel's
+    regardless of ``workers``, which defaults to one thread; ``workers``
+    outside 1 to :data:`MAX_WORKERS` raises ``ValueError``.  The kernel's
     batched path releases the GIL only inside numpy calls on small chunks,
     and a block of more than one chunk runs a helper thread of its own: on a
     2-core VM two workers ran a point's 8,192-trial blocks at 0.63-0.83x the
@@ -225,6 +229,9 @@ def estimate_point(
     is taken over whole blocks; under this data-dependent stop it carries a
     small upward bias and the Wilson interval is nominal only.
     """
+    # refused before any pool exists: _in_order submits ``workers`` blocks at once
+    if not 1 <= as_index("workers", workers) <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
     level, sigma_total = cfg.point(point_index)
     backend = backend if backend is not None else get_backend()
     params = cfg.point_params(point_index)

@@ -23,6 +23,7 @@ from the block's generator between the normals.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -36,6 +37,19 @@ STREAM_VERSION = 2
 MAX_SIGMA = 100.0
 #: highest level; a level-10 block holds 78,732 qubits
 MAX_LEVEL = 10
+
+
+def as_index(name: str, value) -> int:
+    """``value`` as an ``int``; what ``operator.index`` refuses raises ``ValueError`` naming ``name``.
+
+    So a float is refused, even a whole one, and a numpy integer taken.  A
+    float seed would otherwise run the stream of the integer it truncates
+    to, and a float count fail deep in a block.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.protocol not in ("conventional", "tracking"):
             raise ValueError(f"unknown protocol kind {self.protocol!r}")
+        for name in ("level", "cycles"):
+            as_index(name, getattr(self, name))
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
         if self.level > MAX_LEVEL:

@@ -36,9 +36,10 @@ bit is the parity of its summed lattice indices.
 Chunks.  A block runs in as few equal chunks as fit its normals:
 :data:`CHUNK_DRAWS` analog, :data:`DIGITAL_CHUNK_DRAWS` digital (one chunk
 for a 2,048-trial conventional L2 point).  A chunk's normals, its
-records, their bins and its ancilla values live in buffers
-that each thread keeps and reuses (:func:`_buffer`), so a chunk takes no
-fresh pages; the normals are drawn into theirs by ``standard_normal(out=)``.
+records, their bins, its ancilla values and, analog, its flip ratios (in
+the quotients' buffer, once binning ends) live in buffers that each thread
+keeps and reuses (:func:`_buffer`), so a chunk takes no fresh pages; the
+normals are drawn into theirs by ``standard_normal(out=)``.
 A digital chunk keeps no record, so it bins its records in place, and its
 lattice indices go into its own normals' memory.  A block of more than one
 chunk (a tracking analog block of 8,192 trials runs 8 at L1 and 25 at L2)
@@ -97,13 +98,13 @@ While the product of every level's smallest peak stays above 1e-250
 per level; a decode below the floor is not sure.  A decode that is not
 sure, or that holds a record outside the bin range (``|a| > sqrt(pi)/2``
 after rounding, which the scalar decision refuses, flagged per decode),
-makes its trial replay: the chunk re-forms the records of all its replayed
-trials from their normals in one more :func:`_records` pass (the first
-pass's records hold their flip ratios by then), and :func:`run_trial`
-decides each such trial's decodes again, in cycle order, by the scalar
-:func:`gkptrack.protocols.decide`.  So every decision equals the scalar
-decoder's, and every error it raises is raised.  Replays are rare
-except at the extremes: near-ties at very high noise (tracking L3 at
+makes its trial replay: the chunk gathers each replayed trial's bits and
+binned records from its one :func:`_records` pass, as nothing writes over
+them (the flip ratios go into a buffer of their own), and
+:func:`run_trial` decides each such trial's decodes again, in cycle order,
+by the scalar :func:`gkptrack.protocols.decide`.  So every decision equals
+the scalar decoder's, and every error it raises is raised.  Replays are
+rare except at the extremes: near-ties at very high noise (tracking L3 at
 ``sigma_cycle`` 1.5 replays every trial), and flip ratios that underflow in
 odd-parity blocks (tracking at ``sigma_cycle`` 0.005 with ancilla sigma 0.3
 replays 23-93% of its trials from L1 to L3).
@@ -112,7 +113,7 @@ Tie coins come from the block's coin generator in trial order (stream
 contract in :mod:`gkptrack.kernels`).  A chunk's digital ties take one
 ``random`` call, in (trial, cycle) order; an analog decode that ties exactly
 is one the scalar replay decides, and replays run in (trial, cycle) order,
-re-forming records in the buffers of the block's thread.  During
+on the bits and records gathered from the chunk's one pass.  During
 a block one thread alone reads the noise generator, in chunk order: the
 block's thread, or in a pipelined block its helper; only the block's
 thread reads the coin generator.  So the count and the final states of both
@@ -288,13 +289,11 @@ def _run_chunk(params, z, coins, decoder) -> int:
     if unsure is None or not np.count_nonzero(unsure):
         return int(np.count_nonzero(bit))
     failures = int(np.count_nonzero(bit & ~unsure))
-    # the first pass overwrote its records with flip ratios: re-form the
-    # unsure trials' records, bitwise the same, in one pass, and give each
-    # trial its decodes, (cycle, trial) columns or one per trial
+    # gather each unsure trial's decodes, (cycle, trial) columns or one per
+    # trial, from the first pass's bits and records
     rows = np.flatnonzero(unsure)
-    bits, records = _records(params, z[rows])
-    bits = bits.reshape(len(bits), -1, len(rows))
-    records = records.reshape(*records.shape[:2], -1, len(rows))
+    bits = bits.reshape(len(bits), -1, trials)[..., rows]
+    records = records.reshape(*records.shape[:2], -1, trials)[..., rows]
     for j in range(len(rows)):
         failures += run_trial(params, bits[..., j], records[..., j], coins)
     return failures
@@ -345,7 +344,7 @@ class DigitalDecoder:
 
     def __init__(self, params: ProtocolConfig) -> None:
         pair = protocols.digital_pair(params)
-        tables = {first: codes.block_pair_likelihoods(c4_table(), _C4_PATTERNS[first], [pair] * 4).as_tuple()
+        tables = {first: codes.block_pair_likelihoods(c4_table(), _C4_PATTERNS[first], [pair] * 4)
                   for first in set(_C4_FIRST)}
         c4, self._c4 = _distinct(np.array([tables[first] for first in _C4_FIRST]))
         # the distinct tables of C4 and of each whole level, (k, 4), and the
@@ -396,7 +395,7 @@ def _distinct(rows):
 
 def _first_bits(tables):
     """:func:`gkptrack.codes.first_bit` of each top table row, :data:`_TIE` for a tie, as int8."""
-    bits = [codes.first_bit(codes.PairLikelihoods.from_tuple(row)) for row in tables.tolist()]
+    bits = [codes.first_bit(row) for row in tables.tolist()]
     return np.array([_TIE if bit is None else bit for bit in bits], np.int8)
 
 
@@ -485,10 +484,10 @@ def _records(params: ProtocolConfig, normals):
 def _leaf_likelihoods(records, sigma: float):
     """Per-decode log scale, scaled match and flip likelihoods of every leaf, and the range flag of :func:`_flip_ratios`.
 
-    ``records`` holds binned records, ``(record, leaf, decode)``; it is
-    overwritten with their flip ratios.  A leaf's likelihoods are the parity
-    convolution of its records' scaled ``(match, flip)`` pairs ``(1, rho)``:
-    the scaled probabilities of an even and an odd count of flips.
+    ``records`` holds binned records, ``(record, leaf, decode)``, and is
+    left as it is, for a replay to read.  A leaf's likelihoods are the
+    parity convolution of its records' scaled ``(match, flip)`` pairs ``(1,
+    rho)``: the scaled probabilities of an even and an odd count of flips.
     """
     scale, outside, rho = _flip_ratios(records.reshape(-1, records.shape[-1]), sigma)
     rho = rho.reshape(records.shape)
@@ -501,10 +500,11 @@ def _leaf_likelihoods(records, sigma: float):
 def _flip_ratios(record, sigma: float):
     """Per-decode log scale and range flag, and the flip/match ratio of every record.
 
-    ``record`` holds binned deviations, ``(record, decode)``; it is
-    overwritten with the ratios ``exp(l_flip - l_match)``, which are
-    ``exp((2 sqrt(pi) a - pi) / (2 sigma^2))`` for ``a = |record|``.  The
-    scale is the sum of the records' match log densities
+    ``record`` holds binned deviations, ``(record, decode)``, and is left
+    as it is.  The ratios ``exp(l_flip - l_match)``, which are
+    ``exp((2 sqrt(pi) a - pi) / (2 sigma^2))`` for ``a = |record|``, go
+    into the buffer :func:`_bin` takes its quotients in, free once binning
+    ends.  The scale is the sum of the records' match log densities
     (``protocols._analog_pair``), ``-(sum a^2) / (2 sigma^2) - K log(sigma
     sqrt(2 pi))``; it moves ``1 + |l0| + |l1|`` by some 1e-16 relative and
     never the sign of ``l1 - l0``.  The flag marks decodes with a record
@@ -513,7 +513,7 @@ def _flip_ratios(record, sigma: float):
     # sigma * sigma, unlike sigma**2, overflows to inf without raising, so at
     # any sigma the range flag sends a refused record to the scalar's error
     variance = sigma * sigma
-    a = np.abs(record, out=record)
+    a = np.abs(record, out=_buffer("t", record.shape))
     outside = ~(np.maximum.reduce(a, axis=0) <= HALF_SQRT_PI)
     scale = np.einsum("ij,ij->j", a, a)
     scale *= -0.5 / variance

@@ -41,8 +41,7 @@ def joint_likelihood(records, sigma: float, analog: bool) -> LikelihoodPair:
     if analog:
         pairs = [_analog_pair(r, sigma) for r in records]
     else:
-        d = digital_likelihoods(sigma)
-        pairs = [(d.l_match, d.l_flip)] * len(records)
+        pairs = [digital_likelihoods(sigma)] * len(records)
     even, odd = pairs[0]
     for e, o in pairs[1:]:
         even, odd = logaddexp2(even + e, odd + o), logaddexp2(even + o, odd + e)

@@ -1,10 +1,12 @@
-"""Reference code of the tests: the scalar trial loop, codeword classification and generation, and an exhaustive ML decoder.
+"""Reference code of the tests: the scalar trial loop, exact digital failure rates, codewords, an exhaustive ML decoder.
 
 :func:`run_trial` is the scalar conventional and tracking trial, one normal
 at a time, whose loop the kernel's stream tests compare with: counts and the
 final states of the noise and coin generators.  It simulates with its own
 :func:`sample_channel`, :func:`bin_measurement` and :func:`sqec_step`, and
 decodes with the package's likelihoods and :func:`gkptrack.codes.decode`.
+:func:`exact_digital_p_fail` is a digital config's failure probability
+with no sampling noise, which the kernel's counts must agree with.
 :func:`oracle_ml_decode` is the brute-force decoder that
 :func:`gkptrack.codes.decode` must agree with; the codeword helpers classify
 and draw codewords of the concatenated C4/C6 code.
@@ -12,8 +14,11 @@ and draw codewords of the concatenated C4/C6 code.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
+
+import numpy as np
 
 from gkptrack.codes import (
     PAIR_VALUE,
@@ -22,12 +27,14 @@ from gkptrack.codes import (
     _word_sum,
     block_size,
     c4_table,
+    c6_level_up_rows,
     c6_table,
     decode,
     logsumexp_sorted,
 )
 from gkptrack.gkp import SQRT_PI, LikelihoodPair
 from gkptrack.kernels import ProtocolConfig
+from gkptrack.kernels.pure import _TIE, DigitalDecoder, _distinct, _first_bits
 from gkptrack.protocols import _analog_pair, digital_pair, joint_likelihood
 
 _C4 = c4_table()
@@ -101,10 +108,67 @@ def oracle_ml_decode(
         if cls is None:
             continue
         terms[cls].append(_word_sum(word, leaf_bits, lm, lf))
-    table = PairLikelihoods.from_tuple(
-        [logsumexp_sorted(terms[PAIR_VALUE[ci]]) for ci in range(4)]
-    )
+    table = PairLikelihoods(*(logsumexp_sorted(terms[PAIR_VALUE[ci]]) for ci in range(4)))
     return _decide_first_bit(table, rng)
+
+
+# --- exact digital failure rates ---
+
+
+def odd_bin_mass(sigma: float) -> float:
+    """Probability that a N(0, sigma^2) value bins to an odd lattice index: a digital leaf's flip.
+
+    Bins ``k`` and ``-k`` have equal mass, so this is twice the sum over odd
+    ``k >= 1``; unlike ``1 - gkp.p_corr``, the bins two or more away from
+    the centre count by their parity.
+    """
+    u = SQRT_PI / (sigma * math.sqrt(2.0))
+    terms = []
+    for k in itertools.count(1, 2):
+        inner = math.erfc((k - 0.5) * u)
+        if inner == 0.0:
+            return math.fsum(terms)
+        terms.append(inner - math.erfc((k + 0.5) * u))
+
+
+def odd_parity(p: float, count: int) -> float:
+    """Probability of an odd number of ``count`` independent events of probability ``p`` each."""
+    return (1.0 - (1.0 - 2.0 * p) ** count) / 2.0
+
+
+def exact_digital_p_fail(cfg: ProtocolConfig) -> float:
+    """Failure probability of a digital trial of ``cfg``, perfect ancillas only, with no sampling noise.
+
+    Every leaf of a digital decode carries one likelihood pair and flips on
+    its own: with the odd-bin mass ``P`` of N(0, sigma_cycle^2), or for a
+    tracking leaf, the parity of ``cycles`` records, with ``odd_parity(P,
+    cycles)``.  So a decode's table is one of few, and their distribution
+    folds up level by level exactly: the 16 C4 bit patterns are weighted
+    onto the kernel's :class:`~gkptrack.kernels.pure.DigitalDecoder` numbers,
+    every triple of each level is folded by
+    :func:`gkptrack.codes.c6_level_up_rows` and equal tables are merged.  A
+    top table whose first bit is 1 fails a decode, a tie half the time (its
+    coin).  A conventional trial fails on an odd count of failed cycle
+    decodes.
+    """
+    if cfg.analog or cfg.sigma_ancilla > 0.0:
+        raise ValueError("exact failure rates cover digital configs with perfect ancillas only")
+    flip = odd_bin_mass(cfg.sigma_cycle)
+    if cfg.protocol == "tracking":
+        flip = odd_parity(flip, cfg.cycles)
+    decoder = DigitalDecoder(cfg)
+    flips = np.array([bin(pattern).count("1") for pattern in range(16)])
+    weights = np.bincount(decoder._c4, flip ** flips * (1.0 - flip) ** (4 - flips))
+    tables = decoder._tables[0]
+    for _ in range(cfg.level - 1):
+        k = len(tables)
+        keys = np.arange(k ** 3)
+        triples = keys // (k * k), keys // k % k, keys % k
+        tables, number = _distinct(c6_level_up_rows(tables, *triples))
+        weights = np.bincount(number, weights[triples[0]] * weights[triples[1]] * weights[triples[2]])
+    first = _first_bits(tables)
+    p_decode = weights[first == 1].sum() + 0.5 * weights[first == _TIE].sum()
+    return float(p_decode if cfg.protocol == "tracking" else odd_parity(p_decode, cfg.cycles))
 
 
 # --- the scalar trial loop ---

@@ -356,7 +356,7 @@ def test_c4_tables_by_match_counts(protocol, sigma):
     decoder = pure.DigitalDecoder(params)
     for i, bits in enumerate(itertools.product((0, 1), repeat=4)):
         expected = codes.block_pair_likelihoods(codes.c4_table(), bits, [pair] * 4)
-        assert tuple(decoder._tables[0][decoder._c4[i]].tolist()) == expected.as_tuple()
+        assert tuple(decoder._tables[0][decoder._c4[i]].tolist()) == expected
     assert len(set(pure._C4_FIRST)) == 5
 
 

@@ -109,7 +109,7 @@ class TestBlockPairLikelihoods:
         bits = [0, 1, 0, 1]
         lps = [pair(0.0, -50.0)] * 4
         table = block_pair_likelihoods(c4_table(), bits, lps)
-        values = table.as_tuple()
+        values = table
         assert max(range(4), key=values.__getitem__) == 1  # class (0,1)
 
     def test_two_term_structure_single_error(self):
@@ -163,20 +163,20 @@ class TestBlockPairLikelihoods:
                 ]
                 m = max(sums)
                 expected = m + math.log(sum(math.exp(s - m) for s in sums))
-                assert table.as_tuple()[ci] == pytest.approx(expected, rel=1e-12)
+                assert table[ci] == pytest.approx(expected, rel=1e-12)
 
 
 class TestC6LevelUp:
     def test_sharp_consistent_tables(self):
         sharp = PairLikelihoods(0.0, -60.0, -60.0, -60.0)
         out = c6_level_up([sharp, sharp, sharp])
-        values = out.as_tuple()
+        values = out
         assert max(range(4), key=values.__getitem__) == 0
 
     def test_uniform_stays_uniform(self):
         u = PairLikelihoods(0.0, 0.0, 0.0, 0.0)
         out = c6_level_up([u, u, u])
-        assert len(set(out.as_tuple())) == 1
+        assert len(set(out)) == 1
 
     def test_against_triple_enumeration_oracle(self):
         # independent oracle: filter all 64 pair-triples by the class words
@@ -193,12 +193,12 @@ class TestC6LevelUp:
                 for _ in range(3)
             ]
             out = c6_level_up(subs)
-            t1, t2, t3 = (s.as_tuple() for s in subs)
+            t1, t2, t3 = subs
             for ci in range(4):
                 sums = [t1[i] + t2[j] + t3[k] for i, j, k in valid[PAIR_VALUE[ci]]]
                 m = max(sums)
                 expected = m + math.log(sum(math.exp(s - m) for s in sums))
-                assert out.as_tuple()[ci] == pytest.approx(expected, rel=1e-12)
+                assert out[ci] == pytest.approx(expected, rel=1e-12)
 
     def test_requires_three(self):
         u = PairLikelihoods(0.0, 0.0, 0.0, 0.0)
@@ -211,8 +211,8 @@ def assert_rows_fold_every_triple(tables):
     k = len(tables)
     keys = np.arange(k ** 3)
     rows = c6_level_up_rows(tables, keys // (k * k), keys // k % k, keys % k)
-    pairs = [PairLikelihoods.from_tuple(row) for row in tables.tolist()]
-    expected = np.array([c6_level_up(triple).as_tuple() for triple in itertools.product(pairs, repeat=3)])
+    pairs = [PairLikelihoods(*row) for row in tables.tolist()]
+    expected = np.array([c6_level_up(triple) for triple in itertools.product(pairs, repeat=3)])
     assert rows.shape == expected.shape
     # equal bits, so -0.0 against 0.0 and -inf count too
     assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
@@ -227,7 +227,7 @@ class TestC6LevelUpRows:
         lp = digital_pair(ProtocolConfig(protocol, False, 1, 2, sigma))
         if sigma == 0.02:
             assert lp.l_flip == -math.inf
-        c4 = np.array([block_pair_likelihoods(c4_table(), bits, [lp] * 4).as_tuple()
+        c4 = np.array([block_pair_likelihoods(c4_table(), bits, [lp] * 4)
                        for bits in itertools.product((0, 1), repeat=4)])
         level2 = assert_rows_fold_every_triple(np.unique(c4, axis=0))
         assert_rows_fold_every_triple(np.unique(level2, axis=0))

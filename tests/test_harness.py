@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkptrack import harness
 from gkptrack.harness import (
     BLOCK_SIZE,
     CSV_HEADER,
@@ -168,6 +169,20 @@ class TestEstimatePoint:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match=re.escape(f"master_seed must lie in [0, 2**64), got {seed}")):
                 philox_key(seed, 0, 0)
+        # 7.5 would truncate to seed 7's key and run seed 7's stream
+        for args, message in [((7.5, 0, 0), "master_seed must be an integer, got 7.5"),
+                              ((7.0, 0, 0), "master_seed must be an integer, got 7.0"),
+                              ((7, 1.0, 0), "point_index must be an integer, got 1.0"),
+                              ((7, 0, 0.0), "block_index must be an integer, got 0.0")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                philox_key(*args)
+
+    def test_numpy_integers_taken(self):
+        assert philox_key(np.int64(7), np.int32(1), np.uint8(2)).tolist() == philox_key(7, 1, 2).tolist()
+        fields = dict(protocol="tracking", analog=False, cycles=2, sigma_total_grid=(1.0,), trials_per_point=2000)
+        numpy_ints = SweepConfig(**fields, levels=(np.int64(2),), master_seed=np.int64(7),
+                                 max_failures_stop=np.int64(10**6))
+        assert estimate_point(numpy_ints, 0) == estimate_point(SweepConfig(**fields, levels=(2,), master_seed=7), 0)
 
 
 class TestBlockScheduling:
@@ -225,6 +240,23 @@ class TestBlockScheduling:
         backend = CountingBackend(0.5, raise_on_call=failing_call)
         with pytest.raises(RuntimeError, match="block failed"):
             self.estimate(backend, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, 33, 10**6, 2.0])
+    def test_workers_outside_bound_refused_before_any_pool(self, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        backend = CountingBackend(0.5)
+        if isinstance(workers, float):
+            message = "workers must be an integer"
+        else:
+            message = f"workers must lie in [1, {harness.MAX_WORKERS}]"
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {workers}")):
+            self.estimate(backend, workers=workers)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep(self.POINT, workers=workers, backend=backend)
+        assert backend.calls == 0
 
     @pytest.mark.parametrize("kernel,pooled", [("pure", False), ("rigged", False)])
     def test_default_workers_follow_kernel(self, monkeypatch, kernel, pooled):
@@ -367,6 +399,13 @@ class TestSweep:
         # every block's Philox key would refuse the seed
         (dict(master_seed=-1), "master_seed must lie in [0, 2**64), got -1"),
         (dict(master_seed=2**64), "master_seed must lie in [0, 2**64), got 18446744073709551616"),
+        # what operator.index refuses: a float seed ran the stream of the
+        # integer it truncates to, and a float count failed in the first block
+        (dict(master_seed=7.5), "master_seed must be an integer, got 7.5"),
+        (dict(cycles=2.0), "cycles must be an integer, got 2.0"),
+        (dict(levels=(1, 2.0)), "level must be an integer, got 2.0"),
+        (dict(trials_per_point=10.0), "trials_per_point must be an integer, got 10.0"),
+        (dict(max_failures_stop=5.0), "max_failures_stop must be an integer, got 5.0"),
     ])
     def test_every_point_validated(self, fields, message):
         """A config any of whose points a kernel would refuse, or with two equal points, is refused when it is made."""

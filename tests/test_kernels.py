@@ -54,6 +54,10 @@ INVALID_INPUTS = [
     (dict(sigma_cycle=1e300), "sigma_cycle must be <= 100.0, got 1e+300"),
     (dict(protocol="conventional", analog=False, sigma_cycle=100.5), "sigma_cycle must be <= 100.0, got 100.5"),
     (dict(sigma_ancilla=1e17), "sigma_ancilla must be <= 100.0, got 1e+17"),
+    # what operator.index refuses, a whole float too, would fail deep in a block
+    (dict(level=1.0), "level must be an integer, got 1.0"),
+    (dict(cycles=2.5), "cycles must be an integer, got 2.5"),
+    (dict(protocol="conventional", cycles="2"), "cycles must be an integer, got '2'"),
 ]
 
 
