@@ -4,10 +4,13 @@ Determinism contract
 --------------------
 Trials are grouped into blocks of :data:`BLOCK_SIZE`; block ``b`` of point
 ``k`` draws from a counter-based Philox stream keyed by ``(master_seed, k,
-b)``.  Blocks may execute on any number of worker threads, but failure counts
-are combined in block order (and an early stop is decided in that order), so
-a sweep's CSV output is byte-identical for a given ``SweepConfig`` regardless
-of parallelism or scheduling.
+b)``, which holds ``b`` below 2**24, so ``SweepConfig`` refuses more than
+2**37 trials a point.  A point's blocks are a ``range`` and a sweep's points
+indices into its grid; neither is listed.  Blocks may execute on any number
+of worker threads, but failure counts are combined in block order (and an
+early stop is decided in that order), so a sweep's CSV output is
+byte-identical for a given ``SweepConfig`` regardless of parallelism or
+scheduling.
 
 CSV schema: a header of :class:`PointEstimate`'s field names, then one row
 per point, in point order, holding its fields in that order, a bool as
@@ -130,16 +133,26 @@ class SweepConfig:
     sigma_ancilla: float = 0.0
 
     def __post_init__(self) -> None:
+        # stored as int, so a numpy integer never reaches manifest.json
+        for name in ("cycles", "trials_per_point", "master_seed"):
+            object.__setattr__(self, name, as_index(name, getattr(self, name)))
+        object.__setattr__(self, "levels", tuple(as_index("level", level) for level in self.levels))
+        if self.max_failures_stop is not None:
+            object.__setattr__(self, "max_failures_stop", as_index("max_failures_stop", self.max_failures_stop))
         # each point is one (level, sigma_total): no two may be equal
         if any(a >= b for a, b in zip(self.sigma_total_grid, self.sigma_total_grid[1:])):
             raise ValueError("sigma_total_grid must be strictly increasing")
         if len(set(self.levels)) != len(self.levels):
             raise ValueError(f"levels must be distinct, got {self.levels}")
-        if as_index("trials_per_point", self.trials_per_point) < 1:
+        if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        # a point's blocks beyond the Philox keys' block index would have no stream
+        if self.trials_per_point > _MAX_BLOCKS * BLOCK_SIZE:
+            raise ValueError(f"trials_per_point must be <= {_MAX_BLOCKS * BLOCK_SIZE} (2**37), "
+                             f"got {self.trials_per_point}")
         # the seed the blocks' Philox keys would refuse
         philox_key(self.master_seed, 0, 0)
-        if self.max_failures_stop is not None and as_index("max_failures_stop", self.max_failures_stop) < 1:
+        if self.max_failures_stop is not None and self.max_failures_stop < 1:
             raise ValueError(f"max_failures_stop must be >= 1, got {self.max_failures_stop}")
         if not self.sigma_total_grid or not self.levels:
             raise ValueError("a sweep needs at least one sigma_total and one level")
@@ -148,7 +161,7 @@ class SweepConfig:
         # is named as such, not by the sigma_cycle it would give
         if not all(sigma > 0.0 for sigma in self.sigma_total_grid):
             raise ValueError("sigma_total must be > 0")
-        for index, _, _ in self.points():
+        for index in range(len(self.levels) * len(self.sigma_total_grid)):
             self.point_params(index)
 
     def point_params(self, index: int) -> ProtocolConfig:
@@ -166,11 +179,6 @@ class SweepConfig:
         level, sigma = divmod(index, len(self.sigma_total_grid))
         return self.levels[level], self.sigma_total_grid[sigma]
 
-    def points(self):
-        """(point_index, level, sigma_total) in deterministic order."""
-        for idx in range(len(self.levels) * len(self.sigma_total_grid)):
-            yield (idx, *self.point(idx))
-
 
 def _in_order(fn, items, workers: int):
     """Yield ``fn(item)`` for each item, in item order.
@@ -185,13 +193,12 @@ def _in_order(fn, items, workers: int):
         return
     with ThreadPoolExecutor(max_workers=workers) as ex:
         window = deque(ex.submit(fn, item) for item in items[:workers])
-        rest = iter(items[workers:])
         try:
+            for item in items[workers:]:
+                yield window.popleft().result()
+                window.append(ex.submit(fn, item))
             while window:
                 yield window.popleft().result()
-                item = next(rest, None)
-                if item is not None:
-                    window.append(ex.submit(fn, item))
         finally:
             # the results, or errors, of calls past an early close are never
             # read, as with one worker, where those calls never run
@@ -225,9 +232,11 @@ def estimate_point(
     The stop is tested at block boundaries, as results arrive in block order.
     Blocks are submitted in order with at most ``workers`` in flight and none
     is submitted once the stop is reached, so at most ``workers - 1`` blocks
-    past the stopping block are computed (and discarded).  ``p_fail = k / n``
-    is taken over whole blocks; under this data-dependent stop it carries a
-    small upward bias and the Wilson interval is nominal only.
+    past the stopping block are computed (and discarded); the blocks are a
+    ``range``, so a stop at block 0 costs one block at any trial count.
+    ``p_fail = k / n`` is taken over whole blocks; under this data-dependent
+    stop it carries a small upward bias and the Wilson interval is nominal
+    only.
     """
     # refused before any pool exists: _in_order submits ``workers`` blocks at once
     if not 1 <= as_index("workers", workers) <= MAX_WORKERS:
@@ -236,24 +245,20 @@ def estimate_point(
     backend = backend if backend is not None else get_backend()
     params = cfg.point_params(point_index)
     trials = cfg.trials_per_point
-    blocks = [
-        (b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE))
-        for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    ]
+    blocks = range(-(-trials // BLOCK_SIZE))
 
-    def run(block) -> int:
-        b, n = block
+    def run(b: int) -> int:
         gen = block_generator(cfg.master_seed, point_index, b)
-        return backend.run_block(params, gen, n)
+        return backend.run_block(params, gen, min(BLOCK_SIZE, trials - b * BLOCK_SIZE))
 
     failures = 0
-    used_trials = 0
     with contextlib.closing(_in_order(run, blocks, workers)) as per_block:
-        for (b, n), f in zip(blocks, per_block):
+        for b, f in zip(blocks, per_block):
             failures += f
-            used_trials += n
             if cfg.max_failures_stop is not None and failures >= cfg.max_failures_stop:
                 break
+    # blocks 0..b ran: all of them full but the point's last
+    used_trials = min(trials, (b + 1) * BLOCK_SIZE)
     low, high = wilson_interval(failures, used_trials)
     return PointEstimate(
         protocol=cfg.protocol,
@@ -321,15 +326,15 @@ def sweep(
     beyond the grid, raises ``ValueError`` naming its line before anything is
     computed or written.  Returns the points computed.
     """
-    points = [(cfg.protocol, cfg.analog, cfg.cycles, level, sigma) for _, level, sigma in cfg.points()]
+    count = len(cfg.levels) * len(cfg.sigma_total_grid)
     done = sink.rows if sink is not None else []
     for index, row in enumerate(done):
         have = (row.protocol, row.analog, row.cycles, row.level, row.sigma_total)
-        if index >= len(points) or have != points[index]:
+        if index >= count or have != (cfg.protocol, cfg.analog, cfg.cycles, *cfg.point(index)):
             raise ValueError(f"{sink.path}: line {index + 2}: row {have} is not point {index} of "
-                             f"the sweep's {len(points)} points; use a new output directory")
+                             f"the sweep's {count} points; use a new output directory")
     results = []
-    for point_index in range(len(done), len(points)):
+    for point_index in range(len(done), count):
         est = estimate_point(cfg, point_index, workers=workers, backend=backend)
         if sink is not None:
             sink.write(est)
@@ -491,6 +496,7 @@ def write_manifest(path, cfg: SweepConfig, backend_name: str, workers: int) -> N
         "workers": workers,
         "created_unix": time.time(),
     }
+    # serialized first: a value JSON refuses leaves no cut file behind
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

@@ -82,7 +82,7 @@ class ProtocolConfig:
         if self.protocol not in ("conventional", "tracking"):
             raise ValueError(f"unknown protocol kind {self.protocol!r}")
         for name in ("level", "cycles"):
-            as_index(name, getattr(self, name))
+            object.__setattr__(self, name, as_index(name, getattr(self, name)))
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
         if self.level > MAX_LEVEL:

@@ -452,24 +452,20 @@ def _records(params: ProtocolConfig, normals):
         out = records.reshape(n, cycles, trials).transpose(1, 0, 2) if conventional else records
         np.multiply(z.reshape(cycles, n, trials), sigma, out=out)
     else:
+        # each pass is one operation of a scalar trial, in its order, over all cycles:
+        # record c adds what correction c - 1 left to its channel deviation, then c measures it
         recorded = z[:-n].reshape(cycles - 1, n, 3, trials)
-        ancilla = _buffer("a", (2, n, trials))
-        dev = None  # data deviation left by the last correction
-        for cycle in range(cycles - 1):
-            measured = np.multiply(recorded[cycle, :, 0], sigma, out=records[cycle])
-            if dev is not None:
-                measured += dev
-            a1 = np.multiply(recorded[cycle, :, 1], sigma_ancilla, out=ancilla[0])
-            a2 = np.multiply(recorded[cycle, :, 2], sigma_ancilla, out=ancilla[1])
-            if params.quadrature == "q":
-                measured += a1
-                measured += a2
-                dev = np.negative(a2, out=a2)
-            else:
-                np.subtract(a1, measured, out=measured)
-                dev = np.subtract(a1, a2, out=a1)
+        np.multiply(recorded[:, :, 0], sigma, out=records[:-1])
         np.multiply(z[-n:], sigma, out=records[-1])
-        records[-1] += dev
+        a1, a2 = np.multiply(recorded[:, :, 1:].transpose(2, 0, 1, 3), sigma_ancilla,
+                             out=_buffer("a", (2, cycles - 1, n, trials)))
+        if params.quadrature == "q":
+            records[1:] -= a2
+            records[:-1] += a1
+            records[:-1] += a2
+        else:
+            records[1:] += np.subtract(a1, a2, out=a2)
+            np.subtract(a1, records[:-1], out=records[:-1])
     # a digital chunk replays no trial: its indices take its own normals' memory
     # (the other normals buffer may be filling)
     indices = _bin(records, None if params.analog else normals)

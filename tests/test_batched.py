@@ -255,11 +255,15 @@ CHUNK_CONFIGS = TIE_HEAVY + [
     (ProtocolConfig("conventional", True, 2, 6, 0.5), 100),
     # tie coins across the five cycles of each trial
     (ProtocolConfig("conventional", False, 1, 5, 0.55), 600),
+    # four noisy-ancilla corrections a trial, in q and in p
+    (ProtocolConfig("tracking", True, 1, 5, 0.45, 0.12, "q"), 100),
+    (ProtocolConfig("tracking", True, 1, 5, 0.45, 0.12, "p"), 100),
 ]
 
 
 # analog and digital chunk normals; 4,096 also split CHUNK_CONFIGS' analog
-# block (72 normals a trial) into two chunks and its digital ones into 9, 6, 2 and 3
+# blocks (72 and 52 normals a trial) into two chunks each and its digital
+# ones into 9, 6, 2 and 3
 @pytest.mark.parametrize("chunk_draws", [
     pytest.param((size, size), id=str(size)) for size in (1, 7, 4096)
 ] + [pytest.param((pure.CHUNK_DRAWS, pure.DIGITAL_CHUNK_DRAWS), id=str(pure.CHUNK_DRAWS))])

@@ -105,9 +105,10 @@ class TestRun:
         # doubles lose the bit at this sigma, and analog records leave their bin
         (("--protocol", "conventional", "--analog", "on", "--cycles", "1", "--sigma-total", "1e300:1e300:1"),
          "sigma_cycle must be <= 100.0, got 1e+300"),
+        (("--trials", "137438953473"), "trials_per_point must be <= 137438953472 (2**37), got 137438953473"),
     ], ids=["cycles-1", "cycles-0", "trials-0", "levels-0", "stop-0", "stop-negative",
             "conventional-ancilla", "seed-negative", "seed-2**64", "conventional-p", "p-perfect-ancillas",
-            "ancilla-huge", "sigma-huge"])
+            "ancilla-huge", "sigma-huge", "trials-2**37+1"])
     def test_refused_config_exits_2(self, tmp_path, capsys, flags, message):
         """A value the config refuses exits 2 with the config's message, before anything is written."""
         out = tmp_path / "r"

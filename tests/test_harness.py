@@ -6,6 +6,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,19 @@ class TestEstimatePoint:
                                  max_failures_stop=np.int64(10**6))
         assert estimate_point(numpy_ints, 0) == estimate_point(SweepConfig(**fields, levels=(2,), master_seed=7), 0)
 
+    def test_stopped_point_lists_no_blocks(self):
+        """A point of 1e10 trials that stops at block 0 returns holding no per-block list."""
+        cfg = one_point("tracking", False, 2, 1, 1.0, 10**10, master_seed=4, max_failures_stop=1)
+        tracemalloc.start()
+        try:
+            est = estimate_point(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (est.trials, est.failures > 0) == (BLOCK_SIZE, True)
+        # a list of the point's 1,220,704 blocks alone took some 100 MB
+        assert peak < 16 * 2**20
+
 
 class TestBlockScheduling:
     """The stop is decided in block order, and no block is started past it."""
@@ -360,6 +374,17 @@ class TestSweep:
         (tmp_path / "m.json").write_text(json.dumps(payload))
         check_resume(tmp_path / "m.json", tmp_path / "results.csv", cfg)
 
+    def test_manifest_of_numpy_integers(self, tmp_path):
+        """A config made of numpy integers stores ints: its manifest is whole, and resumes the equal config."""
+        fields = dict(protocol="tracking", analog=False, sigma_total_grid=(1.0,), quadrature="p", sigma_ancilla=0.1)
+        numpy_ints = SweepConfig(**fields, cycles=np.int64(2), levels=(np.int64(1), np.int32(2)),
+                                 trials_per_point=np.int64(10), master_seed=np.uint64(7),
+                                 max_failures_stop=np.int64(3))
+        write_manifest(tmp_path / "m.json", numpy_ints, "pure", 1)
+        check_resume(tmp_path / "m.json", tmp_path / "results.csv",
+                     SweepConfig(**fields, cycles=2, levels=(1, 2), trials_per_point=10, master_seed=7,
+                                 max_failures_stop=3))
+
     def test_manifest_config_is_every_field(self, tmp_path):
         """Every config field reaches the manifest, and a resume compares each of them."""
         cfg = one_point("tracking", True, 3, 2, 1.2, 10, master_seed=1, max_failures_stop=5,
@@ -406,6 +431,8 @@ class TestSweep:
         (dict(levels=(1, 2.0)), "level must be an integer, got 2.0"),
         (dict(trials_per_point=10.0), "trials_per_point must be an integer, got 10.0"),
         (dict(max_failures_stop=5.0), "max_failures_stop must be an integer, got 5.0"),
+        # block 2**24 of a point would have no Philox key
+        (dict(trials_per_point=2**37 + 1), "trials_per_point must be <= 137438953472 (2**37), got 137438953473"),
     ])
     def test_every_point_validated(self, fields, message):
         """A config any of whose points a kernel would refuse, or with two equal points, is refused when it is made."""
