@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .kernels import STREAM_VERSION, ProtocolConfig, as_index, get_backend
+from .kernels import STREAM_VERSION, ProtocolConfig, as_bool, as_index, as_real, get_backend
 
 #: trials per block, part of the stream contract: a block's counts depend on its size
 BLOCK_SIZE = 8192
@@ -133,10 +133,12 @@ class SweepConfig:
     sigma_ancilla: float = 0.0
 
     def __post_init__(self) -> None:
-        # stored as int, so a numpy integer never reaches manifest.json
-        for name in ("cycles", "trials_per_point", "master_seed"):
-            object.__setattr__(self, name, as_index(name, getattr(self, name)))
+        # stored as Python values, so a numpy value never reaches manifest.json
+        for name, convert in (("analog", as_bool), ("cycles", as_index), ("trials_per_point", as_index),
+                              ("master_seed", as_index), ("sigma_ancilla", as_real)):
+            object.__setattr__(self, name, convert(name, getattr(self, name)))
         object.__setattr__(self, "levels", tuple(as_index("level", level) for level in self.levels))
+        object.__setattr__(self, "sigma_total_grid", tuple(as_real("sigma_total", x) for x in self.sigma_total_grid))
         if self.max_failures_stop is not None:
             object.__setattr__(self, "max_failures_stop", as_index("max_failures_stop", self.max_failures_stop))
         # each point is one (level, sigma_total): no two may be equal

@@ -23,6 +23,7 @@ from the block's generator between the normals.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -50,6 +51,20 @@ def as_index(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a float64 ``float``, bit for bit; what is no real number raises ``ValueError`` naming ``name``."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def as_bool(name: str, value) -> bool:
+    """``value``, a ``bool`` or a numpy bool, as a ``bool``; anything else raises ``ValueError`` naming ``name``."""
+    if not (isinstance(value, bool) or getattr(value, "dtype", None) == bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 @dataclass(frozen=True)
@@ -81,8 +96,9 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.protocol not in ("conventional", "tracking"):
             raise ValueError(f"unknown protocol kind {self.protocol!r}")
-        for name in ("level", "cycles"):
-            object.__setattr__(self, name, as_index(name, getattr(self, name)))
+        for name, convert in (("analog", as_bool), ("level", as_index), ("cycles", as_index),
+                              ("sigma_cycle", as_real), ("sigma_ancilla", as_real)):
+            object.__setattr__(self, name, convert(name, getattr(self, name)))
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
         if self.level > MAX_LEVEL:

@@ -16,22 +16,24 @@ tracking cycles, by the ancilla normals ``a1`` and ``a2`` when the ancilla
 sigma is above zero.
 
 Layout.  :func:`_records` forms the bits and binned records of every decode,
-and :func:`_leaf_likelihoods` their scaled likelihoods.  A tracking trial is
-one decode of ``cycles`` records per qubit; a conventional cycle is a decode
-of one record per qubit, so a conventional chunk decodes ``cycles * trials``
-columns in ``(cycle, trial)`` order.  The records read the chunk's ``(trial,
-draw)`` normals through a transposed view in their first multiply, so every
-later array is leaf-major: the records are one preallocated ``(record, leaf,
-decode)`` array, and a per-qubit quantity a contiguous ``(leaf, decode)``
-block.  Every pass runs over the decode axis; the decode gathers and reduces
-on the leading axes only.  Binning and the recorded deviations take a scalar
-trial's IEEE operations in its order (:func:`_bin`), so the measured bits
-and the records are bitwise a scalar trial's values.  No bin feeds back into
-a deviation, so a chunk forms every record first and bins them in one pass.
-With perfect ancillas (in q: the config refuses p there) a record is its
-normal times ``sigma_cycle``, one multiply per chunk; the scalar adds of
-``0.0`` are left out, as they change no bin and no ``|record|``.  A qubit's
-bit is the parity of its summed lattice indices.
+:func:`_leaf_likelihoods` their scaled likelihoods, and :func:`_decide`
+decides them in stages: :func:`_c4_tables`, :func:`_fold` and
+:func:`_first_pair`.  A tracking trial is one decode of ``cycles`` records
+per qubit; a conventional cycle is a decode of one record per qubit, so a
+conventional chunk decodes ``cycles * trials`` columns in ``(cycle, trial)``
+order.  The records read the chunk's ``(trial, draw)`` normals through a
+transposed view in their first multiply, so every later array is leaf-major:
+the records are one preallocated ``(record, leaf, decode)`` array, and a
+per-qubit quantity a contiguous ``(leaf, decode)`` block.  Every pass runs
+over the decode axis; the decode gathers and reduces on the leading axes
+only.  Binning and the recorded deviations take a scalar trial's IEEE
+operations in its order (:func:`_bin`), so the measured bits and the records
+are bitwise a scalar trial's values.  No bin feeds back into a deviation, so
+a chunk forms every record first and bins them in one pass.  With perfect
+ancillas (in q: the config refuses p there) a record is its normal times
+``sigma_cycle``, one multiply per chunk; the scalar adds of ``0.0`` are left
+out, as they change no bin and no ``|record|``.  A qubit's bit is the parity
+of its summed lattice indices.
 
 Chunks.  A block runs in as few equal chunks as fit its normals:
 :data:`CHUNK_DRAWS` analog, :data:`DIGITAL_CHUNK_DRAWS` digital (one chunk
@@ -66,27 +68,24 @@ above them each chunk folds its own distinct triples in one batch, and drops
 those tables with the chunk.  A decoder never changes once made, so one
 serves every block of a config that the same backend runs, on any thread.
 
-Analog decodes compute the likelihoods, the parity convolution, the C4
-tables, the C6 folds and the first-bit decision over the whole chunk in the
-scaled probability domain, with no log-add-exp, which costs some thirty
-multiplies in numpy.  A leaf carries scaled match and flip likelihoods: 1 and
-``rho = exp(l_flip - l_match)``, which is
-``exp((2 sqrt(pi) a - pi) / (2 sigma^2))`` for a binned deviation ``a`` and
-lies in ``[0, 1]`` on the bin range, up to rounding.  A decode's log scale is
-the sum of its leaves' match log densities, taken from the sum of squares:
-``-(sum a^2) / (2 sigma^2) - K log(sigma sqrt(2 pi))`` over its ``K``
-records (:func:`_flip_ratios`).  The parity convolution starts from the
-first record's ``(1, rho)`` and takes each later record as ``even, odd =
-even + odd * rho, even * rho + odd``, so a one-record decode's leaf is its
-record's pair.  C4 classes are sums of
-products of the leaf factors' pair products, C6 folds sums of products.  Each
-level's tables are divided by their peaks, whose logs join the decode's
-scale, so ``l0 = log(t00 + t01) + scale`` and ``l1 = log(t10 + t11) + scale``
-are the scalar decoder's log-domain values.
+Analog decodes run over the whole chunk in the scaled probability domain,
+with no log-add-exp, at some thirty multiplies in numpy.  A record's scaled
+match and flip likelihoods are 1 and ``rho = exp(l_flip - l_match)``, which
+is ``exp((2 sqrt(pi) a - pi) / (2 sigma^2))`` for a binned deviation ``a``
+and lies in ``[0, 1]`` on the bin range, up to rounding.  A leaf's are the
+parity convolution of its records', ``even, odd = even + odd * rho, even *
+rho + odd`` for each record after the first, and a decode's log scale is the
+sum of its records' match log densities (``protocols._analog_pair``),
+``-(sum a^2) / (2 sigma^2) - K log(sigma sqrt(2 pi))``
+(:func:`_leaf_likelihoods`).  C4 tables (:func:`_c4_tables`) and C6 folds
+(:func:`_fold`) are sums of products.  Each level's tables are divided by
+their peaks, whose logs join the decode's scale (:func:`_divide_by_peaks`),
+so ``l0 = log(t00 + t01) + scale`` and ``l1 = log(t10 + t11) + scale`` are
+the scalar decoder's log-domain values (:func:`_first_pair`).
 
 These values may differ from the scalar ``math`` results in the last bits,
-some 1e-15 relative to the log-domain magnitudes.  Only the sign of
-``l1 - l0`` matters, so a decode is sure when its gap is above
+some 1e-15 relative to the log-domain magnitudes.  Only the sign of ``l1 -
+l0`` matters, so a decode is sure when its gap is above
 :data:`TIE_TOLERANCE` relative to ``1 + |l0| + |l1|``, six orders of
 magnitude above that rounding, or when exactly one of ``t00 + t01`` and
 ``t10 + t11`` underflowed to zero: the other is at least 1 after the
@@ -95,16 +94,15 @@ domain loses more than rounding: a product that underflows moves a table
 entry by up to 1e-323 divided by the peaks it is divided by afterwards.
 While the product of every level's smallest peak stays above 1e-250
 (``_LOG_FLOOR``), that moves a top entry by less than some 1e-73 times 12
-per level; a decode below the floor is not sure.  A decode that is not
-sure, or that holds a record outside the bin range (``|a| > sqrt(pi)/2``
-after rounding, which the scalar decision refuses, flagged per decode),
-makes its trial replay: the chunk gathers each replayed trial's bits and
-binned records from its one :func:`_records` pass, as nothing writes over
-them (the flip ratios go into a buffer of their own), and
+per level; a decode below the floor is not sure.  A decode that is not sure,
+or that holds a record outside the bin range (``|a| > sqrt(pi)/2`` after
+rounding, which the scalar decision refuses, flagged per decode), makes its
+trial replay: the chunk gathers each replayed trial's bits and binned
+records from its one :func:`_records` pass, as nothing writes over them, and
 :func:`run_trial` decides each such trial's decodes again, in cycle order,
 by the scalar :func:`gkptrack.protocols.decide`.  So every decision equals
-the scalar decoder's, and every error it raises is raised.  Replays are
-rare except at the extremes: near-ties at very high noise (tracking L3 at
+the scalar decoder's, and every error it raises is raised.  Replays are rare
+except at the extremes: near-ties at very high noise (tracking L3 at
 ``sigma_cycle`` 1.5 replays every trial), and flip ratios that underflow in
 odd-parity blocks (tracking at ``sigma_cycle`` 0.005 with ancilla sigma 0.3
 replays 23-93% of its trials from L1 to L3).
@@ -199,11 +197,8 @@ def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> i
     """
     coins = coin_generator(generator)
     n = block_size(params.level)
-    if params.protocol == "conventional":
-        # teleportation consumes fresh perfect ancillas: no ancilla draws
-        draws = params.cycles * n
-    else:
-        draws = (params.cycles - 1) * n * (3 if params.sigma_ancilla > 0.0 else 1) + n
+    # ancilla normals only with ancilla noise, which the conventional protocol refuses
+    draws = (params.cycles - 1) * n * (3 if params.sigma_ancilla > 0.0 else 1) + n
     if not params.analog and decoder is None:
         decoder = DigitalDecoder(params)
     # as few equal chunks as fit the chunk's normals
@@ -424,17 +419,14 @@ def _records(params: ProtocolConfig, normals):
 
     ``normals`` holds the trials' normals, ``(trial, draw)``, read through
     their transpose; a digital chunk overwrites them with its lattice
-    indices, and gets no records.  A conventional cycle is a decode of one
-    record per qubit, so conventional trials give ``cycles * trials``
-    decodes, in ``(cycle, trial)`` order; a tracking trial is one decode of
-    ``cycles`` records per qubit.  A recorded tracking cycle is one
-    single-qubit correction: with ``d`` a qubit's deviation after the
-    channel and ``a1``, ``a2`` its two ancillas' deviations, it records ``a2
-    + (d + a1)`` and leaves ``-a2`` in q, and records ``a1 - d`` and leaves
-    ``a1 - a2`` in p.  No bin feeds back into a deviation, so every record
-    is formed first and all are binned at once.  A qubit's bit is the parity
-    of its lattice indices summed over its records: its measured bit XOR the
-    flips its corrections made.
+    indices, and gets no records.  Conventional trials give ``cycles *
+    trials`` decodes, in ``(cycle, trial)`` order, tracking trials one each.
+    A recorded tracking cycle is one single-qubit correction: with ``d`` a
+    qubit's deviation after the channel and ``a1``, ``a2`` its two ancillas'
+    deviations, it records ``a2 + (d + a1)`` and leaves ``-a2`` in q, and
+    records ``a1 - d`` and leaves ``a1 - a2`` in p.  A qubit's bit is the
+    parity of its lattice indices summed over its records: its measured bit
+    XOR the flips its corrections made.
     """
     z = normals.T
     trials = z.shape[1]
@@ -478,56 +470,51 @@ def _records(params: ProtocolConfig, normals):
 
 
 def _leaf_likelihoods(records, sigma: float):
-    """Per-decode log scale, scaled match and flip likelihoods of every leaf, and the range flag of :func:`_flip_ratios`.
+    """Per-decode log scale, scaled match and flip likelihoods of every leaf, and per-decode range flag.
 
-    ``records`` holds binned records, ``(record, leaf, decode)``, and is
-    left as it is, for a replay to read.  A leaf's likelihoods are the
-    parity convolution of its records' scaled ``(match, flip)`` pairs ``(1,
-    rho)``: the scaled probabilities of an even and an odd count of flips.
-    """
-    scale, outside, rho = _flip_ratios(records.reshape(-1, records.shape[-1]), sigma)
-    rho = rho.reshape(records.shape)
-    even, odd = 1.0, rho[0]
-    for record in range(1, len(rho)):
-        even, odd = even + odd * rho[record], even * rho[record] + odd
-    return scale, even, odd, outside
-
-
-def _flip_ratios(record, sigma: float):
-    """Per-decode log scale and range flag, and the flip/match ratio of every record.
-
-    ``record`` holds binned deviations, ``(record, decode)``, and is left
-    as it is.  The ratios ``exp(l_flip - l_match)``, which are
-    ``exp((2 sqrt(pi) a - pi) / (2 sigma^2))`` for ``a = |record|``, go
-    into the buffer :func:`_bin` takes its quotients in, free once binning
-    ends.  The scale is the sum of the records' match log densities
-    (``protocols._analog_pair``), ``-(sum a^2) / (2 sigma^2) - K log(sigma
-    sqrt(2 pi))``; it moves ``1 + |l0| + |l1|`` by some 1e-16 relative and
-    never the sign of ``l1 - l0``.  The flag marks decodes with a record
-    outside the bin range, or not a number, which the scalar code refuses.
+    ``records``, binned ``(record, leaf, decode)``, is left as it is, for a
+    replay to read; the flip ratios go into the buffer :func:`_bin` takes
+    its quotients in, free once binning ends.  The scale moves ``1 + |l0| +
+    |l1|`` by some 1e-16 relative, never the sign of ``l1 - l0``.  The flag
+    marks decodes with a record outside the bin range, or NaN, which the
+    scalar code refuses.
     """
     # sigma * sigma, unlike sigma**2, overflows to inf without raising, so at
     # any sigma the range flag sends a refused record to the scalar's error
     variance = sigma * sigma
-    a = np.abs(record, out=_buffer("t", record.shape))
+    a = np.abs(records, out=_buffer("t", records.shape)).reshape(-1, records.shape[-1])
     outside = ~(np.maximum.reduce(a, axis=0) <= HALF_SQRT_PI)
     scale = np.einsum("ij,ij->j", a, a)
     scale *= -0.5 / variance
     scale -= a.shape[0] * math.log(sigma * math.sqrt(2.0 * math.pi))
     a *= SQRT_PI / variance
     a -= np.pi / (2.0 * variance)
-    return scale, outside, np.exp(a, out=a)
+    rho = np.exp(a, out=a).reshape(records.shape)
+    even, odd = 1.0, rho[0]
+    for record in range(1, len(rho)):
+        even, odd = even + odd * rho[record], even * rho[record] + odd
+    return scale, even, odd, outside
 
 
 def _decide(bits, scale, match, flip):
-    """First-pair bits of a batch of analog decodes, and which are not sure (module docstring).
+    """First-pair bits of a batch of analog decodes, and which are not sure: the stages in turn.
 
-    Arrays are ``(leaf, row)``: one column per decode, leaves in
-    :func:`gkptrack.codes.decode` order; ``scale`` holds one log scale per
-    row.  A leaf's likelihoods are ``exp(scale) * match`` that its bit is
-    right and ``exp(scale) * flip`` that it is flipped; ``match`` may be the
-    scalar 1.0.
+    Arrays are ``(leaf, row)``, one column per decode, leaves in
+    :func:`gkptrack.codes.decode` order, with one log ``scale`` per row.  A
+    leaf's likelihoods are ``exp(scale) * match`` that its bit is right and
+    ``exp(scale) * flip`` that it is flipped; ``match`` may be the scalar 1.0.
     """
+    tables = _c4_tables(bits, match, flip)
+    least = 0.0  # log of the product of every level's smallest peak
+    while True:
+        scale, least = _divide_by_peaks(tables, scale, least)
+        if tables.shape[1] == 1:
+            return _first_pair(tables, scale, least)
+        tables = _fold(tables)
+
+
+def _c4_tables(bits, match, flip):
+    """C4 class sums of every block, ``(class, block, row)``, of the decodes :func:`_decide` takes."""
     rows = bits.shape[1]
     # each leaf's scaled likelihood under a codeword bit of 0, then of 1
     x = np.where(bits == _BIT_VALUES, match, flip)
@@ -536,23 +523,28 @@ def _decide(bits, scale, match, flip):
     p12 = (x[:, None, 0::4] * x[None, :, 1::4]).reshape(4, -1, rows)
     p34 = (x[:, None, 2::4] * x[None, :, 3::4]).reshape(4, -1, rows)
     del x
-    # C4 class sums of the products of their two words: (class, block, row)
-    tables = np.add.reduce((p12[_C4_LEFT] * p34[_C4_RIGHT]).reshape(4, 2, -1, rows), axis=1)
-    least = 0.0  # log of the product of every level's smallest peak
-    while True:
-        # each table divided by its largest entry; the logs go into the scale
-        peak = np.maximum.reduce(tables, axis=0)
-        log_peak = np.log(peak)
-        scale = scale + np.add.reduce(log_peak, axis=0)
-        least = least + np.minimum.reduce(log_peak, axis=0)
-        tables /= peak
-        if tables.shape[1] == 1:
-            break
-        # C6 folds of the three sub-blocks' tables: (class, word, block, row)
-        words = tables[C6_SLOTS[0], 0::3] * tables[C6_SLOTS[1], 1::3] * tables[C6_SLOTS[2], 2::3]
-        tables = np.add.reduce(words.reshape(4, 4, -1, rows), axis=1)
+    return np.add.reduce((p12[_C4_LEFT] * p34[_C4_RIGHT]).reshape(4, 2, -1, rows), axis=1)
+
+
+def _divide_by_peaks(tables, scale, least):
+    """Divide tables by their peaks, in place; ``scale`` gains each row's summed log peaks and ``least`` their least."""
+    peak = np.maximum.reduce(tables, axis=0)
+    log_peak = np.log(peak)
+    tables /= peak
+    return scale + np.add.reduce(log_peak, axis=0), least + np.minimum.reduce(log_peak, axis=0)
+
+
+def _fold(tables):
+    """The next level's class sums: C6 folds of each three consecutive blocks' ``(class, block, row)`` tables."""
+    # the products of the three sub-blocks' entries of each word: (class, word, block, row)
+    words = tables[C6_SLOTS[0], 0::3] * tables[C6_SLOTS[1], 1::3] * tables[C6_SLOTS[2], 2::3]
+    return np.add.reduce(words.reshape(4, 4, -1, tables.shape[2]), axis=1)
+
+
+def _first_pair(tables, scale, least):
+    """First-pair bits of top ``(class, 1, row)`` tables of log scale ``scale``, and which are not sure."""
     # the first-bit sums t00 + t01 and t10 + t11
-    sums = np.add.reduce(tables[:, 0].reshape(2, 2, rows), axis=1)
+    sums = np.add.reduce(tables[:, 0].reshape(2, 2, tables.shape[2]), axis=1)
     l0, l1 = np.log(sums) + scale
     # a sum that underflowed to zero lies below the other, at least 1, by far
     # more than any rounding: a sure decision though its log is -inf

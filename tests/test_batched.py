@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from gkptrack import codes, protocols
+from gkptrack.gkp import LikelihoodPair
 from gkptrack.kernels import MAX_SIGMA, ProtocolConfig, PureBackend, pure
 import oracle
 
@@ -364,7 +365,7 @@ def test_c4_tables_by_match_counts(protocol, sigma):
     assert len(set(pure._C4_FIRST)) == 5
 
 
-def test_floor_on_table_peaks():
+def test_floor_on_table_peaks(monkeypatch):
     """A decode whose table peaks multiply to less than 1e-250 is not sure, however clear its gap."""
     # two decodes, one column each; odd parity: every word disagrees somewhere
     bits = np.array([[0, 0, 0, 1]] * 2).T
@@ -373,6 +374,76 @@ def test_floor_on_table_peaks():
     first, unsure = pure._decide(bits, np.zeros(2), 1.0, flip)
     assert first.tolist() == [False, False]
     assert unsure.tolist() == [True, False]
+    # L2 decodes whose every level's smallest peak lies above the floor, but
+    # not their product: the floor holds across the stages
+    rng = np.random.default_rng(26)
+    bits = rng.integers(0, 2, (12, 20_000))
+    flip = 10.0 ** rng.uniform(-300, -100, bits.shape)
+    # underflowed products and peaks are the point here, as in run_block
+    with np.errstate(divide="ignore"):
+        c4 = pure._c4_tables(bits, 1.0, flip)
+        c4_least = np.log(c4.max(axis=0)).min(axis=0)
+        l2_least = np.log(pure._fold(c4 / c4.max(axis=0)).max(axis=0)[0])
+        below = (np.minimum(c4_least, l2_least) > pure._LOG_FLOOR) & (c4_least + l2_least < pure._LOG_FLOOR)
+        decodes = (bits[:, below], np.zeros(np.count_nonzero(below)), 1.0, flip[:, below])
+        assert len(decodes[1]) > 2_000
+        assert pure._decide(*decodes)[1].all()
+        # without the floor, each of them is sure
+        monkeypatch.setattr(pure, "_LOG_FLOOR", -np.inf)
+        assert not pure._decide(*decodes)[1].any()
+
+
+@pytest.mark.parametrize("scalar_match", [False, True], ids=["match", "match-1"])
+def test_c4_stage_matches_scalar_tables(scalar_match):
+    """The log of each C4 table, plus its leaves' scales, is the scalar block table."""
+    rng = np.random.default_rng(40)
+    bits = rng.integers(0, 2, (12, 300))
+    match = 1.0 if scalar_match else rng.uniform(0.5, 1.0, bits.shape)
+    flip = 10.0 ** rng.uniform(-30, 0, bits.shape)
+    scale = rng.uniform(-20, -1, bits.shape)
+    tables = np.log(pure._c4_tables(bits, match, flip))
+    assert tables.shape == (4, 3, 300)
+    for row in range(bits.shape[1]):
+        for block in range(3):
+            leaves = slice(4 * block, 4 * block + 4)
+            l_match = np.log(np.broadcast_to(match, bits.shape)[leaves, row]) + scale[leaves, row]
+            l_flip = np.log(flip[leaves, row]) + scale[leaves, row]
+            expected = codes.block_pair_likelihoods(codes.c4_table(), bits[leaves, row].tolist(),
+                                                    [LikelihoodPair(*pair) for pair in zip(l_match, l_flip)])
+            np.testing.assert_allclose(tables[:, block, row] + scale[leaves, row].sum(), expected, rtol=1e-12)
+
+
+def test_fold_stage_matches_scalar_fold():
+    """A fold of peak-divided tables, with the peaks' logs added back, is the scalar fold."""
+    rng = np.random.default_rng(41)
+    log_tables = rng.uniform(-80, -5, (4, 3, 300))
+    tables = np.exp(log_tables)
+    scale, least = pure._divide_by_peaks(tables, np.zeros(300), 0.0)
+    assert (tables.max(axis=0) == 1.0).all()
+    folded = np.log(pure._fold(tables))
+    assert folded.shape == (4, 1, 300)
+    for row in range(300):
+        expected = codes.c6_level_up([tuple(log_tables[:, block, row].tolist()) for block in range(3)])
+        np.testing.assert_allclose(folded[:, 0, row] + scale[row], expected, rtol=1e-12)
+
+
+def test_first_pair_stage_agrees_with_scalar_where_sure():
+    """Where the first-pair stage is sure, it decides as ``codes.first_bit``; ties and floored decodes are not sure."""
+    rng = np.random.default_rng(42)
+    rows = np.arange(2_000)
+    log_tables = rng.uniform(-40, -5, (4, 1, len(rows)))
+    # exact ties; and first-bit-1 sums that underflow, a sure 0
+    log_tables[2:, :, rows % 4 == 1] = log_tables[:2, :, rows % 4 == 1]
+    log_tables[2:, :, rows % 4 == 2] = -800.0
+    log_scale = rng.uniform(-50, 0, len(rows))
+    tables = np.exp(log_tables)
+    scale, least = pure._divide_by_peaks(tables, log_scale, 0.0)
+    with np.errstate(divide="ignore"):
+        first, unsure = pure._first_pair(tables, scale, np.where(rows % 4 == 3, pure._LOG_FLOOR - 1.0, least))
+    assert unsure[rows % 4 == 1].all() and unsure[rows % 4 == 3].all()
+    assert not unsure[rows % 2 == 0].any()
+    for row in np.flatnonzero(~unsure):
+        assert first[row] == codes.first_bit((log_tables[:, 0, row] + log_scale[row]).tolist())
 
 
 SHARED_DECODER_CONFIGS = [

@@ -32,7 +32,7 @@ from gkptrack.harness import (
     wilson_interval,
     write_manifest,
 )
-from gkptrack.kernels import STREAM_VERSION
+from gkptrack.kernels import STREAM_VERSION, ProtocolConfig
 
 
 class RiggedBackend:
@@ -385,6 +385,20 @@ class TestSweep:
                      SweepConfig(**fields, cycles=2, levels=(1, 2), trials_per_point=10, master_seed=7,
                                  max_failures_stop=3))
 
+    def test_manifest_of_numpy_floats_and_bools(self, tmp_path):
+        """A config of numpy floats and bools stores Python values: its manifest resumes the equal config."""
+        fields = dict(protocol="tracking", cycles=2, levels=(1, 2), trials_per_point=10, master_seed=7,
+                      quadrature="p")
+        numpy_values = SweepConfig(**fields, analog=np.bool_(True), sigma_ancilla=np.float32(0.125),
+                                   sigma_total_grid=(np.float32(0.5), np.float64(0.9)))
+        write_manifest(tmp_path / "m.json", numpy_values, "pure", 1)
+        check_resume(tmp_path / "m.json", tmp_path / "results.csv",
+                     SweepConfig(**fields, analog=True, sigma_ancilla=0.125, sigma_total_grid=(0.5, 0.9)))
+        # the kernel computes in float64, not at a float32 sigma
+        params = numpy_values.point_params(3)
+        assert list(map(type, (params.analog, params.sigma_cycle, params.sigma_ancilla))) == [bool, float, float]
+        assert params == ProtocolConfig("tracking", True, 2, 2, 0.45, 0.125, "p")
+
     def test_manifest_config_is_every_field(self, tmp_path):
         """Every config field reaches the manifest, and a resume compares each of them."""
         cfg = one_point("tracking", True, 3, 2, 1.2, 10, master_seed=1, max_failures_stop=5,
@@ -433,6 +447,10 @@ class TestSweep:
         (dict(max_failures_stop=5.0), "max_failures_stop must be an integer, got 5.0"),
         # block 2**24 of a point would have no Philox key
         (dict(trials_per_point=2**37 + 1), "trials_per_point must be <= 137438953472 (2**37), got 137438953473"),
+        # a string sigma raised a bare TypeError, and the truthy "off" ran analog
+        (dict(sigma_total_grid=(0.5, "0.6")), "sigma_total must be a real number, got '0.6'"),
+        (dict(sigma_ancilla="0.1"), "sigma_ancilla must be a real number, got '0.1'"),
+        (dict(analog="off"), "analog must be a bool, got 'off'"),
     ])
     def test_every_point_validated(self, fields, message):
         """A config any of whose points a kernel would refuse, or with two equal points, is refused when it is made."""

@@ -58,6 +58,9 @@ INVALID_INPUTS = [
     (dict(level=1.0), "level must be an integer, got 1.0"),
     (dict(cycles=2.5), "cycles must be an integer, got 2.5"),
     (dict(protocol="conventional", cycles="2"), "cycles must be an integer, got '2'"),
+    # a string sigma raised a bare TypeError, and the truthy "off" ran analog
+    (dict(sigma_cycle="0.5"), "sigma_cycle must be a real number, got '0.5'"),
+    (dict(analog="off"), "analog must be a bool, got 'off'"),
 ]
 
 
