@@ -10,8 +10,9 @@ Subcommands::
 ``run`` builds one :class:`gkptrack.harness.SweepConfig` from its flags and
 hands it to :func:`gkptrack.harness.sweep`.  The config is the one place a
 setting is refused: an invalid value exits 2 with its message before anything
-is written.  The parser refuses only what it cannot read, or ``--workers``
-below 1 or above :data:`gkptrack.harness.MAX_WORKERS`.  One output
+is written.  The parser refuses only what it cannot read, ``--workers``
+below 1 or above :data:`gkptrack.harness.MAX_WORKERS`, or a ``--levels``
+range of more than :data:`gkptrack.kernels.MAX_LEVEL` levels.  One output
 directory holds one sweep: ``run`` into a directory whose manifest records
 another configuration, or whose rows are not the sweep's first points,
 exits 2 and changes nothing there.  ``plot`` draws several sweeps from
@@ -27,8 +28,8 @@ import math
 import os
 import sys
 
-from . import harness, resources, svgplot
-from .kernels import get_backend
+from . import harness
+from .kernels import MAX_LEVEL, get_backend
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,15 +73,16 @@ def _parse_sigma_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
+    """``--levels`` as a list or an inclusive range; a range of over :data:`gkptrack.kernels.MAX_LEVEL` levels is refused unbuilt."""
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            levels = tuple(range(int(lo), int(hi) + 1))
-        else:
-            levels = tuple(int(part) for part in text.split(","))
+        if ".." not in text:
+            return tuple(int(part) for part in text.split(","))
+        lo, hi = map(int, text.split(".."))
     except ValueError:
         raise _UsageError(f"--levels expects e.g. '1,2,3' or '1..5', got {text!r}")
-    return levels
+    if hi - lo + 1 > MAX_LEVEL:
+        raise _UsageError(f"--levels {text} spans {hi - lo + 1} levels, more than {MAX_LEVEL}")
+    return tuple(range(lo, hi + 1))
 
 
 def _parse_workers(text: str) -> int:
@@ -189,6 +191,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_resources(args) -> int:
+    from . import resources
     reports = resources.table(args.cycles, args.levels)
     header = f"{'n':>3} {'l':>3} {'conventional':>14} {'tracking':>10} {'saved':>10} {'rate %':>7}"
     print(header)
@@ -206,6 +209,7 @@ def _cmd_resources(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import svgplot
     sweeps = {}
     for path in args.infiles:
         sweeps[path] = harness.read_results(path)
@@ -229,15 +233,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "threshold":
-            return _cmd_threshold(args)
-        if args.command == "resources":
-            return _cmd_resources(args)
-        if args.command == "plot":
-            return _cmd_plot(args)
-        raise RuntimeError(f"unhandled command {args.command}")
+        # the parser admits these commands alone
+        commands = {"run": _cmd_run, "threshold": _cmd_threshold, "resources": _cmd_resources, "plot": _cmd_plot}
+        return commands[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

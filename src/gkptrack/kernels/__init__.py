@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import threading
 from dataclasses import dataclass
 
 _QUADRATURES = ("q", "p")
@@ -126,34 +125,16 @@ class ProtocolConfig:
 class PureBackend:
     """The kernel's interface: blocks run by :func:`gkptrack.kernels.pure.run_block`.
 
-    A backend keeps one :class:`gkptrack.kernels.pure.DigitalDecoder` per
-    digital config it runs, for its lifetime, so the blocks of a point share
-    the tables it folds whole when made (C4, L2 and L3).  ``gkptrack run``
-    builds one backend per run.
+    It holds no state.  The digital decoder a block needs comes from
+    :func:`gkptrack.kernels.pure.digital_decoder`, one per process.
     """
 
     name = "pure"
 
-    def __init__(self) -> None:
-        self._decoders = {}
-        self._lock = threading.Lock()
-
     def run_block(self, params: ProtocolConfig, generator, trials: int) -> int:
         from . import pure
 
-        return pure.run_block(params, generator, trials, self._decoder(params))
-
-    def _decoder(self, params: ProtocolConfig):
-        """The shared decoder of a digital config, else ``None``."""
-        if params.analog:
-            return None
-        from .pure import DigitalDecoder
-
-        with self._lock:
-            decoder = self._decoders.get(params)
-            if decoder is None:
-                decoder = self._decoders[params] = DigitalDecoder(params)
-        return decoder
+        return pure.run_block(params, generator, trials)
 
 
 def compiled_available() -> bool:

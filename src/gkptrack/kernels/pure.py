@@ -66,7 +66,7 @@ it ties exactly where the scalar decoder does.  The levels whose triples fit
 :data:`_DENSE_KEYS` (L2 and L3) are folded whole when the decoder is made;
 above them each chunk folds its own distinct triples in one batch, and drops
 those tables with the chunk.  A decoder never changes once made, so one
-serves every block of a config that the same backend runs, on any thread.
+serves every block of its config on any thread (:func:`digital_decoder`).
 
 Analog decodes run over the whole chunk in the scaled probability domain,
 with no log-add-exp, at some thirty multiplies in numpy.  A record's scaled
@@ -187,20 +187,18 @@ def coin_generator(generator) -> np.random.Generator:
     return np.random.Generator(generator.bit_generator.jumped())
 
 
-def run_block(params: ProtocolConfig, generator, trials: int, decoder=None) -> int:
+def run_block(params: ProtocolConfig, generator, trials: int) -> int:
     """Run ``trials`` trials off one generator; returns their failure count.
 
     Tie coins come from the block's :func:`coin_generator`.  A digital
-    config decodes on ``decoder``, a :class:`DigitalDecoder` of ``params``,
-    or on a new one when it is ``None``.  A block of more than one chunk
-    draws its normals on a helper thread (:func:`_pipelined`).
+    config decodes on :func:`digital_decoder`'s decoder.  A block of more
+    than one chunk draws its normals on a helper thread (:func:`_pipelined`).
     """
     coins = coin_generator(generator)
     n = block_size(params.level)
     # ancilla normals only with ancilla noise, which the conventional protocol refuses
     draws = (params.cycles - 1) * n * (3 if params.sigma_ancilla > 0.0 else 1) + n
-    if not params.analog and decoder is None:
-        decoder = DigitalDecoder(params)
+    decoder = None if params.analog else digital_decoder(params)
     # as few equal chunks as fit the chunk's normals
     chunks = max(1, -(-trials // max(1, (CHUNK_DRAWS if params.analog else DIGITAL_CHUNK_DRAWS) // draws)))
     chunk = max(1, -(-trials // chunks))
@@ -327,6 +325,24 @@ def _buffer(name: str, shape, dtype=np.float64):
     return np.ndarray(shape, dtype, buffer)
 
 
+# the decoder of the last digital config a block ran, and the lock that builds it
+_decoder = None
+_decoder_lock = threading.Lock()
+
+
+def digital_decoder(params: ProtocolConfig) -> DigitalDecoder:
+    """The :class:`DigitalDecoder` of ``params``: the one kept, or a new one that replaces it.
+
+    A sweep's blocks in flight share one point, so its threads build one
+    decoder, and no earlier point's decoder stays alive.
+    """
+    global _decoder
+    with _decoder_lock:
+        if _decoder is None or _decoder.params != params:
+            _decoder = DigitalDecoder(params)
+        return _decoder
+
+
 class DigitalDecoder:
     """Exact first-pair bits of a digital config's decodes, from numbered tables; it never changes once made.
 
@@ -338,6 +354,7 @@ class DigitalDecoder:
     """
 
     def __init__(self, params: ProtocolConfig) -> None:
+        self.params = params
         pair = protocols.digital_pair(params)
         tables = {first: codes.block_pair_likelihoods(c4_table(), _C4_PATTERNS[first], [pair] * 4)
                   for first in set(_C4_FIRST)}

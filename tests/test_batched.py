@@ -9,19 +9,21 @@ one coin generator per block, ``Generator(bit_generator.jumped())``.
 """
 
 import copy
+import gc
 import itertools
 import re
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from gkptrack import codes, protocols
+from gkptrack import codes, harness, protocols
 from gkptrack.gkp import LikelihoodPair
-from gkptrack.kernels import MAX_SIGMA, ProtocolConfig, PureBackend, pure
+from gkptrack.kernels import MAX_SIGMA, ProtocolConfig, get_backend, pure
 import oracle
 
 
@@ -201,7 +203,7 @@ def test_routing(monkeypatch):
 
 
 def test_loaded_lazily():
-    """Importing the CLI and resolving the kernel loads neither the kernel module nor the plot's XML escape."""
+    """Importing the CLI and resolving the kernel loads no kernel, plot or resources module, and no XML escape."""
     code = ("import sys, gkptrack.cli\n"
             "from gkptrack.kernels import get_backend\n"
             "get_backend()\n"
@@ -210,6 +212,8 @@ def test_loaded_lazily():
                             check=True, timeout=60).stdout.split()
     assert "gkptrack.cli" in loaded
     assert "gkptrack.kernels.pure" not in loaded
+    # loaded by their commands alone: they pull in fractions, decimal and csv
+    assert "gkptrack.svgplot" not in loaded and "gkptrack.resources" not in loaded
     # xml.sax.saxutils would load urllib.request at every start
     assert "urllib.request" not in loaded
 
@@ -308,6 +312,25 @@ def test_digital_decoder_interns_exact_tables():
     assert first.tolist()[0] is False and tie.tolist() == [False, True, False]
 
 
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """An empty digital-decoder slot, so a test that counts folds or builds sees its own decoder's; restored after."""
+    monkeypatch.setattr(pure, "_decoder", None)
+
+
+def _track_builds(monkeypatch):
+    """Weak references to every :class:`~gkptrack.kernels.pure.DigitalDecoder` made from here on, in build order."""
+    built = []
+    init = pure.DigitalDecoder.__init__
+
+    def tracked_init(self, params):
+        init(self, params)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(pure.DigitalDecoder, "__init__", tracked_init)
+    return built
+
+
 def _count_folds(monkeypatch):
     """The sub-table count of each batch folded by ``codes.c6_level_up_rows``."""
     folded = []
@@ -321,7 +344,7 @@ def _count_folds(monkeypatch):
     return folded
 
 
-def test_unkeyed_fold_matches(monkeypatch):
+def test_unkeyed_fold_matches(monkeypatch, empty_slot):
     """A level too big to fold whole, over a level folded whole, gives the same decisions."""
     params, trials = CHUNK_CONFIGS[2]
     folded = _count_folds(monkeypatch)
@@ -333,7 +356,7 @@ def test_unkeyed_fold_matches(monkeypatch):
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "keyed"])
-def test_dense_fold_matches_keyed(monkeypatch, dense):
+def test_dense_fold_matches_keyed(monkeypatch, empty_slot, dense):
     """Levels folded whole and read by key decide as levels folded per chunk."""
     params = CHUNK_CONFIGS[2][0]
     folded = _count_folds(monkeypatch)
@@ -471,18 +494,26 @@ def run_blocks(run_block, params, blocks, trials):
     return out
 
 
+def fresh_block(params, generator, trials):
+    """``pure.run_block`` on a decoder made for this block alone; the slot is left as it was."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pure, "_decoder", None)
+        return pure.run_block(params, generator, trials)
+
+
 @pytest.mark.parametrize("params", SHARED_DECODER_CONFIGS)
-def test_shared_decoder_matches_fresh(params):
-    """A backend's decoder, shared by the blocks of a point, decides as a fresh one per block."""
-    backend = PureBackend()
-    shared = run_blocks(backend.run_block, params, 4, 700)
-    assert shared == run_blocks(pure.run_block, params, 4, 700)
-    (decoder,) = backend._decoders.values()
-    assert backend._decoder(params) is decoder
+def test_shared_decoder_matches_fresh(monkeypatch, empty_slot, params):
+    """The slot's decoder, shared by the blocks of a point, decides as a fresh one per block."""
+    built = _track_builds(monkeypatch)
+    shared = run_blocks(get_backend().run_block, params, 4, 700)
+    (decoder,) = built
+    assert pure.digital_decoder(params) is decoder()
+    assert shared == run_blocks(fresh_block, params, 4, 700)
+    assert len(built) == 5
 
 
-def test_shared_decoder_under_threads():
-    """Threads decoding L4 chunks on one shared decoder at once change no count and no generator state."""
+def test_shared_decoder_under_threads(monkeypatch):
+    """Threads racing over L4 chunks build one decoder, and change no count and no generator state."""
     params = ProtocolConfig("tracking", False, 4, 2, 0.47, 0.1, "q")
     made = {}
     coin_generator = pure.coin_generator
@@ -496,19 +527,23 @@ def test_shared_decoder_under_threads():
         counts = run_block(params, gen, 100)
         return counts, plain(gen.bit_generator.state), plain(made[gen].bit_generator.state)
 
+    built = _track_builds(monkeypatch)
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pure, "coin_generator", kept_coin_generator)
-        expected = [block(pure.run_block, b) for b in range(6)]
+        expected = [block(fresh_block, b) for b in range(6)]
         sys.setswitchinterval(1e-6)
         try:
-            # each round races six threads over the L4 chunks of a new backend
+            # each round races six threads over the L4 chunks from an empty slot
             for _ in range(4):
-                backend = PureBackend()
+                patch.setattr(pure, "_decoder", None)
+                built.clear()
                 with ThreadPoolExecutor(max_workers=6) as pool:
-                    futures = [pool.submit(block, backend.run_block, b) for b in range(6)]
+                    futures = [pool.submit(block, pure.run_block, b) for b in range(6)]
                     assert [future.result(timeout=120) for future in futures] == expected
-                (decoder,) = backend._decoders.values()
+                (decoder,) = built
+                decoder = decoder()
+                assert pure.digital_decoder(params) is decoder
                 # L2 and L3 are folded whole, L4 chunk by chunk
                 assert len(decoder._tables) == 3 and decoder._first_bits is None
         finally:
@@ -516,18 +551,34 @@ def test_shared_decoder_under_threads():
 
 
 def test_decoder_never_changes():
-    """L4 blocks on one backend leave every array of its decoder as it was made."""
+    """L4 blocks leave every array of the slot's decoder as it was made."""
     params = ProtocolConfig("conventional", False, 4, 1, 0.55)
-    backend = PureBackend()
-    decoder = backend._decoder(params)
+    decoder = pure.digital_decoder(params)
 
     def arrays():
         return copy.deepcopy((decoder._c4, decoder._tables, decoder._by_key, decoder._first_bits))
 
     made = arrays()
     for b in range(4):
-        backend.run_block(params, make_gen(80 + b), 300)
+        pure.run_block(params, make_gen(80 + b), 300)
+    assert pure.digital_decoder(params) is decoder
     np.testing.assert_equal(arrays(), made)
+
+
+def test_one_decoder_alive_after_each_point(monkeypatch, empty_slot):
+    """A digital sweep builds one decoder a point, on two workers, and keeps none of an earlier point's."""
+    built = _track_builds(monkeypatch)
+    cfg = harness.SweepConfig(protocol="tracking", analog=False, cycles=2, sigma_total_grid=(0.8, 0.9, 1.0),
+                              levels=(2,), trials_per_point=harness.BLOCK_SIZE + 300, master_seed=3)
+    alive = []
+
+    def progress(est):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in built))
+
+    # one backend for the whole sweep, as ``gkptrack run`` passes
+    harness.sweep(cfg, workers=2, backend=get_backend(), progress=progress)
+    assert len(built) == 3 and alive == [1, 1, 1]
 
 
 class FixedNormals:

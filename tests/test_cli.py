@@ -9,6 +9,7 @@ import pytest
 
 from gkptrack import cli, harness
 from gkptrack.cli import MAX_GRID_POINTS, main
+from gkptrack.kernels import MAX_LEVEL
 
 
 def run_cli(*argv):
@@ -221,6 +222,15 @@ class TestRun:
                        "--seed", "1", "--out", str(out)) == code
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_oversized_level_range_is_usage_error(self, tmp_path, capsys):
+        """A ``--levels`` range of more than MAX_LEVEL levels is refused while parsing, before it is built."""
+        out = tmp_path / "r"
+        assert run_cli("run", "--protocol", "tracking", "--analog", "off", "--cycles", "2",
+                       "--levels", "1..11", "--sigma-total", "1.0:1.0:1", "--trials", "10",
+                       "--seed", "1", "--out", str(out)) == 1
+        assert f"spans 11 levels, more than {MAX_LEVEL}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("levels,grid,message", [
         ("1,1", "0.5:0.5:1", "levels must be distinct"),
