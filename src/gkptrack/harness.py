@@ -35,9 +35,10 @@ import contextlib
 import json
 import math
 import os
+import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -47,8 +48,8 @@ from .kernels import STREAM_VERSION, ProtocolConfig, as_bool, as_index, as_real,
 
 #: trials per block, part of the stream contract: a block's counts depend on its size
 BLOCK_SIZE = 8192
-#: most ``workers`` a run takes, ``ThreadPoolExecutor``'s own default cap; each
-#: worker's block of more than one chunk adds a helper thread
+#: most ``workers`` a run takes, ``ThreadPoolExecutor``'s own default cap; with
+#: several, each worker's block of more than one chunk adds a helper thread
 MAX_WORKERS = 32
 _Z95 = 1.959963984540054
 
@@ -182,30 +183,124 @@ class SweepConfig:
         return self.levels[level], self.sigma_total_grid[sigma]
 
 
-def _in_order(fn, items, workers: int):
-    """Yield ``fn(item)`` for each item, in item order.
+def _check_workers(workers) -> None:
+    # refused before any pool exists: a point submits ``workers`` blocks at once
+    if not 1 <= as_index("workers", workers) <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
 
-    With several workers and items, calls run on a thread pool with at most
-    ``workers`` of them in flight; the next item is submitted only when the
-    consumer asks for the next result.  Closing the generator early cancels
-    the calls that have not started and waits for the running ones.
-    """
-    if workers <= 1 or len(items) <= 1:
-        yield from map(fn, items)
+
+# the run of the sweep running on each thread
+_runs = threading.local()
+
+
+@contextlib.contextmanager
+def _run(cfg: SweepConfig, stop: int, workers: int):
+    """The run of the sweep running ``cfg`` on this thread, or a new one of the points below ``stop``, closed on exit."""
+    outer = getattr(_runs, "run", None)
+    if outer is not None and outer.cfg is cfg and outer.workers == workers:
+        yield outer
         return
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        window = deque(ex.submit(fn, item) for item in items[:workers])
+    with _Run(cfg, stop, workers) as run:
+        _runs.run = run
         try:
-            for item in items[workers:]:
+            yield run
+        finally:
+            _runs.run = outer
+
+
+class _Run:
+    """What the points of one sweep, or one point alone, share on the thread that runs them; a context manager.
+
+    With one worker the blocks run on this thread, in point and block order,
+    on the kernel's normals pipeline, which asks :meth:`ahead` for the block
+    after each; with several, one thread pool, made for the first point of
+    more than one block, runs the blocks of every point.
+    """
+
+    def __init__(self, cfg: SweepConfig, stop: int, workers: int) -> None:
+        self.cfg = cfg
+        self.workers = workers
+        self._stop = stop
+        # a point's blocks
+        self.blocks = -(-cfg.trials_per_point // BLOCK_SIZE)
+        # the pipeline or the pool, closed on exit
+        self._stack = contextlib.ExitStack()
+        self._pool = None
+        # with one worker: the block running, and the one made ahead, ((point, block), generator)
+        self._running = None
+        self._made = None
+
+    def __enter__(self) -> _Run:
+        if self.workers == 1:
+            # loaded here: importing the command line loads no kernel
+            from .kernels import pure
+
+            self._stack.enter_context(pure.pipeline(self.ahead))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stack.close()
+
+    def trials(self, block: int) -> int:
+        """Trials of block ``block`` of a point: all but the last are full."""
+        return min(BLOCK_SIZE, self.cfg.trials_per_point - block * BLOCK_SIZE)
+
+    def generator(self, point: int, block: int) -> np.random.Generator:
+        """The generator of block ``block`` of point ``point``: the one :meth:`ahead` made, if it made it."""
+        if self.workers > 1:
+            # the pool's threads make their blocks' generators, and none is made ahead
+            return block_generator(self.cfg.master_seed, point, block)
+        made, self._made = self._made, None
+        self._running = (point, block)
+        if made is not None and made[0] == (point, block):
+            return made[1]
+        return block_generator(self.cfg.master_seed, point, block)
+
+    def ahead(self):
+        """``(params, generator, trials)`` of the block after the running one, if it is certain to run; else ``None``.
+
+        Without an early stop the next block always runs.  With one, the
+        running block may stop its point, so only the next point's first
+        block is certain, and only once the running block is its point's last.
+        """
+        point, block = self._running
+        if block + 1 < self.blocks and self.cfg.max_failures_stop is None:
+            block += 1
+        elif block + 1 == self.blocks and point + 1 < self._stop:
+            point, block = point + 1, 0
+        else:
+            return None
+        generator = block_generator(self.cfg.master_seed, point, block)
+        self._made = ((point, block), generator)
+        return self.cfg.point_params(point), generator, self.trials(block)
+
+    def in_order(self, fn, items):
+        """Yield ``fn(item)`` for each item, in item order.
+
+        With several workers and items, calls run on the pool with at most
+        ``workers`` of them in flight; the next item is submitted only when the
+        consumer asks for the next result.  Closing the generator early cancels
+        the calls that have not started and waits for the running ones.
+        """
+        if self.workers <= 1 or len(items) <= 1:
+            yield from map(fn, items)
+            return
+        if self._pool is None:
+            self._pool = self._stack.enter_context(ThreadPoolExecutor(max_workers=self.workers))
+        window = deque(self._pool.submit(fn, item) for item in items[:self.workers])
+        try:
+            for item in items[self.workers:]:
                 yield window.popleft().result()
-                window.append(ex.submit(fn, item))
+                window.append(self._pool.submit(fn, item))
             while window:
                 yield window.popleft().result()
         finally:
             # the results, or errors, of calls past an early close are never
-            # read, as with one worker, where those calls never run
+            # read, as with one worker, where those calls never run; a point
+            # ends with its last block, so the blocks in flight share a point
             for future in window:
                 future.cancel()
+            wait(window)
 
 
 def estimate_point(
@@ -221,12 +316,16 @@ def estimate_point(
     an index outside the sweep; its trials, seed and early stop are
     ``cfg``'s.  Deterministic for a fixed ``(cfg.master_seed, point_index)``
     regardless of ``workers``, which defaults to one thread; ``workers``
-    outside 1 to :data:`MAX_WORKERS` raises ``ValueError``.  The kernel's
+    outside 1 to :data:`MAX_WORKERS` raises ``ValueError``.  Called by
+    :func:`sweep` on its thread, the point runs in the sweep's run: with one
+    worker on the sweep's normals pipeline, which draws each block's normals
+    while the block before decodes, across points too; with several on the
+    sweep's thread pool.  Alone, the point makes its own.  The kernel's
     batched path releases the GIL only inside numpy calls on small chunks,
-    and a block of more than one chunk runs a helper thread of its own: on a
-    2-core VM two workers ran a point's 8,192-trial blocks at 0.63-0.83x the
-    speed of one on tracking analog L2 and L3, and at 1.2x on conventional
-    digital L2 (3 cycles).
+    and with several workers each block of more than one chunk runs a helper
+    thread of its own: on a 2-core VM two workers ran a point's 8,192-trial
+    blocks at 0.63-0.83x the speed of one on tracking analog L2 and L3, and
+    at 1.2x on conventional digital L2 (3 cycles).
     ``cfg.max_failures_stop`` ends the run after the first block, in block
     order, at which the cumulative failure count reaches the threshold; that
     block is scheduling-independent, so the estimate is too.
@@ -235,32 +334,31 @@ def estimate_point(
     Blocks are submitted in order with at most ``workers`` in flight and none
     is submitted once the stop is reached, so at most ``workers - 1`` blocks
     past the stopping block are computed (and discarded); the blocks are a
-    ``range``, so a stop at block 0 costs one block at any trial count.
+    ``range``, so a stop at block 0 costs one block at any trial count.  With
+    one worker no block past the stop is drawn either: the pipeline draws a
+    block ahead only once the block before it did not stop its point.
     ``p_fail = k / n`` is taken over whole blocks; under this data-dependent
     stop it carries a small upward bias and the Wilson interval is nominal
     only.
     """
-    # refused before any pool exists: _in_order submits ``workers`` blocks at once
-    if not 1 <= as_index("workers", workers) <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    _check_workers(workers)
     level, sigma_total = cfg.point(point_index)
     backend = backend if backend is not None else get_backend()
     params = cfg.point_params(point_index)
-    trials = cfg.trials_per_point
-    blocks = range(-(-trials // BLOCK_SIZE))
-
-    def run(b: int) -> int:
-        gen = block_generator(cfg.master_seed, point_index, b)
-        return backend.run_block(params, gen, min(BLOCK_SIZE, trials - b * BLOCK_SIZE))
-
     failures = 0
-    with contextlib.closing(_in_order(run, blocks, workers)) as per_block:
-        for b, f in zip(blocks, per_block):
-            failures += f
-            if cfg.max_failures_stop is not None and failures >= cfg.max_failures_stop:
-                break
+    with _run(cfg, point_index + 1, workers) as run:
+        blocks = range(run.blocks)
+
+        def block(b: int) -> int:
+            return backend.run_block(params, run.generator(point_index, b), run.trials(b))
+
+        with contextlib.closing(run.in_order(block, blocks)) as per_block:
+            for b, f in zip(blocks, per_block):
+                failures += f
+                if cfg.max_failures_stop is not None and failures >= cfg.max_failures_stop:
+                    break
     # blocks 0..b ran: all of them full but the point's last
-    used_trials = min(trials, (b + 1) * BLOCK_SIZE)
+    used_trials = min(cfg.trials_per_point, (b + 1) * BLOCK_SIZE)
     low, high = wilson_interval(failures, used_trials)
     return PointEstimate(
         protocol=cfg.protocol,
@@ -335,14 +433,16 @@ def sweep(
         if index >= count or have != (cfg.protocol, cfg.analog, cfg.cycles, *cfg.point(index)):
             raise ValueError(f"{sink.path}: line {index + 2}: row {have} is not point {index} of "
                              f"the sweep's {count} points; use a new output directory")
+    _check_workers(workers)
     results = []
-    for point_index in range(len(done), count):
-        est = estimate_point(cfg, point_index, workers=workers, backend=backend)
-        if sink is not None:
-            sink.write(est)
-        if progress is not None:
-            progress(est)
-        results.append(est)
+    with _run(cfg, count, workers):
+        for point_index in range(len(done), count):
+            est = estimate_point(cfg, point_index, workers=workers, backend=backend)
+            if sink is not None:
+                sink.write(est)
+            if progress is not None:
+                progress(est)
+            results.append(est)
     return results
 
 

@@ -43,14 +43,19 @@ the quotients' buffer, once binning ends) live in buffers that each thread
 keeps and reuses (:func:`_buffer`), so a chunk takes no fresh pages; the
 normals are drawn into theirs by ``standard_normal(out=)``.
 A digital chunk keeps no record, so it bins its records in place, and its
-lattice indices go into its own normals' memory.  A block of more than one
-chunk (a tracking analog block of 8,192 trials runs 8 at L1 and 25 at L2)
-is a two-stage pipeline (:func:`_pipelined`): a helper thread, started and
-joined by the block, draws the next chunk's normals while this one
-decodes.  It fills the other of two normals buffers of the block's thread,
-and only a buffer the decoder has released; ``standard_normal`` fills
-without holding the GIL, so the two overlap.  A one-chunk block draws
-inline and starts no thread.
+lattice indices go into its own normals' memory.  Blocks run on a
+two-stage pipeline (:class:`Normals`): a helper thread draws the next
+chunk's normals while this one decodes, into the other of two normals
+buffers, and only into a buffer the decoder has released;
+``standard_normal`` fills without holding the GIL, so the two overlap.  A
+one-worker sweep keeps one pipeline, and so one helper, for its whole run
+(:func:`pipeline`): the helper draws every chunk of every block in decode
+order, and while a block's last chunk decodes it draws the first of the
+next block the sweep is certain to run, in the point or the next point.  A
+block run alone, or on a ``--workers`` thread, feeds a pipeline of its own
+its chunks: one of more than one chunk (a tracking analog block of 8,192
+trials runs 8 at L1 and 25 at L2) starts a helper and joins it before it
+returns, and a one-chunk block draws on its own thread and starts none.
 
 Digital decodes are exact.  Every leaf of a digital decode carries the same
 likelihood pair, :func:`gkptrack.protocols.digital_pair`, so a C4 block's
@@ -111,20 +116,24 @@ Tie coins come from the block's coin generator in trial order (stream
 contract in :mod:`gkptrack.kernels`).  A chunk's digital ties take one
 ``random`` call, in (trial, cycle) order; an analog decode that ties exactly
 is one the scalar replay decides, and replays run in (trial, cycle) order,
-on the bits and records gathered from the chunk's one pass.  During
-a block one thread alone reads the noise generator, in chunk order: the
-block's thread, or in a pipelined block its helper; only the block's
-thread reads the coin generator.  So the count and the final states of both
-generators equal the scalar loop's, whatever the chunk size and whether the
-block is pipelined.
+on the bits and records gathered from the chunk's one pass.  A block's
+coin generator is taken when the block is queued on its pipeline, before
+any normal is drawn.  After that one thread alone reads the noise
+generator, in chunk order: the pipeline's helper, or the block's thread
+while the pipeline has none; only the block's thread reads the coin
+generator.  So the count and the final states of both generators equal the
+scalar loop's, whatever the chunk size and whichever block the helper
+draws for.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import queue
 import threading
+from collections import deque
 
 import numpy as np
 
@@ -191,68 +200,159 @@ def run_block(params: ProtocolConfig, generator, trials: int) -> int:
     """Run ``trials`` trials off one generator; returns their failure count.
 
     Tie coins come from the block's :func:`coin_generator`.  A digital
-    config decodes on :func:`digital_decoder`'s decoder.  A block of more
-    than one chunk draws its normals on a helper thread (:func:`_pipelined`).
+    config decodes on :func:`digital_decoder`'s decoder.  The block runs on
+    the :class:`Normals` pipeline of the sweep running on this thread
+    (:func:`pipeline`), or, outside one, on a pipeline of its own.
     """
-    coins = coin_generator(generator)
-    n = block_size(params.level)
-    # ancilla normals only with ancilla noise, which the conventional protocol refuses
-    draws = (params.cycles - 1) * n * (3 if params.sigma_ancilla > 0.0 else 1) + n
-    decoder = None if params.analog else digital_decoder(params)
-    # as few equal chunks as fit the chunk's normals
-    chunks = max(1, -(-trials // max(1, (CHUNK_DRAWS if params.analog else DIGITAL_CHUNK_DRAWS) // draws)))
-    chunk = max(1, -(-trials // chunks))
-    sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
-    # underflowed or non-finite values make an analog decode unsure, not an error
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if len(sizes) == 1:
-            z = generator.standard_normal(out=_buffer("z", (trials, draws)))
-            return _run_chunk(params, z, coins, decoder)
-        return _pipelined(params, generator, coins, decoder, draws, sizes)
+    normals = getattr(_pipelines, "normals", None)
+    if normals is not None:
+        return normals.run(params, generator, trials)
+    with Normals() as normals:
+        return normals.run(params, generator, trials)
 
 
-def _pipelined(params, generator, coins, decoder, draws, sizes) -> int:
-    """Failure count of a block's chunks of ``sizes`` trials, each chunk's normals drawn while the one before decodes.
+# the normals pipeline of the sweep running on each thread
+_pipelines = threading.local()
 
-    A helper thread, started and joined here, draws every chunk's normals in
-    chunk order, alternating between two buffers of this thread; it fills a
-    buffer only once the decoder has released it.  ``standard_normal`` fills
-    without holding the GIL, so the draws overlap the decode.  During the
-    block only the helper reads ``generator``, so the stream is the one a
-    single thread draws.
-    """
-    # buffers the decoder has released, and None when the block ends
-    free = queue.SimpleQueue()
-    for name in ("z", "z_next"):
-        free.put(_buffer(name, (sizes[0], draws)))
-    # each chunk's normals in chunk order, or the exception that stopped the helper
-    drawn = queue.SimpleQueue()
 
-    def draw():
+@contextlib.contextmanager
+def pipeline(ahead):
+    """Run this thread's blocks on one :class:`Normals` until the context ends; ``ahead`` names the block after each."""
+    outer = getattr(_pipelines, "normals", None)
+    with Normals(ahead) as normals:
+        _pipelines.normals = normals
         try:
-            for size in sizes:
-                buffer = free.get()
+            yield normals
+        finally:
+            _pipelines.normals = outer
+
+
+class Normals:
+    """Blocks run in order, each chunk's normals drawn while the chunk before it decodes: a two-stage pipeline.
+
+    A helper thread draws the queued chunks' normals in queue order,
+    alternating between two buffers, and fills a buffer only once the
+    decoder has released it; ``standard_normal`` fills without holding the
+    GIL, so the draws overlap the decode.  The helper starts when a chunk is
+    wanted and another is queued behind it, and lives until :meth:`close`; a
+    lone chunk is drawn on the decoding thread.  :meth:`run` queues its
+    block, unless it is the one queued, and then the block ``ahead()`` names
+    (``(params, generator, trials)``, or ``None``), which is drawn while this
+    one decodes; ``ahead`` must name only a block certain to run next.  A
+    block's coin generator is taken when it is queued, before any draw, and
+    during a block only the helper, or the decoding thread while there is
+    none, reads its generator, so the stream is the one a single thread
+    draws.  The buffers are the thread's: the next pipeline on it reuses
+    them.
+    """
+
+    def __init__(self, ahead=None) -> None:
+        self._ahead = ahead
+        # queued blocks not yet run: (params, generator, trials, coins, sizes)
+        self._queued = deque()
+        # chunks queued but not yet decoded, and the helper that draws them
+        self._waiting = 0
+        self._helper = None
+        # chunks to draw, (generator, size, draws), then None when the pipeline closes
+        self._chunks = queue.SimpleQueue()
+        # buffers the decoder has released, then None when the pipeline closes
+        self._free = queue.SimpleQueue()
+        # the thread's two buffers, lent to this pipeline until it closes
+        for buffer in getattr(_buffers, "normals", None) or (np.empty(0), np.empty(0)):
+            self._free.put(buffer)
+        _buffers.normals = None
+        # each chunk's (buffer, normals) in chunk order, or the exception that stopped the helper
+        self._drawn = queue.SimpleQueue()
+
+    def __enter__(self) -> Normals:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def run(self, params: ProtocolConfig, generator, trials: int) -> int:
+        """Failure count of a block: :func:`run_block` on this pipeline's normals.
+
+        A block other than the one queued next raises ``RuntimeError``.
+        """
+        if not self._queued:
+            self._queue(params, generator, trials)
+        block = self._queued.popleft()
+        if block[:3] != (params, generator, trials):
+            raise RuntimeError("a block ran out of the order of its sweep's pipeline")
+        following = self._ahead() if self._ahead is not None else None
+        if following is not None:
+            self._queue(*following)
+        coins, sizes = block[3:]
+        decoder = None if params.analog else digital_decoder(params)
+        failures = 0
+        # underflowed or non-finite values make an analog decode unsure, not an error
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in sizes:
+                buffer, z = self._next()
+                failures += _run_chunk(params, z, coins, decoder)
+                self._free.put(buffer)
+        return failures
+
+    def _queue(self, params, generator, trials) -> None:
+        """Queue a block's chunks: as few equal chunks as fit the chunk's normals."""
+        coins = coin_generator(generator)
+        n = block_size(params.level)
+        # ancilla normals only with ancilla noise, which the conventional protocol refuses
+        draws = (params.cycles - 1) * n * (3 if params.sigma_ancilla > 0.0 else 1) + n
+        chunks = max(1, -(-trials // max(1, (CHUNK_DRAWS if params.analog else DIGITAL_CHUNK_DRAWS) // draws)))
+        chunk = max(1, -(-trials // chunks))
+        sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
+        for size in sizes:
+            self._chunks.put((generator, size, draws))
+        self._waiting += len(sizes)
+        self._queued.append((params, generator, trials, coins, sizes))
+
+    def _next(self):
+        """The next chunk's buffer and normals, ``(size, draws)``."""
+        self._waiting -= 1
+        if self._helper is None:
+            if not self._waiting:
+                return _draw(self._free.get(), *self._chunks.get())
+            # joined by close; a daemon, so no fault could keep the interpreter from exiting
+            self._helper = threading.Thread(target=self._draw_ahead, name="gkptrack-normals", daemon=True)
+            self._helper.start()
+        drawn = self._drawn.get()
+        if isinstance(drawn, Exception):
+            raise drawn
+        return drawn
+
+    def _draw_ahead(self) -> None:
+        """The helper: draws each queued chunk into a released buffer until the pipeline closes."""
+        try:
+            while (chunk := self._chunks.get()) is not None:
+                buffer = self._free.get()
                 if buffer is None:
                     return
-                drawn.put(generator.standard_normal(out=buffer[:size]))
+                self._drawn.put(_draw(buffer, *chunk))
         except Exception as error:  # raised on the decoding thread
-            drawn.put(error)
+            self._drawn.put(error)
 
-    # joined below; a daemon, so no fault could keep the interpreter from exiting
-    helper = threading.Thread(target=draw, name="gkptrack-normals", daemon=True)
-    helper.start()
-    try:
-        failures = 0
-        for _ in sizes:
-            z = drawn.get()
-            if isinstance(z, Exception):
-                raise z
-            failures += _run_chunk(params, z, coins, decoder)
-            free.put(z)
-        return failures
-    finally:
-        free.put(None)
-        helper.join()
+    def close(self) -> None:
+        """Stop the helper, once it has drawn what it is drawing, and keep the released buffers for the thread."""
+        if self._helper is not None:
+            self._chunks.put(None)
+            self._free.put(None)
+            self._helper.join()
+        buffers = []
+        while not self._free.empty():
+            buffer = self._free.get()
+            if buffer is not None:
+                buffers.append(buffer)
+        # a buffer that held a chunk when an error stopped the block is replaced
+        _buffers.normals = buffers + [np.empty(0)] * (2 - len(buffers))
+
+
+def _draw(buffer, generator, size: int, draws: int):
+    """``buffer``, or a new one when it is too small, and a chunk's normals drawn into it as ``(size, draws)``."""
+    if buffer.size < size * draws:
+        buffer = np.empty(size * draws)
+    return buffer, generator.standard_normal(out=np.ndarray((size, draws), buffer=buffer))
 
 
 def _run_chunk(params, z, coins, decoder) -> int:

@@ -726,3 +726,140 @@ def test_huge_sigma_raises_scalar_error(protocol):
     with pytest.raises(ValueError, match=re.escape(f"sigma_cycle must be <= {MAX_SIGMA}, got 1e+200")):
         ProtocolConfig(protocol, True, 1, 2, 1e200)
     assert_stream_exact(ProtocolConfig(protocol, True, 1, 2, MAX_SIGMA), 50, 3)
+
+
+class DrawCountingGenerator:
+    """A block's generator that counts the normals drawn from it and records the threads that draw them."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.normals = 0
+        self.threads = set()
+
+    def standard_normal(self, out):
+        self.normals += out.size
+        self.threads.add(threading.current_thread())
+        return self.generator.standard_normal(out=out)
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+
+def counted_blocks(monkeypatch, replace=None):
+    """Every generator a sweep makes, by (point, block), made through ``harness.block_generator``.
+
+    ``replace`` maps a (point, block) to the generator to hand out in place of
+    the block's own.
+    """
+    made = {}
+    block_generator = harness.block_generator
+
+    def counted(master_seed, point, block):
+        own = (replace or {}).get((point, block)) or block_generator(master_seed, point, block)
+        made[point, block] = DrawCountingGenerator(own)
+        return made[point, block]
+
+    monkeypatch.setattr(harness, "block_generator", counted)
+    return made
+
+
+def normals_threads():
+    return [thread for thread in threading.enumerate() if thread.name == "gkptrack-normals"]
+
+
+# tracking digital, 6 blocks a point: L1 points stop at block 0, (L3, 0.8) at
+# block 2 and (L3, 0.85) at block 0
+STOPPING = harness.SweepConfig("tracking", False, 2, (0.8, 0.85), (1, 3), 6 * harness.BLOCK_SIZE, 8,
+                               max_failures_stop=500)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_early_stop_draws_no_discarded_block(monkeypatch, workers):
+    """With one worker a sweep makes and draws only the blocks it decodes; with several, at most workers - 1 more a point."""
+    made = counted_blocks(monkeypatch)
+    results = harness.sweep(STOPPING, workers=workers)
+    assert [est.trials // harness.BLOCK_SIZE for est in results] == [1, 1, 3, 1]
+    decoded = {(point, block) for point, est in enumerate(results)
+               for block in range(est.trials // harness.BLOCK_SIZE)}
+    for point, block in decoded:
+        draws = 2 * codes.block_size(STOPPING.point(point)[0])
+        assert made[point, block].normals == harness.BLOCK_SIZE * draws
+    extra = made.keys() - decoded
+    if workers == 1:
+        assert not extra
+    for point in range(len(results)):
+        assert len([key for key in extra if key[0] == point]) <= workers - 1
+
+
+# tracking analog L1: 8 normals a trial, 8 chunks a block; 2 blocks a point
+HELPED = harness.SweepConfig("tracking", True, 2, (1.9, 2.0, 2.1), (1,), 2 * harness.BLOCK_SIZE, 12)
+
+
+def test_one_helper_per_sweep(monkeypatch):
+    """A one-worker sweep starts one helper, which draws every block's normals and has ended when the sweep returns."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    made = counted_blocks(monkeypatch)
+    before = threading.active_count()
+    expected = [harness.estimate_point(HELPED, point) for point in range(3)]
+    # each point alone starts its own helper
+    assert starts == ["gkptrack-normals"] * 3
+    made.clear()
+    starts.clear()
+    assert harness.sweep(HELPED) == expected
+    assert starts == ["gkptrack-normals"]
+    (helper,) = set.union(*(generator.threads for generator in made.values()))
+    assert len(made) == 6 and helper.name == "gkptrack-normals" and not helper.is_alive()
+    assert threading.active_count() == before
+
+
+class InterruptedBackend:
+    """The kernel, but a ``KeyboardInterrupt`` in place of block ``at``."""
+
+    name = "pure"
+
+    def __init__(self, at):
+        self.at = at
+        self.calls = 0
+
+    def run_block(self, params, generator, trials):
+        self.calls += 1
+        if self.calls == self.at + 1:
+            raise KeyboardInterrupt
+        return get_backend().run_block(params, generator, trials)
+
+
+def test_helper_ends_when_sweep_raises(monkeypatch):
+    """The sweep's helper has ended when a block raises, as an interrupt in the backend or as the kernel's error."""
+    before = threading.active_count()
+    backend = InterruptedBackend(3)
+    with pytest.raises(KeyboardInterrupt):
+        harness.sweep(HELPED, backend=backend)
+    assert backend.calls == 4
+    assert threading.active_count() == before and not normals_threads()
+    # block 3, point 1's second, holds a record outside the bin range
+    made = counted_blocks(monkeypatch, {(1, 1): FixedNormals([OUTSIDE_BIN])})
+    with pytest.raises(ValueError, match="outside the bin range"):
+        harness.sweep(HELPED)
+    # block 4 was queued, certain to run, while block 3 decoded
+    assert sorted(made) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+    (helper,) = set.union(*(generator.threads for generator in made.values()))
+    assert not helper.is_alive()
+    assert threading.active_count() == before and not normals_threads()
+
+
+def test_block_out_of_pipeline_order_raises():
+    """A block other than the one a pipeline queued next is refused, not decoded on that block's normals."""
+    params = ProtocolConfig("tracking", True, 1, 2, 0.5)
+    expected = pure.run_block(params, make_gen(2), 100)
+    with pure.pipeline(lambda: (params, make_gen(1), 100)):
+        assert pure.run_block(params, make_gen(2), 100) == expected
+        with pytest.raises(RuntimeError, match="out of the order"):
+            pure.run_block(params, make_gen(3), 100)
+    assert not normals_threads()

@@ -162,6 +162,26 @@ class TestRun:
         assert run_cli(*base, "--out", str(b), "--workers", "8") == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
+    def test_one_thread_pool_per_sweep(self, tmp_path, monkeypatch):
+        """A --workers 2 sweep of six two-block points makes one thread pool, and writes one worker's bytes."""
+        pools = []
+
+        class CountedPool(harness.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", CountedPool)
+        base = ["run", "--protocol", "tracking", "--analog", "off", "--cycles", "2", "--levels", "1,2",
+                "--sigma-total", "0.8:1.0:0.1", "--trials", "9000", "--seed", "5"]
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert run_cli(*base, "--out", str(one), "--workers", "1") == 0
+        assert pools == []
+        assert run_cli(*base, "--out", str(two), "--workers", "2") == 0
+        assert len(pools) == 1
+        assert len(harness.read_results(two / "results.csv")) == 6
+        assert (one / "results.csv").read_bytes() == (two / "results.csv").read_bytes()
+
     def test_ancilla_noise_round_trip(self, tmp_path, capsys):
         """The ancilla sigma reaches the manifest and the kernel, resumes onto its rows and refuses others."""
         base = ["run", "--protocol", "tracking", "--analog", "on", "--cycles", "3",
