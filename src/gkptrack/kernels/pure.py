@@ -38,10 +38,13 @@ of its summed lattice indices.
 Chunks.  A block runs in as few equal chunks as fit its normals:
 :data:`CHUNK_DRAWS` analog, :data:`DIGITAL_CHUNK_DRAWS` digital (one chunk
 for a 2,048-trial conventional L2 point).  A chunk's normals, its
-records, their bins, its ancilla values and, analog, its flip ratios (in
-the quotients' buffer, once binning ends) live in buffers that each thread
-keeps and reuses (:func:`_buffer`), so a chunk takes no fresh pages; the
-normals are drawn into theirs by ``standard_normal(out=)``.
+records, their bins and its ancilla values live in buffers that each thread
+keeps and reuses (:func:`_buffer`), and so, analog, does every stage's wide
+array: the flip ratios and leaf likelihoods, the C4 stage's take indices,
+leaf values and pair products, the peaks, the fold words and each level's
+tables.  So a warm chunk of any size allocates only per-decode vectors and
+takes no fresh pages; the normals are drawn into theirs by
+``standard_normal(out=)``.
 A digital chunk keeps no record, so it bins its records in place, and its
 lattice indices go into its own normals' memory.  Blocks run on a
 two-stage pipeline (:class:`Normals`): a helper thread draws the next
@@ -54,7 +57,7 @@ order, and while a block's last chunk decodes it draws the first of the
 next block the sweep is certain to run, in the point or the next point.  A
 block run alone, or on a ``--workers`` thread, feeds a pipeline of its own
 its chunks: one of more than one chunk (a tracking analog block of 8,192
-trials runs 8 at L1 and 25 at L2) starts a helper and joins it before it
+trials runs 2 at L1 and 7 at L2) starts a helper and joins it before it
 returns, and a one-chunk block draws on its own thread and starts none.
 
 Digital decodes are exact.  Every leaf of a digital decode carries the same
@@ -142,22 +145,22 @@ from ..codes import C6_SLOTS, PAIR_VALUE, block_size, c4_table
 from ..gkp import HALF_SQRT_PI, SQRT_PI
 from . import ProtocolConfig
 
-#: normals drawn per analog chunk at most.  On tracking analog L1-L3 blocks of
-#: 8,192 trials (2-core VM, numpy 2.4.6, two runs), chunks of 4,096 normals ran
-#: at 0.69-0.79x the speed of this size, 16,384 at 0.79-0.92x and 32,768 at
-#: 0.79-0.85x, before chunks reused their buffers.  With reused buffers and
-#: before the pipeline, the ``tracking-analog`` benchmark sweep (in process,
-#: same VM) ran 16,384 no faster, with some 2,500 minor page faults per sweep
-#: against 1 here, and 32,768 took 2.2 MB more peak RSS for no gain.  With
-#: the pipeline, 16,384 read 0.035-0.043 s a sweep against 0.037-0.053 s here
-#: (five alternated processes each), and this size 7 or 3,020 faults by heap
-#: layout: retune only on alternated perfbench runs.
-CHUNK_DRAWS = 8192
+#: normals drawn per analog chunk at most.  Every analog stage writes its wide
+#: arrays into the thread's reused buffers, so a warm chunk of this size takes
+#: no fresh pages: isolated chunks of 32,768 normals took 0 minor page faults,
+#: against 128 (tracking L1), 192 (tracking L2-L4), 75 (tracking p with
+#: ancilla noise, L2) and 325 (conventional L2, 3 cycles) when the stages
+#: took fresh temporaries above glibc's 128 KB mmap threshold.  Against 8,192
+#: normals on fresh temporaries, ``perfbench/run.py --workload tracking-analog
+#: --seed 21 --seconds 6`` read 1.29M -> 1.67M and 1.05M -> 1.42M trials/s
+#: and 38.8 -> 40.4 MB peak RSS (medians of two sets of 10 alternated pairs,
+#: 20 won; 2-core VM, numpy 2.4.6).
+CHUNK_DRAWS = 32768
 #: normals drawn per digital chunk at most.  Each chunk's decode pays a fixed
 #: cost in numpy calls and fold lookups, and with reused buffers its 1 MB of
 #: normals takes no fresh pages.  Warm 8,192-trial blocks ran 1.3-2.5x faster
-#: at L2-L4 and 1.0-1.5x at tracking L1 than in chunks of CHUNK_DRAWS on fresh
-#: arrays (2-core VM, numpy 2.4.6).
+#: at L2-L4 and 1.0-1.5x at tracking L1 than in chunks of 8,192 normals on
+#: fresh arrays (2-core VM, numpy 2.4.6).
 DIGITAL_CHUNK_DRAWS = 1 << 17
 #: relative gap ``|l1 - l0| / (1 + |l0| + |l1|)`` at or below which the
 #: scalar reference decides an analog trial
@@ -166,11 +169,7 @@ TIE_TOLERANCE = 1e-9
 # which an analog decode may rest on underflowed products: such decodes replay
 _LOG_FLOOR = np.log(1e-250)
 
-# C4 words by class, then word, as indices 2*w1 + w2 and 2*w3 + w4 into the
-# pair products of leaves 1, 2 and of leaves 3, 4
-_C4_LEFT, _C4_RIGHT = np.array([[2 * w[0] + w[1], 2 * w[2] + w[3]]
-                                for ci in range(4) for w in c4_table().codewords[PAIR_VALUE[ci]]]).T
-# a leaf's bit against a codeword bit of 0, then of 1
+# codeword bits 0 and 1, each XORed with a leaf's bit
 _BIT_VALUES = np.arange(2).reshape(2, 1, 1)
 #: :class:`DigitalDecoder`'s first-bit code of a top table that ties exactly
 _TIE = 2
@@ -413,8 +412,11 @@ _buffers = threading.local()
 def _buffer(name: str, shape, dtype=np.float64):
     """This thread's reused buffer ``name`` as a contiguous ``shape`` array; it grows and never shrinks.
 
-    A chunk's arrays live in these buffers, so chunks take no fresh pages,
-    and each ``--workers`` thread has its own.
+    A chunk's wide arrays live in these buffers, so warm chunks take no
+    fresh pages, and each ``--workers`` thread has its own.  An array
+    returned from a stage lives until the thread next writes its buffer: a
+    later stage that names it, at the latest the thread's next chunk.  The
+    analog stages share three: ``"t"``, ``"pair"`` and ``"words"``.
     """
     size = math.prod(shape)
     buffer = getattr(_buffers, name, None)
@@ -423,6 +425,14 @@ def _buffer(name: str, shape, dtype=np.float64):
         buffer = np.empty(size)
         setattr(_buffers, name, buffer)
     return np.ndarray(shape, dtype, buffer)
+
+
+def _arange(size: int):
+    """``np.arange(size)``, a view of this thread's one arange, which grows and never shrinks."""
+    arange = getattr(_buffers, "arange", None)
+    if arange is None or arange.size < size:
+        arange = _buffers.arange = np.arange(size)
+    return arange[:size]
 
 
 # the decoder of the last digital config a block ran, and the lock that builds it
@@ -591,10 +601,12 @@ def _leaf_likelihoods(records, sigma: float):
 
     ``records``, binned ``(record, leaf, decode)``, is left as it is, for a
     replay to read; the flip ratios go into the buffer :func:`_bin` takes
-    its quotients in, free once binning ends.  The scale moves ``1 + |l0| +
-    |l1|`` by some 1e-16 relative, never the sign of ``l1 - l0``.  The flag
-    marks decodes with a record outside the bin range, or NaN, which the
-    scalar code refuses.
+    its quotients in, free once binning ends, and the match and flip
+    likelihoods into slots 0 and 1 of the ``"pair"`` buffer, where
+    :func:`_c4_tables` reads them.  The scale moves ``1 + |l0| + |l1|`` by
+    some 1e-16 relative, never the sign of ``l1 - l0``.  The flag marks
+    decodes with a record outside the bin range, or NaN, which the scalar
+    code refuses.
     """
     # sigma * sigma, unlike sigma**2, overflows to inf without raising, so at
     # any sigma the range flag sends a refused record to the scalar's error
@@ -606,10 +618,31 @@ def _leaf_likelihoods(records, sigma: float):
     scale -= a.shape[0] * math.log(sigma * math.sqrt(2.0 * math.pi))
     a *= SQRT_PI / variance
     a -= np.pi / (2.0 * variance)
+    count = len(records)
+    pair = _buffer("pair", (3 if count > 2 else 2, *records.shape[1:]))
+    if count == 1:
+        pair[0] = 1.0
+        np.exp(a, out=pair[1])
+        return scale, pair[0], pair[1], outside
     rho = np.exp(a, out=a).reshape(records.shape)
-    even, odd = 1.0, rho[0]
-    for record in range(1, len(rho)):
-        even, odd = even + odd * rho[record], even * rho[record] + odd
+    # the parity convolution even, odd = even + odd * rho, even * rho + odd,
+    # from even, odd = 1, rho[0].  Each record after the second writes its
+    # even into the free slot and its odd over the even, so even's slot
+    # steps back by one, mod 3, and starts where it lands in slot 0
+    slots = list(pair)
+    top = (count - 2) % 3
+    even, odd = slots[top], slots[(top + 1) % 3]
+    np.multiply(rho[0], rho[1], out=even)
+    even += 1.0
+    np.add(rho[1], rho[0], out=odd)
+    for record in range(2, count):
+        top = (top - 1) % 3
+        free = slots[top]
+        np.multiply(odd, rho[record], out=free)
+        free += even
+        even *= rho[record]
+        even += odd
+        even, odd = free, even
     return scale, even, odd, outside
 
 
@@ -631,31 +664,73 @@ def _decide(bits, scale, match, flip):
 
 
 def _c4_tables(bits, match, flip):
-    """C4 class sums of every block, ``(class, block, row)``, of the decodes :func:`_decide` takes."""
-    rows = bits.shape[1]
-    # each leaf's scaled likelihood under a codeword bit of 0, then of 1
-    x = np.where(bits == _BIT_VALUES, match, flip)
+    """C4 class sums of every block, ``(class, block, row)``, of the decodes :func:`_decide` takes.
+
+    The tables go into the ``"pair"`` buffer, where :func:`_leaf_likelihoods`
+    leaves ``match`` and ``flip``, which are copied there unless they lie
+    there already; the stage's other arrays take the ``"t"`` and ``"words"``
+    buffers.
+    """
+    leaves, rows = bits.shape
+    blocks = leaves // 4
+    pair = _buffer("pair", (2, leaves, rows))
+    # numpy skips the copy of an array onto its own memory
+    np.copyto(pair[0], match)
+    np.copyto(pair[1], flip)
+    # each leaf's scaled likelihood under a codeword bit of w = 0, then of 1:
+    # pair entry w ^ bit of the leaf
+    index = np.bitwise_xor(_BIT_VALUES, bits, out=_buffer("t", pair.shape, np.int64))
+    index *= bits.size
+    index += _arange(bits.size).reshape(bits.shape)
+    # every index is in range: "clip" only spares the copy "raise" makes of out
+    x = np.take(pair.reshape(-1), index, out=_buffer("words", pair.shape), mode="clip")
     # pair products of leaves 1, 2 and of leaves 3, 4 of each C4 block, by
-    # codeword bits: (2 * w1 + w2, block, row)
-    p12 = (x[:, None, 0::4] * x[None, :, 1::4]).reshape(4, -1, rows)
-    p34 = (x[:, None, 2::4] * x[None, :, 3::4]).reshape(4, -1, rows)
-    del x
-    return np.add.reduce((p12[_C4_LEFT] * p34[_C4_RIGHT]).reshape(4, 2, -1, rows), axis=1)
+    # codeword bits 00, 11, 01, 10: (leaf pair, bits, block, row)
+    p = _buffer("t", (2, 4, blocks, rows))
+    for products, first in zip(p, (0, 2)):
+        np.multiply(x[:, first::4], x[:, first + 1::4], out=products[:2])
+        np.multiply(x[:, first::4], x[::-1, first + 1::4], out=products[2:])
+    p12, p34 = p.reshape(2, 2, 2, blocks, rows)
+    # the words of each class, in codes.c4_table order: 00 00 + 11 11, then
+    # 01 01 + 10 10, 00 11 + 11 00 and 01 10 + 10 01
+    words = _buffer("words", (2, 2, 2, blocks, rows))
+    np.multiply(p12, p34, out=words[0])
+    np.multiply(p12, p34[:, ::-1], out=words[1])
+    words = words.reshape(4, 2, blocks, rows)
+    return np.add(words[:, 0], words[:, 1], out=_buffer("pair", (4, blocks, rows)))
 
 
 def _divide_by_peaks(tables, scale, least):
-    """Divide tables by their peaks, in place; ``scale`` gains each row's summed log peaks and ``least`` their least."""
-    peak = np.maximum.reduce(tables, axis=0)
-    log_peak = np.log(peak)
+    """Divide tables by their peaks, in place; ``scale`` gains each row's summed log peaks and ``least`` their least.
+
+    The peaks take the ``"t"`` buffer.
+    """
+    peak = np.maximum.reduce(tables, axis=0, out=_buffer("t", tables.shape[1:]))
     tables /= peak
+    log_peak = np.log(peak, out=peak)
     return scale + np.add.reduce(log_peak, axis=0), least + np.minimum.reduce(log_peak, axis=0)
 
 
 def _fold(tables):
-    """The next level's class sums: C6 folds of each three consecutive blocks' ``(class, block, row)`` tables."""
+    """The next level's class sums: C6 folds of each three consecutive blocks' ``(class, block, row)`` tables.
+
+    ``tables``, which may lie in the ``"pair"`` buffer, is first copied into
+    the ``"t"`` buffer by sub-block; the words take the ``"words"`` buffer,
+    and each sub-block's word entries and then the folded tables the
+    ``"pair"`` buffer.
+    """
+    rows = tables.shape[2]
+    blocks = tables.shape[1] // 3
+    # each sub-block's tables, contiguous, for np.take to gather from in place:
+    # (sub-block, class, block, row)
+    subs = _buffer("t", (3, 4, blocks, rows))
+    np.copyto(subs, tables.reshape(4, blocks, 3, rows).transpose(2, 0, 1, 3))
     # the products of the three sub-blocks' entries of each word: (class, word, block, row)
-    words = tables[C6_SLOTS[0], 0::3] * tables[C6_SLOTS[1], 1::3] * tables[C6_SLOTS[2], 2::3]
-    return np.add.reduce(words.reshape(4, 4, -1, tables.shape[2]), axis=1)
+    words = np.take(subs[0], C6_SLOTS[0], axis=0, out=_buffer("words", (16, blocks, rows)), mode="clip")
+    entries = _buffer("pair", words.shape)
+    for sub in (1, 2):
+        words *= np.take(subs[sub], C6_SLOTS[sub], axis=0, out=entries, mode="clip")
+    return np.add.reduce(words.reshape(4, 4, blocks, rows), axis=1, out=_buffer("pair", (4, blocks, rows)))
 
 
 def _first_pair(tables, scale, least):

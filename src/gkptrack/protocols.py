@@ -34,11 +34,14 @@ def joint_likelihood(records, sigma: float, analog: bool) -> LikelihoodPair:
     Each record contributes a per-cycle (even, odd) pair: analog from the
     Gaussian density of its deviation, digital from p_corr alone.  Pairs are
     combined by parity convolution, so ``l_match`` is the likelihood of an
-    even number of flips across the cycles and ``l_flip`` of an odd number.
+    even number of flips across the cycles and ``l_flip`` of an odd number;
+    one analog record's pair is its :func:`_analog_pair`, built as it is.
     """
     if len(records) == 0:
         raise ValueError("joint_likelihood needs at least one record")
     if analog:
+        if len(records) == 1:
+            return LikelihoodPair(*_analog_pair(records[0], sigma))
         pairs = [_analog_pair(r, sigma) for r in records]
     else:
         pairs = [digital_likelihoods(sigma)] * len(records)

@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -280,6 +281,48 @@ def test_chunk_size_invariant(monkeypatch, chunk_draws, params, trials):
     assert_stream_exact(params, trials, 11)
 
 
+WARM_CONFIGS = [
+    ProtocolConfig("tracking", True, 1, 2, 0.6),
+    ProtocolConfig("tracking", True, 2, 2, 0.6),
+    ProtocolConfig("tracking", True, 3, 2, 0.6),
+    ProtocolConfig("tracking", True, 2, 2, 0.5, 0.1, "p"),
+    ProtocolConfig("conventional", True, 2, 3, 0.8),
+]
+
+
+@pytest.mark.parametrize("params", WARM_CONFIGS, ids=["tracking-L1", "tracking-L2", "tracking-L3",
+                                                      "tracking-p-ancilla-L2", "conventional-L2"])
+def test_warm_analog_block_allocates_no_leaf_arrays(monkeypatch, params):
+    """Once a thread's buffers are warm, a block allocates only per-decode vectors, whatever its leaf count.
+
+    The stages write their wide arrays into the thread's reused buffers, so
+    the peak of fresh memory over a second block of three chunks stays below
+    16 float64 vectors of its largest chunk's decodes.  numpy's ufunc
+    iterator buffers (``bufsize`` elements for each buffered operand) are
+    scratch, not arrays: they are shrunk while the peak is read.
+    """
+    decodes = []
+    original = pure._run_chunk
+
+    def spy(chunk_params, z, coins, decoder):
+        decodes.append(len(z) * (chunk_params.cycles if chunk_params.protocol == "conventional" else 1))
+        return original(chunk_params, z, coins, decoder)
+
+    monkeypatch.setattr(pure, "_run_chunk", spy)
+    trials = 3 * (pure.CHUNK_DRAWS // draws_per_trial(params))
+    pure.run_block(params, make_gen(1), trials)
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        pure.run_block(params, make_gen(2), trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert len(decodes) == 6
+    assert peak < 16 * 8 * max(decodes)
+
+
 def test_digital_block_in_equal_chunks(monkeypatch):
     """A block runs in as few equal chunks as fit its normals, digital and analog alike."""
     sizes = []
@@ -290,6 +333,7 @@ def test_digital_block_in_equal_chunks(monkeypatch):
         return original(params, z, coins, decoder)
 
     monkeypatch.setattr(pure, "_run_chunk", spy)
+    monkeypatch.setattr(pure, "CHUNK_DRAWS", 8192)
     # 36 normals a trial: 3,640 trials fit the digital chunk, 227 the analog one
     pure.run_block(ProtocolConfig("conventional", False, 2, 3, 0.5), make_gen(1), 8192)
     assert sizes == [2731, 2731, 2730]
@@ -639,6 +683,7 @@ def test_pipelined_blocks(monkeypatch):
     states are the scalar loop's, and an error the scalar loop raises in the
     second chunk, or one the helper meets, is raised.
     """
+    monkeypatch.setattr(pure, "CHUNK_DRAWS", 8192)
     monkeypatch.setattr(pure, "DIGITAL_CHUNK_DRAWS", 4096)
     threads = []
     original = pure._run_chunk
@@ -684,6 +729,7 @@ def test_pipelined_blocks_under_threads(monkeypatch):
     Every trial of the third config replays, so its decode replays re-form
     records in their thread's buffers mid-block while other threads decode.
     """
+    monkeypatch.setattr(pure, "CHUNK_DRAWS", 8192)
     monkeypatch.setattr(pure, "DIGITAL_CHUNK_DRAWS", 4096)
     # the first two run 3 chunks a block (test_pipelined_blocks); the third
     # draws 16 normals a trial: 512 trials a chunk, 2 chunks
