@@ -269,10 +269,11 @@ CHUNK_CONFIGS = TIE_HEAVY + [
 
 # analog and digital chunk normals; 4,096 also split CHUNK_CONFIGS' analog
 # blocks (72 and 52 normals a trial) into two chunks each and its digital
-# ones into 9, 6, 2 and 3
+# ones into 9, 6, 2 and 3; 8,192 is the analog chunk before stages wrote
+# into reused buffers, beside the default digital chunk
 @pytest.mark.parametrize("chunk_draws", [
     pytest.param((size, size), id=str(size)) for size in (1, 7, 4096)
-] + [pytest.param((pure.CHUNK_DRAWS, pure.DIGITAL_CHUNK_DRAWS), id=str(pure.CHUNK_DRAWS))])
+] + [pytest.param((size, pure.DIGITAL_CHUNK_DRAWS), id=str(size)) for size in (8192, pure.CHUNK_DRAWS)])
 @pytest.mark.parametrize("params,trials", CHUNK_CONFIGS)
 def test_chunk_size_invariant(monkeypatch, chunk_draws, params, trials):
     """Counts and both generators' final states do not depend on the chunk size."""
