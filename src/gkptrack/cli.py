@@ -24,6 +24,7 @@ Exit codes: 0 success, 1 usage error, 2 refused config value or runtime/IO error
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -98,7 +99,9 @@ def _parse_workers(text: str) -> int:
     return workers
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every command, built at the first :func:`main` call and reused by each after it."""
     parser = _Parser(prog="gkptrack", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

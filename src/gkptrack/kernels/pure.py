@@ -104,22 +104,26 @@ While the product of every level's smallest peak stays above 1e-250
 (``_LOG_FLOOR``), that moves a top entry by less than some 1e-73 times 12
 per level; a decode below the floor is not sure.  A decode that is not sure,
 or that holds a record outside the bin range (``|a| > sqrt(pi)/2`` after
-rounding, which the scalar decision refuses, flagged per decode), makes its
-trial replay: the chunk gathers each replayed trial's bits and binned
-records from its one :func:`_records` pass, as nothing writes over them, and
-:func:`run_trial` decides each such trial's decodes again, in cycle order,
-by the scalar :func:`gkptrack.protocols.decide`.  So every decision equals
-the scalar decoder's, and every error it raises is raised.  Replays are rare
-except at the extremes: near-ties at very high noise (tracking L3 at
-``sigma_cycle`` 1.5 replays every trial), and flip ratios that underflow in
-odd-parity blocks (tracking at ``sigma_cycle`` 0.005 with ancilla sigma 0.3
-replays 23-93% of its trials from L1 to L3).
+rounding, which the scalar decision refuses, flagged per decode), is left
+open, and so is a digital decode that ties exactly.  A chunk takes its open
+decodes once, in the scalar loop's (trial, cycle) order, and decides each
+again alone: an analog one by :func:`run_trial`, the scalar
+:func:`gkptrack.protocols.decide` on its bits and binned records from the
+chunk's one :func:`_records` pass, as nothing writes over them, and a
+digital one by a tie coin.  The other decodes of its trial keep their
+batched bits.  So every decision equals the scalar decoder's, and every
+error it raises is raised, at the same decode.  Replays are rare except at
+the extremes: near-ties at very high noise (tracking L3 at ``sigma_cycle``
+1.5 replays every decode), and flip ratios that underflow in odd-parity
+blocks (tracking at ``sigma_cycle`` 0.005 with ancilla sigma 0.3 replays
+23-93% of its decodes from L1 to L3).
 
 Tie coins come from the block's coin generator in trial order (stream
-contract in :mod:`gkptrack.kernels`).  A chunk's digital ties take one
-``random`` call, in (trial, cycle) order; an analog decode that ties exactly
-is one the scalar replay decides, and replays run in (trial, cycle) order,
-on the bits and records gathered from the chunk's one pass.  A block's
+contract in :mod:`gkptrack.kernels`).  A sure analog decode never ties in
+the scalar decoder: its gap is six orders of magnitude above rounding, or
+one of its sums underflowed alone.  So only open decodes draw coins, in the
+order a chunk takes them: a digital tie one coin, its chunk's ties in one
+``random`` call, and an analog replay one when it ties exactly.  A block's
 coin generator is taken when the block is queued on its pipeline, before
 any normal is drawn.  After that one thread alone reads the noise
 generator, in chunk order: the pipeline's helper, or the block's thread
@@ -357,52 +361,40 @@ def _draw(buffer, generator, size: int, draws: int):
 def _run_chunk(params, z, coins, decoder) -> int:
     """Failure count of the trials whose normals are ``z``, one row per trial.
 
-    A digital decode overwrites ``z`` with its lattice indices.
+    Each open decode is decided again alone, in (trial, cycle) order: an
+    analog one by :func:`run_trial`, a digital one by a tie coin.  A digital
+    decode overwrites ``z`` with its lattice indices.
     """
     trials = len(z)
     bits, records = _records(params, z)
     if decoder is None:
         scale, match, flip, outside = _leaf_likelihoods(records, params.sigma_cycle)
-        bit, unsure = _decide(bits, scale, match, flip)
-        unsure |= outside
+        bit, left_open = _decide(bits, scale, match, flip)
+        left_open |= outside
     else:
-        bit, tie = decoder.decide(bits)
-        n_ties = np.count_nonzero(tie)
-        if n_ties:
-            # codes._coin: 0 below one half; coins in (trial, cycle) order
-            bit.reshape(-1, trials).T[tie.reshape(-1, trials).T] = coins.random(n_ties) >= 0.5
-        unsure = None
-    # truth is 0 in every cycle: a trial fails on an odd count of wrong
-    # decodes, one per conventional cycle and one per tracking trial
-    if len(bit) > trials:
-        bit = np.bitwise_xor.reduce(bit.reshape(-1, trials), axis=0)
-        if unsure is not None:
-            unsure = np.logical_or.reduce(unsure.reshape(-1, trials), axis=0)
-    if unsure is None or not np.count_nonzero(unsure):
-        return int(np.count_nonzero(bit))
-    failures = int(np.count_nonzero(bit & ~unsure))
-    # gather each unsure trial's decodes, (cycle, trial) columns or one per
-    # trial, from the first pass's bits and records
-    rows = np.flatnonzero(unsure)
-    bits = bits.reshape(len(bits), -1, trials)[..., rows]
-    records = records.reshape(*records.shape[:2], -1, trials)[..., rows]
-    for j in range(len(rows)):
-        failures += run_trial(params, bits[..., j], records[..., j], coins)
-    return failures
+        bit, left_open = decoder.decide(bits)
+    # the open decodes in the scalar loop's (trial, cycle) order; columns are
+    # (cycle, trial), one per conventional cycle and one per tracking trial
+    trial, cycle = np.nonzero(left_open.reshape(-1, trials).T)
+    if len(trial):
+        columns = cycle * trials + trial
+        if decoder is None:
+            for column in columns.tolist():
+                bit[column] = run_trial(params, bits[:, column], records[..., column], coins)
+        else:
+            # codes._coin: 0 below one half
+            bit[columns] = coins.random(len(columns)) >= 0.5
+    # truth is 0 in every cycle: a trial fails on an odd count of wrong decodes
+    return int(np.count_nonzero(np.bitwise_xor.reduce(bit.reshape(-1, trials), axis=0)))
 
 
 def run_trial(params: ProtocolConfig, bits, records, coins) -> int:
-    """Failure indicator of one replayed trial: :func:`gkptrack.protocols.decide` of each decode, XORed in cycle order.
+    """First-pair bit of one replayed decode: :func:`gkptrack.protocols.decide` on its bits and binned records.
 
-    ``bits`` holds the trial's leaf bits, ``(leaf, decode)``, and ``records``
-    its binned records, ``(record, leaf, decode)``: a decode per conventional
-    cycle, one per tracking trial.  The truth is 0, so the XOR of the decoded
-    bits is the failure indicator.
+    ``bits`` holds the decode's leaf bits, ``(leaf,)``, and ``records`` its
+    binned records, ``(record, leaf)``, as the chunk's one pass formed them.
     """
-    failed = 0
-    for leaf_bits, leaf_records in zip(bits.T.tolist(), records.transpose(2, 1, 0).tolist()):
-        failed ^= protocols.decide(params, leaf_bits, leaf_records, coins)
-    return failed
+    return protocols.decide(params, bits.tolist(), records.T.tolist(), coins)
 
 
 # each thread's chunk buffers, by name
@@ -485,7 +477,7 @@ class DigitalDecoder:
         self._first_bits = None if self._chunk_levels else _first_bits(self._tables[-1])
 
     def decide(self, bits):
-        """First-pair bits of decodes, and which of them tie exactly.
+        """First-pair bits of decodes, and which of them tie exactly: a tied decode is replayed by one coin.
 
         ``bits`` holds one column of leaf bits per decode, leaves in
         :func:`gkptrack.codes.decode` order: ``(leaf, row)``.
@@ -585,7 +577,7 @@ def _records(params: ProtocolConfig, normals):
         else:
             records[1:] += np.subtract(a1, a2, out=a2)
             np.subtract(a1, records[:-1], out=records[:-1])
-    # a digital chunk replays no trial: its indices take its own normals' memory
+    # a digital replay reads no record: its indices take its own normals' memory
     # (the other normals buffer may be filling)
     indices = _bin(records, None if params.analog else normals)
     bits = indices[0]

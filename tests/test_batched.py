@@ -227,8 +227,8 @@ def test_loaded_lazily():
         (ProtocolConfig("tracking", True, 1, 2, 0.5, 0.08, "p"), 600),
     ],
 )
-def test_every_trial_replayed(monkeypatch, params, trials):
-    """With an infinite tolerance every analog trial goes through the scalar replay."""
+def test_every_decode_replayed(monkeypatch, params, trials):
+    """With an infinite tolerance every analog decode goes through the scalar replay: one per conventional cycle."""
     monkeypatch.setattr(pure, "TIE_TOLERANCE", float("inf"))
     reruns = []
     run_trial = pure.run_trial
@@ -239,7 +239,44 @@ def test_every_trial_replayed(monkeypatch, params, trials):
 
     monkeypatch.setattr(pure, "run_trial", counted_trial)
     assert_stream_exact(params, trials, 8)
-    assert len(reruns) == trials
+    assert len(reruns) == trials * (params.cycles if params.protocol == "conventional" else 1)
+
+
+def test_only_open_decodes_replayed(monkeypatch):
+    """A conventional trial replays its open decodes alone, not every cycle of a trial with one open.
+
+    Open decodes are those not sure or holding a record outside the bin
+    range.  At ``sigma_cycle`` 6 many trials have both cycles open, and many
+    have only one.
+    """
+    params = ProtocolConfig("conventional", True, 2, 2, 6.0)
+    outside, unsure, reruns = [], [], []
+    leaf_likelihoods, first_pair, run_trial = pure._leaf_likelihoods, pure._first_pair, pure.run_trial
+
+    def spied_leaf_likelihoods(*args):
+        result = leaf_likelihoods(*args)
+        outside.append(result[3].copy())
+        return result
+
+    def spied_first_pair(*args):
+        result = first_pair(*args)
+        unsure.append(result[1].copy())
+        return result
+
+    def counted_trial(*args):
+        reruns.append(args)
+        return run_trial(*args)
+
+    monkeypatch.setattr(pure, "_leaf_likelihoods", spied_leaf_likelihoods)
+    monkeypatch.setattr(pure, "_first_pair", spied_first_pair)
+    monkeypatch.setattr(pure, "run_trial", counted_trial)
+    assert_stream_exact(params, 2000, 12)
+    left_open = [u | o for u, o in zip(unsure, outside, strict=True)]
+    # columns are (cycle, trial): trials with both cycles open, and with one
+    both = sum(np.count_nonzero(o.reshape(2, -1).all(axis=0)) for o in left_open)
+    one = sum(np.count_nonzero(o.reshape(2, -1).sum(axis=0) == 1) for o in left_open)
+    assert both > 0 and one > 0
+    assert len(reruns) == sum(np.count_nonzero(o) for o in left_open)
 
 
 TIE_HEAVY = [
@@ -727,8 +764,8 @@ def test_pipelined_blocks(monkeypatch):
 def test_pipelined_blocks_under_threads(monkeypatch):
     """Six threads running multi-chunk blocks at once, each with its helper, change no count and no generator state.
 
-    Every trial of the third config replays, so its decode replays re-form
-    records in their thread's buffers mid-block while other threads decode.
+    Every decode of the third config replays, reading the bits and records
+    of its chunk's one pass mid-block while other threads decode.
     """
     monkeypatch.setattr(pure, "CHUNK_DRAWS", 8192)
     monkeypatch.setattr(pure, "DIGITAL_CHUNK_DRAWS", 4096)

@@ -89,6 +89,22 @@ class TestRun:
         assert code == 1
         assert "usage" in capsys.readouterr().err.lower()
 
+    def test_one_parser_for_every_call(self, capsys, monkeypatch):
+        """``main`` builds its parser once; a usage error still exits 1 and prints the usage, and leaves it usable."""
+        parsers = []
+        parse_args = cli._Parser.parse_args
+
+        def recorded(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+        assert run_cli("run", "--protocol", "conventional", "--cycles", "2") == 1
+        assert "usage: gkptrack" in capsys.readouterr().err
+        assert run_cli("resources", "--cycles", "2", "--levels", "1") == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[2:5] == ["32", "24", "8"]
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
     @pytest.mark.parametrize("flags,message", [
         (("--cycles", "1"), "tracking requires cycles >= 2, got 1"),
         (("--cycles", "0"), "tracking requires cycles >= 2, got 0"),
